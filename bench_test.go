@@ -464,11 +464,10 @@ func BenchmarkTPCBTransaction(b *testing.B) {
 	}
 }
 
-// stepRefs advances sys until it has retired n more references. One Step
-// call may bulk-retire a whole fast-forwarded hit run, so benchmarks that
-// want ns-per-reference count retired references through Steps() instead of
-// Step calls; b.N iterations of this loop body would conflate runs with
-// references.
+// stepRefs advances sys until it has retired n more references. A Step
+// call that only advances an idle core retires no reference, so benchmarks
+// that want ns-per-reference count retired references through Steps()
+// instead of Step calls.
 func stepRefs(sys *System, n uint64) {
 	target := sys.Steps() + n
 	for sys.Steps() < target && sys.Step() {
@@ -477,8 +476,7 @@ func stepRefs(sys *System, n uint64) {
 
 // BenchmarkSimulationThroughput measures end-to-end simulated references per
 // second on the full machine (8 CPUs, Base), the number that governs how
-// long figure regeneration takes. ns/op is ns per retired reference
-// (hit-run fast-forwarding retires many references per Step call).
+// long figure regeneration takes. ns/op is ns per retired reference.
 // The steady-state loop must not allocate: ReportAllocs makes allocs/op
 // part of the default output, and cmd/benchdiff fails CI if it ever rises
 // above the committed zero. Run with a large -benchtime (e.g. 2000000x) for
@@ -513,36 +511,15 @@ func BenchmarkStepScaling(b *testing.B) {
 	}
 }
 
-// benchStepWorkers times a whole warm+measure run of the 64-node full
-// configuration with a fixed intra-run stepping width. The serial and
-// sharded variants produce byte-identical results
-// (TestShardedSteppingMatchesSerial); the wall-clock gap is the epoch
-// engine's payoff, and benchdiff keeps the sharded variant from regressing
-// into a slowdown.
-func benchStepWorkers(b *testing.B, workers int) {
+// BenchmarkStep64Serial times a whole warm+measure run of the 64-node full
+// configuration, the widest machine the guarded benchmarks step end to end.
+func BenchmarkStep64Serial(b *testing.B) {
 	o := experiments.QuickOptions()
 	o.WarmupTxns, o.MeasureTxns = 200, 400
-	o.StepWorkers = workers
 	cfg := FullIntegrationConfig(64, 2*MB, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = o.Run(cfg)
-	}
-}
-
-// BenchmarkStep64Serial is the serial reference for the 64-node run.
-func BenchmarkStep64Serial(b *testing.B) { benchStepWorkers(b, 1) }
-
-// BenchmarkStep64Sharded sweeps the epoch-shard worker count over the same
-// 64-node configuration, pinning the whole scaling curve — not one point —
-// in the benchdiff baseline. workers=1 exercises the sharded code path's
-// degenerate case (SetStepWorkers(1) keeps the serial engine, so it should
-// track BenchmarkStep64Serial exactly).
-func BenchmarkStep64Sharded(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchStepWorkers(b, workers)
-		})
 	}
 }
 

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchdiff -write            # record baseline BENCH_pr9.json
+//	go run ./cmd/benchdiff -write            # record baseline BENCH_pr13.json
 //	go run ./cmd/benchdiff -check            # fail on time or alloc regression
 //	go run ./cmd/benchdiff -check -allocs-only
 //	go run ./cmd/benchdiff -check -threshold 25
@@ -75,7 +75,7 @@ func main() {
 	var (
 		write      = flag.Bool("write", false, "record the baseline instead of checking against it")
 		check      = flag.Bool("check", false, "compare against the committed baseline")
-		baseline   = flag.String("baseline", "BENCH_pr9.json", "baseline file path")
+		baseline   = flag.String("baseline", "BENCH_pr13.json", "baseline file path")
 		count      = flag.Int("count", 3, "repetitions; the minimum per benchmark is used")
 		short      = flag.Bool("short", true, "run benchmarks in -short mode")
 		threshold  = flag.Float64("threshold", 10, "allowed ns/op regression in percent")
@@ -90,7 +90,7 @@ func main() {
 	}
 
 	// Each guarded benchmark carries its own iteration budget:
-	// RunnerSerial and the Step64 pair regenerate a whole run per iteration
+	// RunnerSerial and Step64Serial regenerate a whole run per iteration
 	// (1x is already seconds of simulation); SimulationThroughput and
 	// StepScaling time single Step calls and need enough iterations that
 	// setup cost amortizes away, which is also what drives their allocs/op
@@ -98,11 +98,8 @@ func main() {
 	// nodes) are the scaling guard: each is recorded under its full
 	// "BenchmarkStepScaling/nodes=N" name, so a super-linear per-ref
 	// slowdown at large N shows up as a plain time regression at that N.
-	// Step64Sharded likewise sweeps worker counts as sub-benchmarks
-	// ("BenchmarkStep64Sharded/workers=N"), so the baseline records the
-	// whole parallel-efficiency curve, not one point. Oltpvet re-analyzes
-	// the whole module per iteration (seconds of type-checking), so like
-	// the runner benchmarks it runs at 1x.
+	// Oltpvet re-analyzes the whole module per iteration (seconds of
+	// type-checking), so like the runner benchmarks it runs at 1x.
 	specs := []benchSpec{
 		{"^BenchmarkRunnerSerial$", "1x"},
 		{"^BenchmarkRunnerColdRepeat$", "1x"},
@@ -110,7 +107,6 @@ func main() {
 		{"^BenchmarkSimulationThroughput$", "2000000x"},
 		{"^BenchmarkStepScaling$", "1000000x"},
 		{"^BenchmarkStep64Serial$", "1x"},
-		{"^BenchmarkStep64Sharded$", "1x"},
 		{"^BenchmarkJobThroughput$", "1x"},
 		{"^BenchmarkOltpvet$", "1x"},
 	}

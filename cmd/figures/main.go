@@ -44,7 +44,6 @@ func main() {
 		compare   = flag.Bool("compare", false, "score each figure against the paper's published values")
 		parallel  = flag.Bool("parallel", false, "run figures concurrently (GOMAXPROCS workers)")
 		jobs      = flag.Int("j", 0, "concurrent figure runners (implies -parallel; 0 = GOMAXPROCS)")
-		stepJobs  = flag.Int("step-j", 0, "epoch-sharded stepping workers inside each simulation (0 or 1 = serial; results stay bit-identical)")
 		warm      = flag.Bool("warm", false, "share end-of-warmup machine state between identical sweep points (results stay bit-identical)")
 		ckptDir   = flag.String("checkpoint", "", "write shared warm-state snapshots to this directory (implies -warm)")
 		resumeDir = flag.String("resume", "", "preload warm-state snapshots from a -checkpoint directory (implies -warm)")
@@ -71,17 +70,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *stepJobs < 0 {
-		fmt.Fprintf(os.Stderr, "figures: -step-j must be >= 0 (got %d)\n", *stepJobs)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	opt := experiments.DefaultOptions()
 	if *quick {
 		opt = experiments.QuickOptions()
 	}
-	opt.StepWorkers = *stepJobs
 	// flag.Visit distinguishes "flag absent" from an explicit -warmup 0 /
 	// -txns 0, which are legitimate requests (e.g. measuring cold caches, or
 	// warmup-only runs) the old `> 0` guard silently ignored. Explicit

@@ -34,7 +34,6 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "write a machine-state checkpoint to this file (at end of warmup, and during measurement with -checkpoint-every)")
 		ckptEvery  = flag.Uint64("checkpoint-every", 0, "with -checkpoint, rewrite the checkpoint every N committed transactions (during warmup and measurement)")
 		resume     = flag.String("resume", "", "resume from a checkpoint file written with the same configuration flags")
-		stepJobs   = flag.Int("step-j", 0, "epoch-sharded stepping workers inside the simulation (0 or 1 = serial; results stay bit-identical)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		scenFile   = flag.String("scenario", "", "run a time-varying workload profile from this JSON file instead of the fixed mix (-txns is ignored; phases are segmented in the output)")
@@ -53,10 +52,6 @@ func main() {
 
 	if *ckptEvery > 0 && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "oltpsim: -checkpoint-every requires -checkpoint")
-		os.Exit(2)
-	}
-	if *stepJobs < 0 {
-		fmt.Fprintf(os.Stderr, "oltpsim: -step-j must be >= 0 (got %d)\n", *stepJobs)
 		os.Exit(2)
 	}
 	if *timeline != "" && *scenFile == "" {
@@ -86,7 +81,6 @@ func main() {
 	opt.WarmupTxns = *warmup
 	opt.MeasureTxns = *measure
 	opt.Quick = *quick
-	opt.StepWorkers = *stepJobs
 	if *scenFile != "" {
 		sched, err := loadSchedule(*scenFile)
 		if err != nil {

@@ -135,24 +135,6 @@ type System struct {
 
 	classifier *cache.Classifier // only when cfg.Classify
 
-	// stepWorkers > 1 turns on epoch-sharded stepping (shard.go) for
-	// eligible configurations; eng is its reusable scratch state.
-	//oltpvet:derived execution policy, not machine state: SetStepWorkers reconfigures it after load
-	stepWorkers int
-	//oltpvet:derived scratch for the sharded engine, rebuilt lazily by SetStepWorkers
-	eng *epochEngine
-
-	// noFF disables hit-run fast-forwarding (fastforward.go). The zero value
-	// keeps the fast path on; SetFastForward exists so tests can pin the
-	// fast/slow equivalence and benchmarks can measure the per-ref path.
-	//oltpvet:derived execution policy, not machine state: SetFastForward reconfigures it after load
-	noFF bool
-	// ffSteps counts references retired through the bulk guaranteed-hit path
-	// (serial fast-forward runs and sharded phase-B replays). Diagnostic
-	// only: it feeds no RunResult and does not ride in snapshots.
-	//oltpvet:derived diagnostic counter, not part of any result or snapshot
-	ffSteps uint64
-
 	writeInvalOps uint64
 	steps         uint64
 }
@@ -363,17 +345,11 @@ func (s *System) Committed() uint64 { return s.w.Committed() }
 // continues the count of the run that wrote it.
 func (s *System) Steps() uint64 { return s.steps }
 
-// SetFastForward enables or disables hit-run fast-forwarding (on by
-// default). The fast path retires runs of guaranteed L1 hits in bulk with
-// byte-identical results to per-reference stepping — the switch exists so
-// tests can pin that equivalence and benchmarks can measure the slow path.
-func (s *System) SetFastForward(on bool) { s.noFF = !on }
-
-// FastForwarded returns how many references have been retired through the
-// bulk guaranteed-hit path (serial runs plus sharded phase-B replays). It is
-// a diagnostic for tests and profiling, not a statistic: the count feeds no
-// RunResult and resets with neither ResetStats nor snapshots.
-func (s *System) FastForwarded() uint64 { return s.ffSteps }
+// FastForwarded always returns 0: every reference is retired by Step one
+// at a time, so no reference is ever bulk-retired. It remains only so
+// callers that report bulk-path coverage keep building; that coverage now
+// reads 0.
+func (s *System) FastForwarded() uint64 { return 0 }
 
 // Step advances the earliest CPU by one reference. It returns false when
 // every CPU's workload is exhausted.
@@ -387,16 +363,6 @@ func (s *System) Step() bool {
 	}
 	idx := int(s.heap[0])
 	co := s.allCores[idx]
-	// Hit-run fast-forward: when the root core's next references are
-	// guaranteed L1 hits it retires the whole run in one bulk dispatch
-	// (fastforward.go). Falls through to per-reference stepping for
-	// scheduler events, out-of-order cores, and workloads without a kernel
-	// scheduler.
-	if !s.noFF && co.inorder != nil && s.sched != nil {
-		if s.fastForward(idx, co) > 0 {
-			return true
-		}
-	}
 	best := s.clocks[idx]
 	var r memref.Ref
 	var st kernel.Status
@@ -469,10 +435,6 @@ func (s *System) stepBound(target uint64) uint64 {
 // panics if the simulation exceeds the stepBound-derived budget, which
 // indicates a scheduling deadlock.
 func (s *System) RunUntil(target uint64) {
-	if s.shardable() {
-		s.runUntilSharded(target)
-		return
-	}
 	var guard uint64
 	bound := s.stepBound(target)
 	commits := s.commits
@@ -616,16 +578,7 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 		}
 		// Shared in L1: fall through to the L2 permission path.
 	}
-	return s.accessBeyondL1(n, co, l1, line, ifetch, write)
-}
 
-// accessBeyondL1 continues a reference that did not retire in the L1: the L2
-// permission path, victim buffer, RAC, and directory transaction. The caller
-// has already performed the L1 lookup (whose result beyond hit/miss the
-// lower levels never need) and counted the reference in the node's kind
-// counters. Split out of access so the fast-forward path (fastforward.go)
-// can finish a run-ending reference without repeating the L1 lookup.
-func (s *System) accessBeyondL1(n *node, co *coreCtx, l1 *cache.Cache, line uint64, ifetch, write bool) (uint32, cpu.StallCat) {
 	// L2 (shared by the chip's cores).
 	st2 := n.l2.Access(line)
 	if s.classifier != nil {

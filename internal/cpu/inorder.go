@@ -32,18 +32,6 @@ func (m *InOrder) Account(r memref.Ref, lat uint32, cat StallCat) {
 	}
 }
 
-// AccountRun batch-accounts a fast-forwarded run of zero-latency L1 hits:
-// instrs fetched instructions, kernelInstrs of them in kernel mode, and no
-// stall cycles. It is exactly Account folded over the run's references —
-// data hits with zero latency contribute nothing, so only the instruction
-// totals remain — applied in O(1) instead of per reference.
-func (m *InOrder) AccountRun(instrs, kernelInstrs uint64) {
-	m.now += instrs
-	m.b.Busy += instrs
-	m.b.Instructions += instrs
-	m.b.Kernel += kernelInstrs
-}
-
 // Now implements Model.
 func (m *InOrder) Now() uint64 { return m.now }
 

@@ -31,20 +31,6 @@ type Options struct {
 	// simulation is a pure function of (config, seed), so parallel results
 	// are bit-identical to serial ones, in the same order.
 	Workers int
-	// StepWorkers turns on epoch-sharded stepping inside each simulation:
-	// n >= 2 shards the machine's chips across n goroutines with barrier
-	// epochs (see internal/core/shard.go). 0 or 1 keeps the serial stepping
-	// engine. Sharded stepping is byte-identical to serial stepping, so this
-	// only trades wall-clock for cores; configurations the sharded engine
-	// cannot drive (out-of-order cores, single chips) fall back to serial on
-	// their own.
-	StepWorkers int
-	// NoFastForward disables hit-run fast-forwarding inside each simulation
-	// (core.System.SetFastForward). The fast path is byte-identical to
-	// per-reference stepping; the switch exists so equivalence tests can run
-	// both sides and benchmarks can price the bulk path. The zero value —
-	// fast-forward on — is what every committed figure uses.
-	NoFastForward bool
 	// WarmSnapshot, when non-nil, shares end-of-warmup machine snapshots
 	// between the runs of a sweep: configurations with an identical machine
 	// shape and seed fork their measurement phases from one warm state
@@ -125,10 +111,7 @@ func (o Options) MeasuredTxns() uint64 {
 
 // build assembles the machine for one configuration.
 func (o Options) build(cfg core.Config) *core.System {
-	sys := core.MustNewSystem(cfg, oltp.MustNewHarness(o.Params(cfg)))
-	sys.SetStepWorkers(o.StepWorkers)
-	sys.SetFastForward(!o.NoFastForward)
-	return sys
+	return core.MustNewSystem(cfg, oltp.MustNewHarness(o.Params(cfg)))
 }
 
 // Run executes one configuration under the protocol.

@@ -59,9 +59,9 @@ func phaseSegment(sched *scenario.Schedule, i int, cum, prev *stats.RunResult) P
 // segments the measurement per phase: warm up (phase 0 governs warmup),
 // reset, then stop at every phase boundary for a read-only cumulative
 // collection. Stopping points are exact commit boundaries — RunUntil
-// retires at most one commit per step — so every execution path (serial,
-// sharded, fast-forward) lands on the same segments, and the whole-run
-// Total is byte-identical to Options.Run of the same schedule.
+// retires at most one commit per step — so a checkpointed or resumed run
+// lands on the same segments, and the whole-run Total is byte-identical to
+// Options.Run of the same schedule.
 func (o Options) RunScenario(cfg core.Config) ScenarioResult {
 	sched := o.Scenario
 	if sched == nil {

@@ -9,38 +9,6 @@ import (
 	"oltpsim/internal/oltp"
 )
 
-// TestScenarioExecutionPathIdentity is the three-way equivalence for phased
-// runs: serial stepping, hit-run fast-forwarding, and epoch-sharded
-// stepping must produce byte-identical ScenarioResults for every reference
-// profile. Phase boundaries are commit counts and every execution path
-// retires commits at the same steps, so the phase switches land on
-// identical transactions.
-func TestScenarioExecutionPathIdentity(t *testing.T) {
-	cfg := core.FullConfig(8, 2*core.MB, 8)
-	for _, p := range scenarioProfiles() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			o := invariantOptions()
-			o.Scenario = compileProfile(t, p)
-
-			ref := o.RunScenario(cfg)
-
-			noFF := o
-			noFF.NoFastForward = true
-			if got := noFF.RunScenario(cfg); !reflect.DeepEqual(got, ref) {
-				t.Errorf("per-reference stepping diverged from fast-forwarded run")
-			}
-
-			sharded := o
-			sharded.StepWorkers = 4
-			if got := sharded.RunScenario(cfg); !reflect.DeepEqual(got, ref) {
-				t.Errorf("sharded stepping diverged from serial run")
-			}
-		})
-	}
-}
-
 // TestScenarioSinglePhaseIsSteadyState pins the opt-in contract at its
 // sharpest point: a single-phase pure-update profile must reproduce the
 // steady-state run byte for byte — the identical RunResult and the
@@ -52,16 +20,12 @@ func TestScenarioSinglePhaseIsSteadyState(t *testing.T) {
 
 	steady := o
 	sysSteady := core.MustNewSystem(cfg, oltp.MustNewHarness(steady.Params(cfg)))
-	sysSteady.SetStepWorkers(steady.StepWorkers)
-	sysSteady.SetFastForward(true)
 	refRes := sysSteady.Run(steady.WarmupTxns, steady.MeasureTxns)
 	refRes.Name = cfg.Name
 
 	phased := o
 	phased.Scenario = compileProfile(t, steadyProfile(o.MeasureTxns))
 	sysPhased := core.MustNewSystem(cfg, oltp.MustNewHarness(phased.Params(cfg)))
-	sysPhased.SetStepWorkers(phased.StepWorkers)
-	sysPhased.SetFastForward(true)
 	sysPhased.RunUntil(phased.WarmupTxns)
 	sysPhased.ResetStats()
 	base := sysPhased.Committed()

@@ -127,15 +127,6 @@ type cpuQueue struct {
 	// fast path in Next touches only this struct.
 	swBuf RefBuffer
 	swPos int
-	// otherWake caches Pending's OtherWake — the earliest wake instant of a
-	// ready or sleeping process other than cur — so the per-run lookahead
-	// does not rescan the run queue. owValid is cleared by everything that
-	// can change a pinned process's state, wakeAt, or cur: any Next call
-	// (dispatch, preemption, drain directives), Wake, Spawn, and LoadState.
-	// ConsumeRun touches only positions and slice accounting, so hit-run
-	// fast-forwarding keeps the cache warm across whole runs.
-	otherWake uint64
-	owValid   bool
 }
 
 // Scheduler multiplexes the processes pinned to each CPU, implementing the
@@ -188,7 +179,6 @@ func (s *Scheduler) Spawn(cpu int, name string, g Generator) *Proc {
 	p := &Proc{ID: s.nextID, Name: name, CPU: cpu, gen: g, state: stateReady}
 	s.nextID++
 	s.cpus[cpu].procs = append(s.cpus[cpu].procs, p)
-	s.cpus[cpu].owValid = false
 	return p
 }
 
@@ -201,7 +191,6 @@ func (s *Scheduler) Wake(p *Proc, at uint64) {
 	}
 	p.state = stateReady
 	p.wakeAt = at
-	s.cpus[p.CPU].owValid = false
 }
 
 // Next produces the next reference for cpu, whose local clock reads now.
@@ -209,10 +198,6 @@ func (s *Scheduler) Wake(p *Proc, at uint64) {
 // StatusIdle.
 func (s *Scheduler) Next(cpu int, now uint64) (r memref.Ref, st Status, wake uint64) {
 	c := &s.cpus[cpu]
-	// Any Next call may dispatch, preempt, or apply a drain directive, and a
-	// drain's OnDrain can Wake a process on any CPU (Wake clears that CPU's
-	// cache itself); conservatively drop this CPU's OtherWake cache.
-	c.owValid = false
 	for {
 		// Pending context-switch overhead takes priority.
 		if c.swPos < len(c.swBuf.Refs) {
@@ -365,89 +350,6 @@ func (s *Scheduler) allDead(c *cpuQueue) bool {
 		}
 	}
 	return true
-}
-
-// PendingRun is a read-only view of the references cpu would serve next,
-// taken for speculative lookahead (the epoch-sharded stepping engine in
-// internal/core). The slices alias scheduler-owned buffers and are valid
-// only until the next mutating call for this cpu.
-//
-// The serve order it describes: every Switch reference first (context-switch
-// overhead is served unconditionally, with no slice accounting), then Seg
-// references one at a time, where serving Seg[k] is preceded by the
-// preemption test `SliceUsed+k >= Quantum && OtherWake <= now`. Anything
-// after the last Seg reference (drain directives, refills, dispatches) is
-// not visible here — by design, since those mutate scheduler state.
-type PendingRun struct {
-	Switch    []memref.Ref // pending context-switch overhead
-	Seg       []memref.Ref // running process's remaining segment references
-	SliceUsed int          // references the running process has used this slice
-	Quantum   int          // scheduler time slice, in references
-	// OtherWake is the earliest instant at which some other process on this
-	// cpu is (or becomes) runnable — the exact quantity someoneElseReady
-	// compares against now — or ^0 when no other process is ready or
-	// sleeping.
-	OtherWake uint64
-}
-
-// Pending returns the read-only lookahead view for cpu without mutating any
-// scheduler state.
-func (s *Scheduler) Pending(cpu int) PendingRun {
-	c := &s.cpus[cpu]
-	pr := PendingRun{Quantum: s.quantum}
-	if c.swPos < len(c.swBuf.Refs) {
-		pr.Switch = c.swBuf.Refs[c.swPos:]
-	}
-	p := c.cur
-	if p != nil && p.pos < len(p.buf.Refs) {
-		pr.Seg = p.buf.Refs[p.pos:]
-		pr.SliceUsed = p.sliceUsed
-	}
-	if !c.owValid {
-		ow := ^uint64(0)
-		for _, q := range c.procs {
-			if q == p {
-				continue
-			}
-			if (q.state == stateReady || q.state == stateSleeping) && q.wakeAt < ow {
-				ow = q.wakeAt
-			}
-		}
-		c.otherWake = ow
-		c.owValid = true
-	}
-	pr.OtherWake = c.otherWake
-	return pr
-}
-
-// ConsumeRun advances cpu's bookkeeping past references the caller served
-// directly from the Pending view: nSwitch context-switch references followed
-// by nSeg segment references. It applies exactly the state updates that many
-// StatusRef returns from Next would have — switch references advance the
-// overhead cursor and nothing else; segment references advance the running
-// process's position and slice accounting. The caller must have served
-// precisely those references, in Pending order, stopping short of every
-// scheduler event (preemption, drain, dispatch): ConsumeRun performs none,
-// so consuming past them would silently skip them.
-func (s *Scheduler) ConsumeRun(cpu int, nSwitch, nSeg int) {
-	c := &s.cpus[cpu]
-	if nSwitch > 0 {
-		c.swPos += nSwitch
-		if c.swPos > len(c.swBuf.Refs) {
-			panic("kernel: ConsumeRun past the pending context-switch overhead")
-		}
-	}
-	if nSeg > 0 {
-		p := c.cur
-		if p == nil {
-			panic("kernel: ConsumeRun segment references with no running process")
-		}
-		p.pos += nSeg
-		p.sliceUsed += nSeg
-		if p.pos > len(p.buf.Refs) {
-			panic("kernel: ConsumeRun past the running process's segment")
-		}
-	}
 }
 
 // Procs returns all processes pinned to cpu (diagnostics and tests).

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"reflect"
 	"testing"
 
 	"oltpsim/internal/memref"
@@ -242,235 +241,4 @@ func TestDumpState(t *testing.T) {
 	if out := s.DumpState(); out == "" {
 		t.Fatal("empty dump")
 	}
-}
-
-// TestPendingViewMatchesServe checks that Pending describes exactly what
-// Next will serve — segment remainder, slice accounting, other-process wake
-// — and that taking the view mutates nothing: a scheduler inspected between
-// every reference serves the same stream as an uninspected twin.
-func TestPendingViewMatchesServe(t *testing.T) {
-	build := func() *Scheduler {
-		s := NewScheduler(1, 6, nil)
-		s.Spawn(0, "a", &scriptGen{segments: []scriptSeg{{refs: 5, dir: Directive{Kind: Run}}, {refs: 4, dir: Directive{Kind: Exit}}}})
-		s.Spawn(0, "b", &scriptGen{segments: []scriptSeg{{refs: 3, dir: Directive{Kind: Exit}}}})
-		return s
-	}
-	probed, control := build(), build()
-
-	// Before any dispatch there is nothing pending.
-	if pr := probed.Pending(0); pr.Seg != nil || pr.Switch != nil {
-		t.Fatalf("fresh scheduler has pending work: %+v", pr)
-	}
-	now := uint64(0)
-	for i := 0; i < 100; i++ {
-		pr := probed.Pending(0)
-		if pr2 := probed.Pending(0); len(pr2.Seg) != len(pr.Seg) || pr2.SliceUsed != pr.SliceUsed || pr2.OtherWake != pr.OtherWake {
-			t.Fatalf("Pending not idempotent: %+v then %+v", pr, pr2)
-		}
-		r, st, _ := probed.Next(0, now)
-		rc, stc, _ := control.Next(0, now)
-		if r != rc || st != stc {
-			t.Fatalf("step %d: probed scheduler diverged from control: (%v,%v) vs (%v,%v)", i, r, st, rc, stc)
-		}
-		if st == StatusDone {
-			return
-		}
-		if st == StatusRef && len(pr.Seg) > 0 {
-			// Unless the view's own preemption test fires, the served ref
-			// must be the head of the pending view; when it does fire, the
-			// scheduler must preempt, i.e. serve some other process's ref.
-			if preempt := pr.SliceUsed >= pr.Quantum && pr.OtherWake <= now; !preempt {
-				if r != pr.Seg[0] {
-					t.Fatalf("step %d: served %+v, Pending showed %+v", i, r, pr.Seg[0])
-				}
-			} else if r == pr.Seg[0] {
-				t.Fatalf("step %d: preemption test fired but the old head was served", i)
-			}
-		}
-		now++
-	}
-	t.Fatal("scheduler never finished")
-}
-
-// TestPendingOtherWake pins OtherWake: the earliest wake among the other
-// ready or sleeping processes, ^0 when the running process is alone.
-func TestPendingOtherWake(t *testing.T) {
-	s := NewScheduler(1, 100, nil)
-	s.Spawn(0, "a", &scriptGen{segments: []scriptSeg{{refs: 4, dir: Directive{Kind: Exit}}}})
-	b := s.Spawn(0, "b", &scriptGen{segments: []scriptSeg{{refs: 1, dir: Directive{Kind: Exit}}}})
-	b.state = stateSleeping
-	b.wakeAt = 77
-
-	if _, st, _ := s.Next(0, 0); st != StatusRef {
-		t.Fatalf("expected a ref, got %v", st)
-	}
-	pr := s.Pending(0)
-	if pr.OtherWake != 77 {
-		t.Fatalf("OtherWake = %d, want 77", pr.OtherWake)
-	}
-	if pr.SliceUsed != 1 || len(pr.Seg) != 3 {
-		t.Fatalf("view = used %d, seg %d; want 1, 3", pr.SliceUsed, len(pr.Seg))
-	}
-	// Poking the state directly bypasses the scheduler's own mutation
-	// surface (Next/Wake/Spawn/LoadState), which is what keeps the cached
-	// OtherWake coherent — so invalidate the cache the way those paths do.
-	b.state = stateDead
-	s.cpus[0].owValid = false
-	if pr := s.Pending(0); pr.OtherWake != ^uint64(0) {
-		t.Fatalf("OtherWake with no other live proc = %d, want ^0", pr.OtherWake)
-	}
-}
-
-// TestConsumeRunMatchesNext pins ConsumeRun's contract: consuming n pending
-// references in bulk leaves the scheduler in exactly the state n sequential
-// Next calls produce, for any split across the switch buffer and the
-// segment. Two identically built schedulers run side by side — one advanced
-// by Next, one by ConsumeRun — and must agree on every subsequent event.
-func TestConsumeRunMatchesNext(t *testing.T) {
-	build := func() *Scheduler {
-		s := NewScheduler(1, 100, func(cpu int, out *RefBuffer) {
-			for i := 0; i < 3; i++ {
-				out.Append(memref.Ref{Addr: uint64(1000 + i*64), Kind: memref.IFetch, Instrs: 1})
-			}
-		})
-		s.Spawn(0, "a", &scriptGen{segments: []scriptSeg{
-			{refs: 6, dir: Directive{Kind: Run}},
-			{refs: 2, dir: Directive{Kind: Exit}},
-		}})
-		s.Spawn(0, "b", &scriptGen{segments: []scriptSeg{{refs: 2, dir: Directive{Kind: Exit}}}})
-		return s
-	}
-
-	for _, bulk := range []int{1, 2, 4} {
-		byNext, byRun := build(), build()
-		now := uint64(0)
-		for step := 0; step < 100; step++ {
-			// Peek both pending views; they must agree before each move.
-			pn, pr := byNext.Pending(0), byRun.Pending(0)
-			if !reflect.DeepEqual(pn, pr) {
-				t.Fatalf("bulk=%d step %d: pending views diverged:\nnext: %+v\nrun:  %+v", bulk, step, pn, pr)
-			}
-			// Consume up to bulk refs from the front of the pending run —
-			// but only while no slice expiry could fire, mirroring the
-			// fast path's preemption stop.
-			nSwitch := len(pn.Switch)
-			if nSwitch > bulk {
-				nSwitch = bulk
-			}
-			nSeg := bulk - nSwitch
-			if room := pn.Quantum - pn.SliceUsed; pn.OtherWake <= now && nSeg > room {
-				nSeg = room
-			}
-			if nSeg > len(pn.Seg) {
-				nSeg = len(pn.Seg)
-			}
-			if nSwitch+nSeg > 0 {
-				for i := 0; i < nSwitch+nSeg; i++ {
-					r, st, _ := byNext.Next(0, now)
-					if st != StatusRef {
-						t.Fatalf("bulk=%d step %d: Next gave status %v inside the pending run", bulk, step, st)
-					}
-					want := pn.Switch
-					k := i
-					if i >= nSwitch {
-						want, k = pn.Seg, i-nSwitch
-					}
-					if r != want[k] {
-						t.Fatalf("bulk=%d step %d: Next served %+v, pending showed %+v", bulk, step, r, want[k])
-					}
-				}
-				byRun.ConsumeRun(0, nSwitch, nSeg)
-				continue
-			}
-			// No consumable prefix: advance both through one real event.
-			rn, sn, _ := byNext.Next(0, now)
-			rr, sr, _ := byRun.Next(0, now)
-			if rn != rr || sn != sr {
-				t.Fatalf("bulk=%d step %d: events diverged: (%+v, %v) vs (%+v, %v)", bulk, step, rn, sn, rr, sr)
-			}
-			if sn == StatusDone {
-				break
-			}
-			now++
-		}
-		if byNext.ContextSwitches != byRun.ContextSwitches || byNext.Preemptions != byRun.Preemptions {
-			t.Fatalf("bulk=%d: counters diverged: switches %d/%d preemptions %d/%d", bulk,
-				byNext.ContextSwitches, byRun.ContextSwitches, byNext.Preemptions, byRun.Preemptions)
-		}
-	}
-}
-
-// TestConsumeRunBoundsPanic pins the guard rails: consuming past the switch
-// buffer or the running segment must panic rather than corrupt cursors.
-func TestConsumeRunBoundsPanic(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	s := NewScheduler(1, 100, nil)
-	s.Spawn(0, "p", &scriptGen{segments: []scriptSeg{{refs: 2, dir: Directive{Kind: Exit}}}})
-	if _, st, _ := s.Next(0, 0); st != StatusRef {
-		t.Fatalf("expected a ref, got %v", st)
-	}
-	expectPanic("segment overrun", func() { s.ConsumeRun(0, 0, 100) })
-	expectPanic("switch overrun", func() { s.ConsumeRun(0, 100, 0) })
-}
-
-// TestOtherWakeCacheCoherent drives every scheduler mutation path and checks
-// the cached OtherWake against a from-scratch recomputation after each step.
-func TestOtherWakeCacheCoherent(t *testing.T) {
-	recompute := func(s *Scheduler, cpu int) uint64 {
-		c := &s.cpus[cpu]
-		ow := ^uint64(0)
-		for _, p := range c.procs {
-			if p == c.cur {
-				continue
-			}
-			switch p.state {
-			case stateReady:
-				if p.wakeAt < ow {
-					ow = p.wakeAt
-				}
-			case stateSleeping:
-				if p.wakeAt < ow {
-					ow = p.wakeAt
-				}
-			}
-		}
-		return ow
-	}
-
-	s := NewScheduler(1, 3, nil)
-	gen := func(n int) *scriptGen {
-		segs := make([]scriptSeg, n)
-		for i := range segs {
-			segs[i] = scriptSeg{refs: 2, dir: Directive{Kind: Sleep, Until: uint64(10 * (i + 1))}}
-		}
-		segs[n-1].dir = Directive{Kind: Exit}
-		return &scriptGen{segments: segs}
-	}
-	s.Spawn(0, "a", gen(3))
-	p := s.Spawn(0, "b", gen(2))
-	now := uint64(0)
-	for i := 0; i < 200; i++ {
-		_, st, _ := s.Next(0, now)
-		if got, want := s.Pending(0).OtherWake, recompute(s, 0); got != want {
-			t.Fatalf("step %d: cached OtherWake = %d, recomputed %d", i, got, want)
-		}
-		if i == 5 {
-			s.Wake(p, now)
-			if got, want := s.Pending(0).OtherWake, recompute(s, 0); got != want {
-				t.Fatalf("after Wake: cached OtherWake = %d, recomputed %d", got, want)
-			}
-		}
-		if st == StatusDone {
-			return
-		}
-		now++
-	}
-	t.Fatal("scheduler never finished")
 }

@@ -166,7 +166,6 @@ func (s *Scheduler) LoadState(d *snapshot.Decoder, rebind func(p *Proc, tag uint
 		}
 		c.swBuf.Refs = append(c.swBuf.Refs[:0], swRefs...)
 		c.swPos = swPos
-		c.owValid = false
 	}
 	s.ContextSwitches = d.U64()
 	s.Preemptions = d.U64()

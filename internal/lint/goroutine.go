@@ -11,12 +11,6 @@ import (
 // configuration and seed, and the files below are the only places where
 // concurrency has a proven determinism argument:
 //
-//   - internal/core/shard.go: the epoch-sharded stepping engine, whose
-//     barrier protocol guarantees parallel phases execute exactly the
-//     serial-order prefix (see DESIGN.md, "Event-queue core");
-//   - internal/core/epochpool.go: that engine's persistent worker pool —
-//     the goroutines are dumb executors of the engine's phases, created and
-//     retired inside one RunUntil, synchronized by the same barrier;
 //   - internal/experiments/runner.go: the experiment worker pool, which
 //     parallelizes across independent System instances that share no
 //     mutable state;
@@ -25,11 +19,10 @@ import (
 //     remain a pure function of (config, seed), so scheduling cannot
 //     change output (pinned by the server lifecycle tests).
 //
-// A `go` statement anywhere else under internal/ is an unreviewed
-// concurrency seam and is reported.
+// A single simulation always steps on one goroutine. A `go` statement
+// anywhere else under internal/ is an unreviewed concurrency seam and is
+// reported.
 var ApprovedGoroutineFiles = []string{
-	"internal/core/shard.go",
-	"internal/core/epochpool.go",
 	"internal/experiments/runner.go",
 	"internal/server/queue.go",
 }
@@ -42,7 +35,7 @@ func NewGoroutineDiscipline(approved []string) *Analyzer {
 	a := &Analyzer{
 		Name: "goroutine",
 		Doc: "forbid `go` statements under internal/ outside the approved concurrency\n" +
-			"seams (the epoch-sharded stepping engine and the experiment worker pool);\n" +
+			"seams (the experiment worker pool and the job server's worker pool);\n" +
 			"ad-hoc goroutines are how nondeterminism and data races enter a simulator",
 	}
 	a.Run = func(pass *Pass) {
@@ -56,7 +49,7 @@ func NewGoroutineDiscipline(approved []string) *Analyzer {
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
-					pass.Reportf(g.Pos(), "go statement outside the approved concurrency seams; deterministic parallelism belongs in the epoch scheduler (internal/core/shard.go) or the experiment runner pool")
+					pass.Reportf(g.Pos(), "go statement outside the approved concurrency seams; deterministic parallelism belongs in the experiment runner pool (internal/experiments/runner.go) or the job server's worker pool (internal/server/queue.go)")
 				}
 				return true
 			})

@@ -17,9 +17,9 @@
 //   - counterowner: stats.MissTable and stats.RunResult counter fields are
 //     written only by the stats package's Count*/Add* accumulators.
 //   - goroutine: `go` statements under internal/ appear only in the two
-//     approved concurrency seams (the epoch-sharded stepping engine and
-//     the experiment worker pool), whose determinism arguments are
-//     documented and tested.
+//     approved concurrency seams (the experiment worker pool and the job
+//     server's worker pool), whose determinism arguments are documented
+//     and tested.
 //
 // The contract analyzers reason about cross-package flows over a Program —
 // the whole module loaded at once, with a conservative static call graph

@@ -231,12 +231,8 @@ func TestContractAnalyzersPinned(t *testing.T) {
 	}
 
 	wantDerived := []string{
-		"oltpsim/internal/core System.eng",
-		"oltpsim/internal/core System.ffSteps",
 		"oltpsim/internal/core System.heap",
-		"oltpsim/internal/core System.noFF",
 		"oltpsim/internal/core System.pos",
-		"oltpsim/internal/core System.stepWorkers",
 		"oltpsim/internal/kernel Scheduler.nextID",
 		"oltpsim/internal/tpcb BufferPool.blockToFrame",
 	}

@@ -39,9 +39,9 @@ func newScenarioCtl(sched *scenario.Schedule, base uint64, cfg *tpcb.Config) *sc
 // scenarioDraw picks the next transaction's kind and input for g under the
 // schedule. The phase clock is the global committed-transaction counter
 // relative to the scenario base, so every server switches parameters at the
-// same exact commit boundary on every execution path (serial, sharded,
-// fast-forward): commits retire one per scheduler step, and the draw below
-// happens on the step after the counter advanced. Inside a ramp window one
+// same exact commit boundary however the run is chunked: commits retire
+// one per scheduler step, and the draw below happens on the step after the
+// counter advanced. Inside a ramp window one
 // extra uniform draw per transaction interpolates between the previous and
 // incoming phase's whole parameter set; outside ramps (and in mixless
 // phases) the draw sequence is exactly the steady-state one.

@@ -71,7 +71,6 @@ func (j *Job) options() experiments.Options {
 		MeasureTxns: j.Spec.MeasureTxns,
 		Seed:        j.Spec.Seed,
 		Quick:       j.Spec.Quick,
-		StepWorkers: j.Spec.StepWorkers,
 		Zeta:        sim.NewZetaCache(),
 	}
 	// The spec was validated at submission (and again at restore), so a

@@ -375,3 +375,38 @@ func TestServerRestartKeepsHistory(t *testing.T) {
 	}
 	s2.cancelJob(j3)
 }
+
+// TestRecoveryRefusesRetiredSpecField pins what a restart does with a job
+// stored while the spec still had a step_workers field: recovery re-decodes
+// spec.json through the strict submission decoder, so New fails, naming
+// both the job and the field, instead of silently dropping the setting.
+func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
+	dir := t.TempDir()
+	st, err := newStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _, err := DecodeJobSpec(strings.NewReader(validSpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	if err := st.createJob(id, spec); err != nil {
+		t.Fatal(err)
+	}
+	stored := `{"machines": [{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10, "step_workers": 2}`
+	if err := st.writeFile(id, "spec.json", []byte(stored)); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(testServerConfig(dir))
+	if err == nil {
+		s.Close()
+		t.Fatal("server recovered a job whose stored spec carries step_workers")
+	}
+	for _, want := range []string{id, `"step_workers"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("recovery error %q does not name %s", err, want)
+		}
+	}
+}

@@ -32,8 +32,7 @@ const (
 	MaxMachines = 64
 	// MaxTxns bounds warmup and measured transactions per configuration.
 	MaxTxns = 10_000_000
-	// MaxWorkers bounds the per-job RunMany fan-out and the sharded
-	// stepping workers.
+	// MaxWorkers bounds the per-job RunMany fan-out.
 	MaxWorkers = 256
 	// MaxNameLen bounds the display name.
 	MaxNameLen = 200
@@ -61,9 +60,6 @@ type JobSpec struct {
 	// jobs run their configurations serially so exactly one machine state is
 	// in flight per job. 0 means serial.
 	Workers int `json:"workers,omitempty"`
-	// StepWorkers enables epoch-sharded stepping inside each simulation
-	// (bit-identical to serial; see experiments.Options.StepWorkers).
-	StepWorkers int `json:"step_workers,omitempty"`
 	// CheckpointEvery is the checkpoint quantum in committed transactions.
 	// Absent (null) means the server's configured default; an explicit 0
 	// disables checkpointing for this job, which makes it run through
@@ -121,9 +117,6 @@ func (s *JobSpec) Configs() ([]core.Config, error) {
 	}
 	if s.Workers < 0 || s.Workers > MaxWorkers {
 		return nil, fmt.Errorf("job spec: workers out of range [0,%d]", MaxWorkers)
-	}
-	if s.StepWorkers < 0 || s.StepWorkers > MaxWorkers {
-		return nil, fmt.Errorf("job spec: step_workers out of range [0,%d]", MaxWorkers)
 	}
 	if s.CheckpointEvery != nil && *s.CheckpointEvery > MaxTxns {
 		return nil, fmt.Errorf("job spec: checkpoint_every exceeds the limit of %d", uint64(MaxTxns))

@@ -66,7 +66,7 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"warmup too large", fmt.Sprintf(`{"machines": [%s], "measure_txns": 10, "warmup_txns": %d}`, machine, uint64(MaxTxns)+1)},
 		{"negative workers", `{"machines": [` + machine + `], "measure_txns": 10, "workers": -1}`},
 		{"huge workers", fmt.Sprintf(`{"machines": [%s], "measure_txns": 10, "workers": %d}`, machine, MaxWorkers+1)},
-		{"huge step workers", fmt.Sprintf(`{"machines": [%s], "measure_txns": 10, "step_workers": %d}`, machine, MaxWorkers+1)},
+		{"retired step_workers field", `{"machines": [` + machine + `], "measure_txns": 10, "step_workers": 2}`},
 		{"long name", `{"name": "` + strings.Repeat("x", MaxNameLen+1) + `", "machines": [` + machine + `], "measure_txns": 10}`},
 		{"bad level", `{"machines": [{"procs": 1, "level": "warp", "l2": "1M", "assoc": 1}], "measure_txns": 10}`},
 		{"bad size", `{"machines": [{"procs": 1, "level": "base", "l2": "zero", "assoc": 1}], "measure_txns": 10}`},
