@@ -175,47 +175,6 @@ func BenchmarkRunnerSerial(b *testing.B) { benchRunnerWorkers(b, 1) }
 // only the wall clock differs.
 func BenchmarkRunnerParallel(b *testing.B) { benchRunnerWorkers(b, 0) }
 
-// benchWarmOptions is the protocol for the warm-reuse pair: snapshot restore
-// has a fixed cost (encoding the tag arrays and database tables), so reuse
-// pays off when the shared warmup dwarfs it — the sensitivity-sweep regime
-// the feature is built for. The sweep visits one machine shape under six
-// names; serial workers keep the cold/warm comparison a pure warmup story.
-func benchWarmOptions(b *testing.B) (experiments.Options, []Config) {
-	o := benchOptions(b)
-	o.Workers = 1
-	o.WarmupTxns = 4 * o.MeasureTxns
-	cfgs := make([]Config, 6)
-	for i := range cfgs {
-		cfg := FullIntegrationConfig(8, 2*MB, 8)
-		cfg.Name = fmt.Sprintf("%s #%d", cfg.Name, i)
-		cfgs[i] = cfg
-	}
-	return o, cfgs
-}
-
-// BenchmarkRunnerColdRepeat runs the repeated-shape sweep paying a full
-// warmup per point: the reference the warm variant is judged against.
-func BenchmarkRunnerColdRepeat(b *testing.B) {
-	o, cfgs := benchWarmOptions(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = o.RunMany(cfgs)
-	}
-}
-
-// BenchmarkRunnerWarmReuse runs the same sweep sharing one end-of-warmup
-// snapshot across the identical shapes. Results are bit-identical to the
-// cold sweep (TestSnapshotWarmReuse); the gap to ColdRepeat is the reuse
-// payoff, and cmd/benchdiff guards it from regressing into a slowdown.
-func BenchmarkRunnerWarmReuse(b *testing.B) {
-	o, cfgs := benchWarmOptions(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.WarmSnapshot = experiments.NewWarmCache()
-		_ = o.RunMany(cfgs)
-	}
-}
-
 // --- Ablation benchmarks: design choices DESIGN.md calls out ---------------
 
 // BenchmarkAblationMigratory measures the migratory-sharing optimization's

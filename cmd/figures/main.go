@@ -16,40 +16,32 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
+	"oltpsim/internal/cli"
 	"oltpsim/internal/core"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/prof"
-	"oltpsim/internal/scenario"
-	"oltpsim/internal/snapshot"
 )
 
 func main() {
 	var (
-		quick     = flag.Bool("quick", false, "scaled-down database and short runs")
-		fig       = flag.String("fig", "all", "which figure: 3,5,6,7,8,10,11,12,13 or all")
-		warmup    = flag.Int64("warmup", -1, "override warmup transactions (0 is honored; default: protocol value)")
-		measure   = flag.Int64("txns", -1, "override measured transactions (0 is honored; default: protocol value)")
-		detail    = flag.Bool("detail", false, "print per-bar diagnostics")
-		compare   = flag.Bool("compare", false, "score each figure against the paper's published values")
-		parallel  = flag.Bool("parallel", false, "run figures concurrently (GOMAXPROCS workers)")
-		jobs      = flag.Int("j", 0, "concurrent figure runners (implies -parallel; 0 = GOMAXPROCS)")
-		warm      = flag.Bool("warm", false, "share end-of-warmup machine state between identical sweep points (results stay bit-identical)")
-		ckptDir   = flag.String("checkpoint", "", "write shared warm-state snapshots to this directory (implies -warm)")
-		resumeDir = flag.String("resume", "", "preload warm-state snapshots from a -checkpoint directory (implies -warm)")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		scenFile  = flag.String("scenario", "", "render the timeline figure family for this scenario profile (integration ladder vs. phase) instead of the paper figures")
+		quick    = flag.Bool("quick", false, "scaled-down database and short runs")
+		fig      = flag.String("fig", "all", "which figure: 3,5,6,7,8,10,11,12,13 or all")
+		warmup   = flag.Int64("warmup", -1, "override warmup transactions (0 is honored; default: protocol value)")
+		measure  = flag.Int64("txns", -1, "override measured transactions (0 is honored; default: protocol value)")
+		detail   = flag.Bool("detail", false, "print per-bar diagnostics")
+		compare  = flag.Bool("compare", false, "score each figure against the paper's published values")
+		parallel = flag.Bool("parallel", false, "run figures concurrently (GOMAXPROCS workers)")
+		jobs     = flag.Int("j", 0, "concurrent figure runners (implies -parallel; 0 = GOMAXPROCS)")
+		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		scenFile = flag.String("scenario", "", "render the timeline figure family for this scenario profile (integration ladder vs. phase) instead of the paper figures")
 	)
 	flag.Parse()
 
@@ -102,7 +94,7 @@ func main() {
 	// ladder under the scenario and render normalized cost per phase. The
 	// default figure set (and its golden output) is untouched.
 	if *scenFile != "" {
-		sched, err := loadSchedule(*scenFile)
+		sched, err := cli.LoadSchedule(*scenFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			os.Exit(2)
@@ -112,16 +104,6 @@ func main() {
 		fmt.Print(tf.Render())
 		fmt.Println(strings.Repeat("-", 72))
 		return
-	}
-
-	if *warm || *ckptDir != "" || *resumeDir != "" {
-		opt.WarmSnapshot = experiments.NewWarmCache()
-	}
-	if *resumeDir != "" {
-		if err := loadWarmDir(opt.WarmSnapshot, *resumeDir); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
 	}
 
 	figWorkers := 1
@@ -196,7 +178,6 @@ func main() {
 			render(i)
 			fmt.Print(reports[i])
 		}
-		saveWarm(opt.WarmSnapshot, *ckptDir)
 		return
 	}
 
@@ -222,106 +203,6 @@ func main() {
 	for i := range reports {
 		fmt.Print(reports[i])
 	}
-	saveWarm(opt.WarmSnapshot, *ckptDir)
-}
-
-// loadSchedule decodes and compiles a scenario profile file.
-func loadSchedule(path string) (*scenario.Schedule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	p, err := scenario.DecodeProfile(f)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", path, err)
-	}
-	return p.Compile()
-}
-
-// saveWarm persists the warm cache to dir (no-op without -checkpoint).
-func saveWarm(c *experiments.WarmCache, dir string) {
-	if dir == "" {
-		return
-	}
-	if err := saveWarmDir(c, dir); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
-}
-
-// saveWarmDir writes every cached warm snapshot as one file: a snapshot
-// container holding the warm key and the machine state, named by the key's
-// checksum.
-func saveWarmDir(c *experiments.WarmCache, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	entries := c.Entries()
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		data := entries[key]
-		w := snapshot.NewWriter()
-		w.Section("key").String(key)
-		w.Section("data").U8s(data)
-		var buf bytes.Buffer
-		if err := w.Emit(&buf); err != nil {
-			return err
-		}
-		name := fmt.Sprintf("%08x.warm", crc32.ChecksumIEEE([]byte(key)))
-		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// loadWarmDir seeds the cache from a directory written by saveWarmDir. A
-// snapshot that no longer matches its configuration is rejected at restore
-// time and the run falls back to a cold warmup, so stale files are safe.
-func loadWarmDir(c *experiments.WarmCache, dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".warm") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			return err
-		}
-		r, err := snapshot.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("%s: %v", ent.Name(), err)
-		}
-		kd, err := r.Section("key")
-		if err != nil {
-			return fmt.Errorf("%s: %v", ent.Name(), err)
-		}
-		key := kd.String()
-		if err := kd.Finish(); err != nil {
-			return fmt.Errorf("%s: %v", ent.Name(), err)
-		}
-		dd, err := r.Section("data")
-		if err != nil {
-			return fmt.Errorf("%s: %v", ent.Name(), err)
-		}
-		payload := dd.U8s()
-		if err := dd.Finish(); err != nil {
-			return fmt.Errorf("%s: %v", ent.Name(), err)
-		}
-		if err := r.Finish(); err != nil {
-			return fmt.Errorf("%s: %v", ent.Name(), err)
-		}
-		c.Seed(key, payload)
-	}
-	return nil
 }
 
 func printFigure3() {

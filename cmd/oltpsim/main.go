@@ -18,11 +18,8 @@ import (
 	"strings"
 
 	"oltpsim/internal/cli"
-	"oltpsim/internal/core"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/prof"
-	"oltpsim/internal/scenario"
-	"oltpsim/internal/stats"
 )
 
 func main() {
@@ -33,7 +30,7 @@ func main() {
 		quick      = flag.Bool("quick", false, "scaled-down database for fast runs")
 		checkpoint = flag.String("checkpoint", "", "write a machine-state checkpoint to this file (at end of warmup, and during measurement with -checkpoint-every)")
 		ckptEvery  = flag.Uint64("checkpoint-every", 0, "with -checkpoint, rewrite the checkpoint every N committed transactions (during warmup and measurement)")
-		resume     = flag.String("resume", "", "resume from a checkpoint file written with the same configuration flags")
+		resume     = flag.String("resume", "", "resume from a checkpoint file written with the same configuration flags; a checkpoint written under a different protocol (-warmup, -quick, -scenario, or -txns once measuring) is refused")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		scenFile   = flag.String("scenario", "", "run a time-varying workload profile from this JSON file instead of the fixed mix (-txns is ignored; phases are segmented in the output)")
@@ -82,7 +79,7 @@ func main() {
 	opt.MeasureTxns = *measure
 	opt.Quick = *quick
 	if *scenFile != "" {
-		sched, err := loadSchedule(*scenFile)
+		sched, err := cli.LoadSchedule(*scenFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "oltpsim:", err)
 			os.Exit(2)
@@ -90,20 +87,30 @@ func main() {
 		opt.Scenario = sched
 	}
 
-	printConfig := func() {
-		fmt.Printf("configuration: %s (%s, %d processor(s))\n", cfg.Name, cfg.Level, cfg.Processors)
-		lat := cfg.Latencies()
-		fmt.Printf("latencies: L2 hit %d, local %d, remote %d, remote dirty %d\n",
-			lat.L2Hit, lat.Local, lat.Remote, lat.RemoteDirty)
-	}
-
-	if opt.Scenario != nil {
-		sr, err := runScenario(opt, cfg, *resume, *checkpoint, *ckptEvery)
-		if err != nil {
+	var cr experiments.CheckpointRun
+	if *resume != "" {
+		if cr.Resume, err = os.ReadFile(*resume); err != nil {
 			fmt.Fprintln(os.Stderr, "oltpsim:", err)
 			os.Exit(1)
 		}
-		printConfig()
+	}
+	if *checkpoint != "" {
+		cr.Every = *ckptEvery
+		cr.Write = func(data []byte) error { return os.WriteFile(*checkpoint, data, 0o644) }
+	}
+	sr, _, err := opt.Execute(cfg, cr)
+	if err != nil {
+		if *resume != "" {
+			err = fmt.Errorf("resume %s: %w", *resume, err)
+		}
+		fmt.Fprintln(os.Stderr, "oltpsim:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("configuration: %s (%s, %d processor(s))\n", cfg.Name, cfg.Level, cfg.Processors)
+	lat := cfg.Latencies()
+	fmt.Printf("latencies: L2 hit %d, local %d, remote %d, remote dirty %d\n",
+		lat.L2Hit, lat.Local, lat.Remote, lat.RemoteDirty)
+	if opt.Scenario != nil {
 		fmt.Printf("scenario: %s (%d phase(s), %d transactions)\n",
 			opt.Scenario.Name(), opt.Scenario.NumPhases(), opt.Scenario.TotalTxns())
 		for i := range sr.Phases {
@@ -111,59 +118,14 @@ func main() {
 			fmt.Printf("phase %-12s %8d txns  %10.1f cycles/txn  %8.2f L2 misses/txn\n",
 				p.Result.Name, p.Result.Txns, p.Result.CyclesPerTxn(), p.Result.MissesPerTxn())
 		}
-		fmt.Print(sr.Total.Summary())
-		if *timeline != "" {
-			if err := writeTimeline(*timeline, &sr); err != nil {
-				fmt.Fprintln(os.Stderr, "oltpsim:", err)
-				os.Exit(1)
-			}
-		}
-		return
 	}
-
-	var res stats.RunResult
-	if *checkpoint == "" && *resume == "" {
-		res = opt.Run(cfg)
-	} else {
-		res, err = runCheckpointed(opt, cfg, *resume, *checkpoint, *ckptEvery)
-		if err != nil {
+	fmt.Print(sr.Total.Summary())
+	if *timeline != "" {
+		if err := writeTimeline(*timeline, &sr); err != nil {
 			fmt.Fprintln(os.Stderr, "oltpsim:", err)
 			os.Exit(1)
 		}
 	}
-	printConfig()
-	fmt.Print(res.Summary())
-}
-
-// loadSchedule decodes and compiles a scenario profile file.
-func loadSchedule(path string) (*scenario.Schedule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	prof, err := scenario.DecodeProfile(f)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", path, err)
-	}
-	return prof.Compile()
-}
-
-// runScenario executes a phased run, plain or through the checkpoint
-// protocol when -checkpoint/-resume are set.
-func runScenario(opt experiments.Options, cfg core.Config, resumePath, checkpointPath string, every uint64) (experiments.ScenarioResult, error) {
-	if checkpointPath == "" && resumePath == "" {
-		return opt.RunScenario(cfg), nil
-	}
-	cr, err := checkpointIO(resumePath, checkpointPath, every)
-	if err != nil {
-		return experiments.ScenarioResult{}, err
-	}
-	sr, _, err := opt.RunScenarioCheckpointed(cfg, cr)
-	if err != nil && resumePath != "" {
-		err = fmt.Errorf("resume %s: %w", resumePath, err)
-	}
-	return sr, err
 }
 
 // writeTimeline writes the per-phase timeline, JSON for .json paths and CSV
@@ -182,40 +144,4 @@ func writeTimeline(path string, sr *experiments.ScenarioResult) error {
 		err = cerr
 	}
 	return err
-}
-
-// runCheckpointed executes the warmup/measure protocol with checkpoint
-// and/or resume through experiments.RunCheckpointed (shared with the
-// oltpserver job executor). The step sequence is identical to
-// experiments.Options.Run (checkpoint writes are read-only), so a resumed
-// run's output is bit-identical to an uninterrupted one.
-func runCheckpointed(opt experiments.Options, cfg core.Config, resumePath, checkpointPath string, every uint64) (stats.RunResult, error) {
-	cr, err := checkpointIO(resumePath, checkpointPath, every)
-	if err != nil {
-		return stats.RunResult{}, err
-	}
-	res, _, err := opt.RunCheckpointed(cfg, cr)
-	if err != nil && resumePath != "" {
-		err = fmt.Errorf("resume %s: %w", resumePath, err)
-	}
-	return res, err
-}
-
-// checkpointIO wires file paths into a CheckpointRun.
-func checkpointIO(resumePath, checkpointPath string, every uint64) (experiments.CheckpointRun, error) {
-	var cr experiments.CheckpointRun
-	if resumePath != "" {
-		data, err := os.ReadFile(resumePath)
-		if err != nil {
-			return cr, err
-		}
-		cr.Resume = data
-	}
-	if checkpointPath != "" {
-		cr.Every = every
-		cr.Write = func(data []byte) error {
-			return os.WriteFile(checkpointPath, data, 0o644)
-		}
-	}
-	return cr, nil
 }

@@ -4,9 +4,11 @@ package cli
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"oltpsim/internal/core"
+	"oltpsim/internal/scenario"
 )
 
 // ParseSize parses cache sizes like "8M", "1.25M", "512K", or plain bytes.
@@ -92,4 +94,18 @@ func Build(spec MachineSpec) (core.Config, error) {
 		return core.Config{}, err
 	}
 	return cfg, nil
+}
+
+// LoadSchedule decodes and compiles a scenario profile file.
+func LoadSchedule(path string) (*scenario.Schedule, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	p, err := scenario.DecodeProfile(f)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", path, err)
+	}
+	return p.Compile()
 }

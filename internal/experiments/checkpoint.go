@@ -6,218 +6,191 @@ import (
 	"fmt"
 	"io"
 
-	"oltpsim/internal/core"
+	"oltpsim/internal/scenario"
 	"oltpsim/internal/snapshot"
 	"oltpsim/internal/stats"
 )
 
-// Checkpoint phases record where in the warmup/measure protocol a snapshot
-// was taken, so a resumed process knows whether statistics still need their
-// post-warmup reset.
-const (
-	// CheckpointWarmed marks a checkpoint taken at the end of warmup, before
-	// the statistics reset: resuming starts the measurement phase afresh.
-	CheckpointWarmed uint8 = 1
-	// CheckpointMeasuring marks a mid-measurement checkpoint: statistics are
-	// already accumulating and resuming continues without a reset.
-	CheckpointMeasuring uint8 = 2
-	// CheckpointWarming marks a mid-warmup checkpoint: the run has not
-	// reached Options.WarmupTxns yet, and resuming (under identical options)
-	// finishes the warmup before the statistics reset.
-	CheckpointWarming uint8 = 3
-)
-
-// SaveCheckpoint writes the machine state plus the protocol position.
-// measureBase is the committed-transaction count at the statistics reset
-// (meaningful only for CheckpointMeasuring).
-func SaveCheckpoint(out io.Writer, sys *core.System, phase uint8, measureBase uint64) error {
-	if !validPhase(phase) {
-		return fmt.Errorf("experiments: invalid checkpoint phase %d", phase)
-	}
-	var buf bytes.Buffer
-	if err := sys.Save(&buf); err != nil {
-		return err
-	}
-	w := snapshot.NewWriter()
-	e := w.Section("protocol")
-	e.U8(phase)
-	e.U64(measureBase)
-	w.Section("system").U8s(buf.Bytes())
-	return w.Emit(out)
-}
-
-// LoadCheckpoint restores a checkpoint into a system built from the
-// identical configuration and returns the protocol position. On error the
-// system may be partially restored and must be discarded.
-func LoadCheckpoint(in io.Reader, sys *core.System) (phase uint8, measureBase uint64, err error) {
-	r, err := snapshot.NewReader(in)
-	if err != nil {
-		return 0, 0, err
-	}
-	d, err := r.Section("protocol")
-	if err != nil {
-		return 0, 0, err
-	}
-	phase = d.U8()
-	measureBase = d.U64()
-	if err := d.Finish(); err != nil {
-		return 0, 0, err
-	}
-	if !validPhase(phase) {
-		return 0, 0, fmt.Errorf("experiments: checkpoint has invalid phase %d", phase)
-	}
-	d, err = r.Section("system")
-	if err != nil {
-		return 0, 0, err
-	}
-	payload := d.U8s()
-	if err := d.Finish(); err != nil {
-		return 0, 0, err
-	}
-	if err := r.Finish(); err != nil {
-		return 0, 0, err
-	}
-	if err := sys.Load(bytes.NewReader(payload)); err != nil {
-		return 0, 0, err
-	}
-	return phase, measureBase, nil
-}
-
-func validPhase(p uint8) bool {
-	return p == CheckpointWarmed || p == CheckpointMeasuring || p == CheckpointWarming
-}
-
-// ErrCanceled is returned by RunCheckpointed when CheckpointRun.Canceled
-// reported cancellation at a quantum boundary. The machine state behind the
-// most recent checkpoint write is intact, so a canceled run is resumable.
+// ErrCanceled is returned by Execute when CheckpointRun.Canceled reported
+// cancellation at a chunk boundary. The machine state behind the most
+// recent checkpoint write is intact, so a canceled run is resumable.
 var ErrCanceled = errors.New("experiments: run canceled")
 
-// CheckpointRun configures one checkpointed execution of the
-// warmup/measure protocol: how often to persist the machine state, where
-// the bytes go, what to resume from, and the cooperative hooks the job
-// server drives its progress stream and cancellation from.
+// CheckpointRun configures one execution of the warmup/measure protocol:
+// how often to persist the machine state, where the bytes go, what to
+// resume from, and the cooperative hooks the job server drives its progress
+// stream and cancellation from. The zero value runs the protocol plainly.
 type CheckpointRun struct {
 	// Every is the checkpoint quantum in committed transactions. When > 0
 	// (and Write is set), the run persists a checkpoint after every Every
-	// commits during warmup and measurement; 0 writes only the single
+	// commits of warmup, counted from the start, and of measurement,
+	// counted from the statistics reset; 0 writes only the single
 	// end-of-warmup checkpoint. The quantum never changes results: chunked
 	// RunUntil lands on the same commit boundaries as an uninterrupted run.
 	Every uint64
-	// Write persists one checkpoint container (the SaveCheckpoint format).
-	// Nil disables all checkpoint writes. Write must not retain the slice.
+	// Write persists one checkpoint container. Nil disables all checkpoint
+	// writes. Write must not retain the slice.
 	Write func(data []byte) error
 	// Resume, when non-nil, is a checkpoint container previously produced
-	// against the identical configuration and options; the run continues
+	// against the identical configuration and protocol; the run continues
 	// from it instead of starting cold.
 	Resume []byte
-	// Canceled, when non-nil, is polled before every protocol quantum; once
-	// it returns true the run stops and RunCheckpointed returns ErrCanceled.
-	// Polling happens at quantum boundaries only, so Every bounds the
+	// Canceled, when non-nil, is polled before every chunk of simulation
+	// (a quantum, or the stretch up to a phase boundary); once it returns
+	// true the run stops and Execute returns ErrCanceled. Every bounds the
 	// cancellation latency in committed transactions.
 	Canceled func() bool
 	// OnProgress, when non-nil, observes measurement progress: it is called
-	// with (0, target) at the statistics reset and (measured, target) after
-	// every measurement quantum. Calls are synchronous with the run.
+	// with (0, target) at the statistics reset and (measured, target) at
+	// every measurement quantum and at the end. Calls are synchronous with
+	// the run.
 	OnProgress func(measured, target uint64)
 }
 
-// RunCheckpointed executes one configuration under the protocol with
-// periodic checkpointing, resume, and cooperative cancellation. It returns
-// the run result and the number of simulator steps executed in this
-// process (a resumed run counts only the steps after the restore).
-//
-// The step sequence is identical to Options.Run — checkpoint writes are
-// read-only and the chunked RunUntil loop stops on the same commit
-// boundaries — so for any interleaving of checkpoint, kill, and resume the
-// final RunResult is byte-identical to an uninterrupted run's
-// (TestRunCheckpointedMatchesRun, TestServerResumeEquivalence).
-// Options.WarmSnapshot is ignored here: warm-state reuse and per-job
-// checkpoint streams answer different questions about where machine state
-// comes from, and mixing them would make the resume story ambiguous.
-func (o Options) RunCheckpointed(cfg core.Config, cr CheckpointRun) (stats.RunResult, uint64, error) {
-	sys := o.build(cfg)
-	phase := CheckpointWarming
-	var measureBase, steps0 uint64
-	if cr.Resume != nil {
-		p, base, err := LoadCheckpoint(bytes.NewReader(cr.Resume), sys)
-		if err != nil {
-			return stats.RunResult{}, 0, fmt.Errorf("experiments: resuming checkpoint: %w", err)
-		}
-		phase = p
-		steps0 = sys.Steps()
-		if phase == CheckpointMeasuring {
-			measureBase = base
-		}
-	}
-	canceled := func() bool { return cr.Canceled != nil && cr.Canceled() }
-	executed := func() uint64 { return sys.Steps() - steps0 }
-	write := func(ph uint8, base uint64) error {
-		if cr.Write == nil {
-			return nil
-		}
-		var buf bytes.Buffer
-		if err := SaveCheckpoint(&buf, sys, ph, base); err != nil {
-			return err
-		}
-		return cr.Write(buf.Bytes())
-	}
+// Protocol positions a checkpoint records: where in warmup → statistics
+// reset → measurement the machine state was captured.
+const (
+	// posWarming: mid-warmup; a resume finishes the warmup first.
+	posWarming uint8 = 1
+	// posWarmed: end of warmup, before the statistics reset; a resume
+	// starts the measurement afresh.
+	posWarmed uint8 = 2
+	// posMeasuring: statistics are accumulating; a resume continues
+	// without a reset.
+	posMeasuring uint8 = 3
+)
 
-	// Warmup, chunked by the checkpoint quantum. The mid-warmup checkpoints
-	// carry CheckpointWarming so a resume knows warmup is still in flight.
-	if phase == CheckpointWarming {
-		for sys.Committed() < o.WarmupTxns {
-			if canceled() {
-				return stats.RunResult{}, executed(), ErrCanceled
-			}
-			next := o.WarmupTxns
-			if cr.Every > 0 && sys.Committed()+cr.Every < next {
-				next = sys.Committed() + cr.Every
-			}
-			sys.RunUntil(next)
-			if next < o.WarmupTxns && cr.Every > 0 {
-				if err := write(CheckpointWarming, 0); err != nil {
-					return stats.RunResult{}, executed(), fmt.Errorf("experiments: writing checkpoint: %w", err)
-				}
-			}
-		}
-		phase = CheckpointWarmed
-		if err := write(CheckpointWarmed, 0); err != nil {
-			return stats.RunResult{}, executed(), fmt.Errorf("experiments: writing checkpoint: %w", err)
-		}
-	}
+// checkpointFormat is the container format this package writes and reads.
+// Format 1 — a "protocol" section, an optional "scenario" section, then
+// "system" — predates the single driver; a resume refuses it with an error
+// naming the outdated format.
+const checkpointFormat uint32 = 2
 
-	// Statistics reset at the warmup/measure boundary. A resume from a
-	// CheckpointMeasuring container skips this: its statistics are already
-	// accumulating.
-	if phase == CheckpointWarmed {
-		measureBase = sys.Committed()
-		sys.ResetStats()
-		if cr.OnProgress != nil {
-			cr.OnProgress(0, o.MeasuredTxns())
-		}
-	}
+// protocol is everything a checkpoint must agree on with the run resuming
+// it, beyond the machine configuration that System.Load verifies itself.
+type protocol struct {
+	warmup  uint64
+	measure uint64 // measured transactions: MeasuredTxns
+	seed    uint64
+	quick   bool
+	profile string // scenario fingerprint; "" for a steady run
+}
 
-	// Measurement, chunked by the checkpoint quantum.
-	target := measureBase + o.MeasuredTxns()
-	for sys.Committed() < target {
-		if canceled() {
-			return stats.RunResult{}, executed(), ErrCanceled
+// protocol records the options' run protocol.
+func (o Options) protocol() protocol {
+	p := protocol{warmup: o.WarmupTxns, measure: o.MeasuredTxns(), seed: o.Seed, quick: o.Quick}
+	if o.Scenario != nil {
+		p.profile = o.Scenario.Fingerprint()
+	}
+	return p
+}
+
+// admits reports why a run under o may not resume ck, naming the first
+// differing protocol field. The measured length matters only once
+// measurement has begun, so a warmed checkpoint serves any measured length.
+func (o Options) admits(ck *checkpoint) error {
+	p := o.protocol()
+	differs := func(field string, ckv, runv any) error {
+		return fmt.Errorf("experiments: checkpoint protocol mismatch: %s is %v in the checkpoint, %v in this run", field, ckv, runv)
+	}
+	switch {
+	case ck.proto.warmup != p.warmup:
+		return differs("warmup transactions", ck.proto.warmup, p.warmup)
+	case ck.proto.seed != p.seed:
+		return differs("seed", ck.proto.seed, p.seed)
+	case ck.proto.quick != p.quick:
+		return differs("quick database scale", ck.proto.quick, p.quick)
+	case ck.proto.profile != p.profile:
+		return errors.New("experiments: checkpoint protocol mismatch: the scenario profile differs")
+	case ck.pos == posMeasuring && ck.proto.measure != p.measure:
+		return differs("measured transactions", ck.proto.measure, p.measure)
+	case len(ck.cums) > o.segments():
+		return fmt.Errorf("experiments: checkpoint carries %d completed segments, the run has %d", len(ck.cums), o.segments())
+	}
+	return nil
+}
+
+// checkpoint is the one checkpoint container: the protocol position and
+// measure base, the protocol it was written under, the cumulative
+// collection at every completed segment end, and the machine. Completed
+// segments ride in the container because the machine's counters are
+// cumulative — a resume could not re-derive earlier segment differences
+// from machine state alone.
+type checkpoint struct {
+	pos         uint8
+	measureBase uint64
+	proto       protocol
+	cums        []stats.RunResult
+	system      []byte // the saved machine, as decoded
+}
+
+// encode writes the container: one "checkpoint" section holding the
+// format, position, protocol, completed segments and the saved machine.
+func (c *checkpoint) encode(out io.Writer, system []byte) error {
+	w := snapshot.NewWriter()
+	e := w.Section("checkpoint")
+	e.U32(checkpointFormat)
+	e.U8(c.pos)
+	e.U64(c.measureBase)
+	e.U64(c.proto.warmup)
+	e.U64(c.proto.measure)
+	e.U64(c.proto.seed)
+	e.Bool(c.proto.quick)
+	e.String(c.proto.profile)
+	e.Int(len(c.cums))
+	for i := range c.cums {
+		c.cums[i].SaveState(e)
+	}
+	e.U8s(system)
+	return w.Emit(out)
+}
+
+// decodeCheckpoint parses a container up to, but not including, the
+// machine restore. Every accepted container re-encodes to the same bytes.
+func decodeCheckpoint(data []byte) (checkpoint, error) {
+	var c checkpoint
+	r, err := snapshot.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return c, err
+	}
+	d, err := r.Section("checkpoint")
+	if err != nil {
+		if _, perr := r.Section("protocol"); perr == nil {
+			return c, errors.New(`experiments: outdated checkpoint format 1 (a "protocol" container from an older version); it cannot be resumed, run again from the start`)
 		}
-		next := target
-		if cr.Every > 0 && sys.Committed()+cr.Every < next {
-			next = sys.Committed() + cr.Every
-		}
-		sys.RunUntil(next)
-		if cr.Every > 0 {
-			if err := write(CheckpointMeasuring, measureBase); err != nil {
-				return stats.RunResult{}, executed(), fmt.Errorf("experiments: writing checkpoint: %w", err)
-			}
-		}
-		if cr.OnProgress != nil {
-			cr.OnProgress(sys.Committed()-measureBase, o.MeasuredTxns())
+		return c, err
+	}
+	if f := d.U32(); d.Err() == nil && f != checkpointFormat {
+		return c, fmt.Errorf("experiments: checkpoint format %d, want %d", f, checkpointFormat)
+	}
+	c.pos = d.U8()
+	c.measureBase = d.U64()
+	c.proto.warmup = d.U64()
+	c.proto.measure = d.U64()
+	c.proto.seed = d.U64()
+	c.proto.quick = d.Bool()
+	c.proto.profile = d.String()
+	n := d.Int()
+	if err := d.Err(); err != nil {
+		return c, err
+	}
+	switch {
+	case c.pos != posWarming && c.pos != posWarmed && c.pos != posMeasuring:
+		return c, fmt.Errorf("experiments: checkpoint has invalid position %d", c.pos)
+	case n < 0 || n > scenario.MaxPhases:
+		return c, fmt.Errorf("experiments: checkpoint carries %d completed segments", n)
+	case c.pos != posMeasuring && (n != 0 || c.measureBase != 0):
+		return c, errors.New("experiments: checkpoint taken before measurement carries measurement state")
+	}
+	c.cums = make([]stats.RunResult, n)
+	for i := range c.cums {
+		if err := c.cums[i].LoadState(d); err != nil {
+			return c, err
 		}
 	}
-	res := sys.Collect(cfg.Name, sys.Committed()-measureBase)
-	res.Name = cfg.Name
-	return res, executed(), nil
+	c.system = d.U8s()
+	if err := d.Finish(); err != nil {
+		return c, err
+	}
+	return c, r.Finish()
 }

@@ -1,66 +1,150 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oltpsim/internal/core"
+	"oltpsim/internal/snapshot"
+	"oltpsim/internal/stats"
 )
 
-// checkpointRunOptions is the quick protocol the RunCheckpointed suite
-// drives: long enough that every checkpoint quantum under test fires at
-// least once in both warmup and measurement.
+// checkpointRunOptions is the quick protocol the checkpoint suite drives:
+// long enough that every checkpoint quantum under test fires at least once
+// in both warmup and measurement.
 func checkpointRunOptions() Options {
 	o := QuickOptions()
 	o.WarmupTxns, o.MeasureTxns = 90, 180
 	return o
 }
 
-// TestRunCheckpointedMatchesRun: for every checkpoint quantum, a fully
-// checkpointed run produces a RunResult byte-identical to Options.Run, and
-// every checkpoint written along the way resumes to that same result.
+// checkpointsOf runs cfg under o with quantum every and returns the result
+// and every container written along the way.
+func checkpointsOf(t *testing.T, o Options, cfg core.Config, every uint64) (ScenarioResult, [][]byte) {
+	t.Helper()
+	var cks [][]byte
+	sr, steps, err := o.Execute(cfg, CheckpointRun{
+		Every: every,
+		Write: func(data []byte) error {
+			cks = append(cks, append([]byte(nil), data...))
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("%s every=%d: %v", cfg.Name, every, err)
+	}
+	if steps == 0 {
+		t.Errorf("%s every=%d: reported zero steps", cfg.Name, every)
+	}
+	return sr, cks
+}
+
+// resumeFromEveryCheckpoint: on every machine shape and checkpoint
+// quantum, a checkpointed run under o returns exactly what the plain run
+// does, and resuming from every checkpoint it wrote — mid-warmup,
+// end-of-warmup, mid-phase, at a phase boundary and at the end alike —
+// lands on that same result, segments included.
+func resumeFromEveryCheckpoint(t *testing.T, o Options, shapes []core.Config) {
+	t.Helper()
+	for _, cfg := range shapes {
+		want := o.RunScenario(cfg)
+		if !reflect.DeepEqual(want.Total, o.Run(cfg)) {
+			t.Fatalf("%s: RunScenario total differs from Run", cfg.Name)
+		}
+		for _, every := range []uint64{25, 60, 121} {
+			t.Run(fmt.Sprintf("%s/every=%d", cfg.Name, every), func(t *testing.T) {
+				t.Parallel()
+				got, cks := checkpointsOf(t, o, cfg, every)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("checkpointed run differs from the plain run")
+				}
+				if len(cks) < 2 {
+					t.Fatalf("only %d checkpoints written", len(cks))
+				}
+				for i, ck := range cks {
+					resumed, _, err := o.Execute(cfg, CheckpointRun{Resume: ck})
+					if err != nil {
+						t.Fatalf("resume %d: %v", i, err)
+					}
+					if !reflect.DeepEqual(resumed, want) {
+						t.Errorf("resume from checkpoint %d diverges", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRunCheckpointedMatchesRun: a steady run on the small machine shapes
+// resumes from every checkpoint to the plain run's result.
 func TestRunCheckpointedMatchesRun(t *testing.T) {
-	cfgs := []core.Config{
+	resumeFromEveryCheckpoint(t, checkpointRunOptions(), []core.Config{
 		core.BaseConfig(1, 1*core.MB, 1),
 		core.FullConfig(2, 1*core.MB, 2),
-	}
-	for _, cfg := range cfgs {
-		o := checkpointRunOptions()
-		want := o.Run(cfg)
-		for _, every := range []uint64{25, 60, 121} {
-			var checkpoints [][]byte
-			res, steps, err := o.RunCheckpointed(cfg, CheckpointRun{
-				Every: every,
-				Write: func(data []byte) error {
-					checkpoints = append(checkpoints, append([]byte(nil), data...))
-					return nil
-				},
-			})
+	})
+}
+
+// TestSnapshotCheckpointResume: a steady run on the 8-CPU Full 2M8w machine
+// resumes from every checkpoint to the plain run's result.
+func TestSnapshotCheckpointResume(t *testing.T) {
+	resumeFromEveryCheckpoint(t, checkpointRunOptions(), []core.Config{
+		core.FullConfig(8, 2*core.MB, 8),
+	})
+}
+
+// TestScenarioCheckpointResumeEquivalence: a burst-profile run on every
+// machine shape resumes from every checkpoint to the plain run's
+// ScenarioResult, including the segments completed before the checkpoint,
+// which ride in the container.
+func TestScenarioCheckpointResumeEquivalence(t *testing.T) {
+	o := checkpointRunOptions()
+	o.Scenario = compileProfile(t, burstProfile())
+	resumeFromEveryCheckpoint(t, o, []core.Config{
+		core.BaseConfig(1, 1*core.MB, 1),
+		core.FullConfig(2, 1*core.MB, 2),
+		core.FullConfig(8, 2*core.MB, 8),
+	})
+}
+
+// TestCheckpointWritePositions pins where checkpoints land: after every
+// quantum of warmup counted from the start, at the end of warmup, after
+// every quantum counted from the statistics reset, and at the end of
+// measurement. A phased run writes at exactly the commit counts of a
+// steady run of the same length — its phase boundaries (40 and 90 into
+// the measurement here) stop the run but write nothing.
+func TestCheckpointWritePositions(t *testing.T) {
+	cfg := core.BaseConfig(1, 1*core.MB, 1)
+	steady := checkpointRunOptions()
+	phased := steady
+	phased.Scenario = compileProfile(t, burstProfile())
+	steady.MeasureTxns = phased.Scenario.TotalTxns()
+
+	sys := steady.build(cfg)
+	committedAt := func(o Options) []uint64 {
+		_, cks := checkpointsOf(t, o, cfg, 25)
+		var at []uint64
+		for i, data := range cks {
+			ck, err := decodeCheckpoint(data)
 			if err != nil {
-				t.Fatalf("%s every=%d: %v", cfg.Name, every, err)
+				t.Fatalf("checkpoint %d: %v", i, err)
 			}
-			if steps == 0 {
-				t.Errorf("%s every=%d: reported zero steps", cfg.Name, every)
+			if err := sys.Load(bytes.NewReader(ck.system)); err != nil {
+				t.Fatalf("checkpoint %d: %v", i, err)
 			}
-			if !reflect.DeepEqual(res, want) {
-				t.Errorf("%s every=%d: checkpointed result diverges from Options.Run", cfg.Name, every)
-			}
-			if len(checkpoints) < 3 {
-				t.Fatalf("%s every=%d: only %d checkpoints written", cfg.Name, every, len(checkpoints))
-			}
-			// Resuming from every checkpoint — mid-warmup, end-of-warmup, and
-			// mid-measurement alike — must land on the identical result.
-			for i, ck := range checkpoints {
-				resumed, _, err := o.RunCheckpointed(cfg, CheckpointRun{Resume: ck})
-				if err != nil {
-					t.Fatalf("%s every=%d resume %d: %v", cfg.Name, every, i, err)
-				}
-				if !reflect.DeepEqual(resumed, want) {
-					t.Errorf("%s every=%d: resume from checkpoint %d diverges", cfg.Name, every, i)
-				}
-			}
+			at = append(at, sys.Committed())
 		}
+		return at
+	}
+	want := []uint64{25, 50, 75, 90, 115, 140, 165, 190, 210}
+	if got := committedAt(steady); !reflect.DeepEqual(got, want) {
+		t.Errorf("steady run wrote checkpoints at %v, want %v", got, want)
+	}
+	if got := committedAt(phased); !reflect.DeepEqual(got, want) {
+		t.Errorf("phased run wrote checkpoints at %v, want the steady run's %v", got, want)
 	}
 }
 
@@ -71,7 +155,7 @@ func TestRunCheckpointedNoQuantum(t *testing.T) {
 	o := checkpointRunOptions()
 	want := o.Run(cfg)
 	var n int
-	res, _, err := o.RunCheckpointed(cfg, CheckpointRun{
+	sr, _, err := o.Execute(cfg, CheckpointRun{
 		Write: func(data []byte) error { n++; return nil },
 	})
 	if err != nil {
@@ -80,7 +164,7 @@ func TestRunCheckpointedNoQuantum(t *testing.T) {
 	if n != 1 {
 		t.Errorf("wrote %d checkpoints, want 1 (end of warmup only)", n)
 	}
-	if !reflect.DeepEqual(res, want) {
+	if !reflect.DeepEqual(sr.Total, want) {
 		t.Error("result diverges from Options.Run")
 	}
 }
@@ -94,11 +178,11 @@ func TestRunCheckpointedCancel(t *testing.T) {
 	want := o.Run(cfg)
 
 	// Cancel after the k-th checkpoint write, for several k: early warmup,
-	// around the phase boundary, and mid-measurement.
+	// around the warmup/measure boundary, and mid-measurement.
 	for _, after := range []int{1, 3, 6} {
 		var last []byte
 		writes := 0
-		_, _, err := o.RunCheckpointed(cfg, CheckpointRun{
+		_, _, err := o.Execute(cfg, CheckpointRun{
 			Every: 30,
 			Write: func(data []byte) error {
 				writes++
@@ -113,17 +197,17 @@ func TestRunCheckpointedCancel(t *testing.T) {
 		if writes < after {
 			t.Fatalf("after=%d: only %d writes before cancel", after, writes)
 		}
-		resumed, _, err := o.RunCheckpointed(cfg, CheckpointRun{Resume: last})
+		resumed, _, err := o.Execute(cfg, CheckpointRun{Resume: last})
 		if err != nil {
 			t.Fatalf("after=%d: resume: %v", after, err)
 		}
-		if !reflect.DeepEqual(resumed, want) {
+		if !reflect.DeepEqual(resumed.Total, want) {
 			t.Errorf("after=%d: resumed result diverges from uninterrupted run", after)
 		}
 	}
 
 	// Canceled before any work: no checkpoint, ErrCanceled immediately.
-	_, steps, err := o.RunCheckpointed(cfg, CheckpointRun{
+	_, steps, err := o.Execute(cfg, CheckpointRun{
 		Canceled: func() bool { return true },
 	})
 	if !errors.Is(err, ErrCanceled) {
@@ -140,7 +224,7 @@ func TestRunCheckpointedProgress(t *testing.T) {
 	cfg := core.BaseConfig(1, 1*core.MB, 1)
 	o := checkpointRunOptions()
 	var measured []uint64
-	_, _, err := o.RunCheckpointed(cfg, CheckpointRun{
+	_, _, err := o.Execute(cfg, CheckpointRun{
 		Every: 40,
 		OnProgress: func(m, target uint64) {
 			if target != o.MeasureTxns {
@@ -165,5 +249,53 @@ func TestRunCheckpointedProgress(t *testing.T) {
 	}
 	if last := measured[len(measured)-1]; last < o.MeasureTxns {
 		t.Errorf("final progress %d below target %d", last, o.MeasureTxns)
+	}
+}
+
+// parentContainer builds a checkpoint in the format-1 layout the single
+// driver replaced: a "protocol" section (position, measure base), for a
+// phased run a "scenario" section (schedule fingerprint, completed
+// segments, previous cumulative collection), then the machine.
+func parentContainer(phased bool, system []byte) []byte {
+	w := snapshot.NewWriter()
+	e := w.Section("protocol")
+	e.U8(2) // mid-measurement
+	e.U64(90)
+	if phased {
+		e = w.Section("scenario")
+		e.String("scenario1|burst")
+		e.Int(1)
+		e.U64(0)
+		seg := stats.RunResult{Name: "calm", Txns: 40}
+		seg.SaveState(e)
+		seg.SaveState(e)
+	}
+	w.Section("system").U8s(system)
+	var buf bytes.Buffer
+	if err := w.Emit(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOutdatedCheckpointRefused: a container in the format-1 layout, steady
+// or phased, is refused on resume with an error naming the outdated format,
+// before any machine state is touched.
+func TestOutdatedCheckpointRefused(t *testing.T) {
+	cfg := core.BaseConfig(1, 1*core.MB, 1)
+	o := checkpointRunOptions()
+	var machine bytes.Buffer
+	if err := o.build(cfg).Save(&machine); err != nil {
+		t.Fatal(err)
+	}
+	for _, phased := range []bool{false, true} {
+		ro := o
+		if phased {
+			ro.Scenario = compileProfile(t, burstProfile())
+		}
+		_, _, err := ro.Execute(cfg, CheckpointRun{Resume: parentContainer(phased, machine.Bytes())})
+		if err == nil || !strings.Contains(err.Error(), "outdated checkpoint format 1") {
+			t.Errorf("phased=%t: resume error %v, want the outdated format named", phased, err)
+		}
 	}
 }

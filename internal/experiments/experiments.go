@@ -31,14 +31,6 @@ type Options struct {
 	// simulation is a pure function of (config, seed), so parallel results
 	// are bit-identical to serial ones, in the same order.
 	Workers int
-	// WarmSnapshot, when non-nil, shares end-of-warmup machine snapshots
-	// between the runs of a sweep: configurations with an identical machine
-	// shape and seed fork their measurement phases from one warm state
-	// instead of each re-running the warmup. Restoring a snapshot is
-	// bit-identical to re-running the warmup, so results do not depend on
-	// the cache; nil (the default, used for all committed figures) keeps the
-	// traditional warm-every-run path.
-	WarmSnapshot *WarmCache
 	// Progress, when non-nil, is called by RunMany after each configuration
 	// of a sweep finishes, with the number of configurations completed so
 	// far and the sweep total. Calls are serialized (never concurrent),
@@ -112,21 +104,6 @@ func (o Options) MeasuredTxns() uint64 {
 // build assembles the machine for one configuration.
 func (o Options) build(cfg core.Config) *core.System {
 	return core.MustNewSystem(cfg, oltp.MustNewHarness(o.Params(cfg)))
-}
-
-// Run executes one configuration under the protocol.
-func (o Options) Run(cfg core.Config) stats.RunResult {
-	sys := o.build(cfg)
-	var res stats.RunResult
-	// Warm-snapshot sharing keys on the machine shape only, not the
-	// schedule, so scenario runs always warm for real.
-	if o.WarmSnapshot != nil && !cfg.Classify && o.Scenario == nil {
-		res = o.runWarm(cfg, sys)
-	} else {
-		res = sys.Run(o.WarmupTxns, o.MeasuredTxns())
-	}
-	res.Name = cfg.Name
-	return res
 }
 
 // Figure is one reproduced figure: a titled series of bars with a designated

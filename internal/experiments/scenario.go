@@ -3,18 +3,15 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
 
-	"oltpsim/internal/core"
-	"oltpsim/internal/scenario"
-	"oltpsim/internal/snapshot"
 	"oltpsim/internal/stats"
 )
 
-// PhaseResult is one phase's segment of a scenario run.
+// PhaseResult is one segment of a run: a scenario phase, or the whole
+// measurement of a steady run.
 type PhaseResult struct {
 	// Index is the phase's position in the schedule.
 	Index int
@@ -22,272 +19,27 @@ type PhaseResult struct {
 	// at which the phase began.
 	StartTxn uint64
 	// Result is the segment between the phase's boundaries: Result.Name is
-	// the phase name, Result.Txns the phase length, counters the
-	// differences of cumulative collections at the two boundaries.
+	// the phase name (the configuration's for a steady run), Result.Txns
+	// the phase length, counters the differences of cumulative collections
+	// at the two boundaries.
 	Result stats.RunResult
 }
 
-// ScenarioResult is a scenario run segmented per phase. Phase segments sum
+// ScenarioResult is a run segmented per phase; a steady run is one
+// segment equal to Total. Phase segments sum
 // to Total by construction (they are consecutive differences of one
 // monotone counter stream), and the per-phase invariant suite re-checks the
 // conservation laws inside every segment.
 type ScenarioResult struct {
-	// Profile is the schedule's display name.
+	// Profile is the schedule's display name ("" for a steady run).
 	Profile string
 	// Config is the machine configuration's name.
 	Config string
 	// Phases are the per-phase segments in schedule order.
 	Phases []PhaseResult
 	// Total is the whole measured run (the cumulative collection at the
-	// last boundary), exactly what Options.Run would return.
+	// last boundary), exactly what Options.Run returns.
 	Total stats.RunResult
-}
-
-// phaseSegment cuts phase i's segment out of consecutive cumulative
-// collections.
-func phaseSegment(sched *scenario.Schedule, i int, cum, prev *stats.RunResult) PhaseResult {
-	seg := stats.Sub(cum, prev)
-	seg.Name = sched.PhaseName(i)
-	var start uint64
-	if i > 0 {
-		start = sched.Boundary(i - 1)
-	}
-	return PhaseResult{Index: i, StartTxn: start, Result: seg}
-}
-
-// RunScenario executes one configuration under Options.Scenario and
-// segments the measurement per phase: warm up (phase 0 governs warmup),
-// reset, then stop at every phase boundary for a read-only cumulative
-// collection. Stopping points are exact commit boundaries — RunUntil
-// retires at most one commit per step — so a checkpointed or resumed run
-// lands on the same segments, and the whole-run Total is byte-identical to
-// Options.Run of the same schedule.
-func (o Options) RunScenario(cfg core.Config) ScenarioResult {
-	sched := o.Scenario
-	if sched == nil {
-		panic("experiments: RunScenario requires Options.Scenario")
-	}
-	sys := o.build(cfg)
-	sys.RunUntil(o.WarmupTxns)
-	sys.ResetStats()
-	base := sys.Committed()
-	sr := ScenarioResult{Profile: sched.Name(), Config: cfg.Name}
-	var prev stats.RunResult
-	for i := 0; i < sched.NumPhases(); i++ {
-		sys.RunUntil(base + sched.Boundary(i))
-		cum := sys.Collect(cfg.Name, sys.Committed()-base)
-		sr.Phases = append(sr.Phases, phaseSegment(sched, i, &cum, &prev))
-		prev = cum
-	}
-	sr.Total = prev
-	return sr
-}
-
-// scenarioCkptState is what a scenario checkpoint carries beyond the
-// machine: protocol position plus the completed phase segments and the
-// cumulative collection they were cut against.
-type scenarioCkptState struct {
-	phase       uint8
-	measureBase uint64
-	done        []PhaseResult
-	prev        stats.RunResult
-}
-
-// saveScenarioCheckpoint writes the scenario checkpoint container: the
-// generic protocol section, a scenario section (schedule fingerprint,
-// completed phase segments, previous cumulative collection), and the
-// machine state. Completed segments ride in the container because the
-// machine's counters are cumulative — a resume could not re-derive earlier
-// phase differences from state alone.
-func saveScenarioCheckpoint(out io.Writer, sys *core.System, st *scenarioCkptState, fingerprint string) error {
-	if !validPhase(st.phase) {
-		return fmt.Errorf("experiments: invalid checkpoint phase %d", st.phase)
-	}
-	var buf bytes.Buffer
-	if err := sys.Save(&buf); err != nil {
-		return err
-	}
-	w := snapshot.NewWriter()
-	e := w.Section("protocol")
-	e.U8(st.phase)
-	e.U64(st.measureBase)
-	e = w.Section("scenario")
-	e.String(fingerprint)
-	e.Int(len(st.done))
-	for i := range st.done {
-		e.U64(st.done[i].StartTxn)
-		st.done[i].Result.SaveState(e)
-	}
-	st.prev.SaveState(e)
-	w.Section("system").U8s(buf.Bytes())
-	return w.Emit(out)
-}
-
-// loadScenarioCheckpoint restores a scenario checkpoint into sys. The
-// stored schedule fingerprint must match the resuming options' schedule:
-// resuming one scenario under another would silently splice two different
-// parameter streams.
-func loadScenarioCheckpoint(in io.Reader, sys *core.System, wantFingerprint string) (scenarioCkptState, error) {
-	var st scenarioCkptState
-	r, err := snapshot.NewReader(in)
-	if err != nil {
-		return st, err
-	}
-	d, err := r.Section("protocol")
-	if err != nil {
-		return st, err
-	}
-	st.phase = d.U8()
-	st.measureBase = d.U64()
-	if err := d.Finish(); err != nil {
-		return st, err
-	}
-	if !validPhase(st.phase) {
-		return st, fmt.Errorf("experiments: checkpoint has invalid phase %d", st.phase)
-	}
-	d, err = r.Section("scenario")
-	if err != nil {
-		return st, err
-	}
-	fp := d.String()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return st, err
-	}
-	if fp != wantFingerprint {
-		return st, errors.New("experiments: checkpoint was written under a different scenario")
-	}
-	if n < 0 || n > scenario.MaxPhases {
-		return st, fmt.Errorf("experiments: checkpoint carries %d completed phases", n)
-	}
-	for i := 0; i < n; i++ {
-		pr := PhaseResult{Index: i, StartTxn: d.U64()}
-		if err := pr.Result.LoadState(d); err != nil {
-			return st, err
-		}
-		st.done = append(st.done, pr)
-	}
-	if err := st.prev.LoadState(d); err != nil {
-		return st, err
-	}
-	if err := d.Finish(); err != nil {
-		return st, err
-	}
-	d, err = r.Section("system")
-	if err != nil {
-		return st, err
-	}
-	payload := d.U8s()
-	if err := d.Finish(); err != nil {
-		return st, err
-	}
-	if err := r.Finish(); err != nil {
-		return st, err
-	}
-	if err := sys.Load(bytes.NewReader(payload)); err != nil {
-		return st, err
-	}
-	return st, nil
-}
-
-// RunScenarioCheckpointed is RunScenario with the checkpoint/resume/cancel
-// protocol of RunCheckpointed. The chunked RunUntil loop additionally stops
-// at phase boundaries (which never changes results: chunked stepping lands
-// on identical commit boundaries), and checkpoints carry the completed
-// segments, so a run interrupted mid-phase and resumed produces a
-// ScenarioResult byte-identical to an uninterrupted one.
-func (o Options) RunScenarioCheckpointed(cfg core.Config, cr CheckpointRun) (ScenarioResult, uint64, error) {
-	sched := o.Scenario
-	if sched == nil {
-		return ScenarioResult{}, 0, errors.New("experiments: RunScenarioCheckpointed requires Options.Scenario")
-	}
-	sys := o.build(cfg)
-	st := scenarioCkptState{phase: CheckpointWarming}
-	var steps0 uint64
-	if cr.Resume != nil {
-		loaded, err := loadScenarioCheckpoint(bytes.NewReader(cr.Resume), sys, sched.Fingerprint())
-		if err != nil {
-			return ScenarioResult{}, 0, fmt.Errorf("experiments: resuming scenario checkpoint: %w", err)
-		}
-		steps0 = sys.Steps()
-		st.phase = loaded.phase
-		if st.phase == CheckpointMeasuring {
-			st.measureBase = loaded.measureBase
-			st.done = loaded.done
-			st.prev = loaded.prev
-		}
-	}
-	canceled := func() bool { return cr.Canceled != nil && cr.Canceled() }
-	executed := func() uint64 { return sys.Steps() - steps0 }
-	write := func() error {
-		if cr.Write == nil {
-			return nil
-		}
-		var buf bytes.Buffer
-		if err := saveScenarioCheckpoint(&buf, sys, &st, sched.Fingerprint()); err != nil {
-			return err
-		}
-		return cr.Write(buf.Bytes())
-	}
-
-	if st.phase == CheckpointWarming {
-		for sys.Committed() < o.WarmupTxns {
-			if canceled() {
-				return ScenarioResult{}, executed(), ErrCanceled
-			}
-			next := o.WarmupTxns
-			if cr.Every > 0 && sys.Committed()+cr.Every < next {
-				next = sys.Committed() + cr.Every
-			}
-			sys.RunUntil(next)
-			if next < o.WarmupTxns && cr.Every > 0 {
-				if err := write(); err != nil {
-					return ScenarioResult{}, executed(), fmt.Errorf("experiments: writing checkpoint: %w", err)
-				}
-			}
-		}
-		st.phase = CheckpointWarmed
-		if err := write(); err != nil {
-			return ScenarioResult{}, executed(), fmt.Errorf("experiments: writing checkpoint: %w", err)
-		}
-	}
-
-	total := sched.TotalTxns()
-	if st.phase == CheckpointWarmed {
-		st.measureBase = sys.Committed()
-		sys.ResetStats()
-		st.phase = CheckpointMeasuring
-		if cr.OnProgress != nil {
-			cr.OnProgress(0, total)
-		}
-	}
-
-	for i := len(st.done); i < sched.NumPhases(); i++ {
-		end := st.measureBase + sched.Boundary(i)
-		for sys.Committed() < end {
-			if canceled() {
-				return ScenarioResult{}, executed(), ErrCanceled
-			}
-			next := end
-			if cr.Every > 0 && sys.Committed()+cr.Every < next {
-				next = sys.Committed() + cr.Every
-			}
-			sys.RunUntil(next)
-			if cr.Every > 0 {
-				if err := write(); err != nil {
-					return ScenarioResult{}, executed(), fmt.Errorf("experiments: writing checkpoint: %w", err)
-				}
-			}
-			if cr.OnProgress != nil {
-				cr.OnProgress(sys.Committed()-st.measureBase, total)
-			}
-		}
-		cum := sys.Collect(cfg.Name, sys.Committed()-st.measureBase)
-		st.done = append(st.done, phaseSegment(sched, i, &cum, &st.prev))
-		st.prev = cum
-	}
-	res := ScenarioResult{Profile: sched.Name(), Config: cfg.Name, Phases: st.done, Total: st.prev}
-	return res, executed(), nil
 }
 
 // timelineColumns is the CSV header; WriteTimelineJSON mirrors the fields.

@@ -74,99 +74,6 @@ func TestSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotWarmReuse locks the Options.WarmSnapshot contract: a sweep run
-// with warm-state sharing returns results bit-identical to the cold sweep,
-// while identical machine shapes share one cached snapshot.
-func TestSnapshotWarmReuse(t *testing.T) {
-	o := invariantOptions()
-	cfgs := []core.Config{
-		core.BaseConfig(8, 8*core.MB, 1),
-		label(core.BaseConfig(8, 8*core.MB, 1), "Base again"),
-		core.FullConfig(8, 2*core.MB, 8),
-	}
-	cold := o.RunMany(cfgs)
-
-	wo := o
-	wo.WarmSnapshot = NewWarmCache()
-	warm := wo.RunMany(cfgs)
-
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("warm-reuse sweep diverges from cold sweep:\n%+v\nvs\n%+v", cold, warm)
-	}
-	if n := len(wo.WarmSnapshot.Entries()); n != 2 {
-		t.Fatalf("cache holds %d snapshots, want 2 (two distinct machine shapes)", n)
-	}
-
-	// A second sweep against the populated cache is pure reuse and must
-	// still match.
-	again := wo.RunMany(cfgs)
-	if !reflect.DeepEqual(cold, again) {
-		t.Fatalf("second warm-reuse sweep diverges from cold sweep")
-	}
-}
-
-// TestSnapshotCheckpointResume exercises the CLI checkpoint protocol: a run
-// interrupted mid-measurement and resumed in a fresh machine reports the
-// same result as an uninterrupted run.
-func TestSnapshotCheckpointResume(t *testing.T) {
-	o := invariantOptions()
-	cfg := core.FullConfig(8, 2*core.MB, 8)
-	resA := o.Run(cfg)
-
-	h := oltp.MustNewHarness(o.Params(cfg))
-	sys := core.MustNewSystem(cfg, h)
-	sys.RunUntil(o.WarmupTxns)
-
-	// Warm-phase checkpoint.
-	var warmCk bytes.Buffer
-	if err := SaveCheckpoint(&warmCk, sys, CheckpointWarmed, 0); err != nil {
-		t.Fatalf("save warm checkpoint: %v", err)
-	}
-
-	// Keep running to mid-measurement and checkpoint again.
-	base := h.Committed()
-	sys.ResetStats()
-	sys.RunUntil(base + o.MeasureTxns/2)
-	var midCk bytes.Buffer
-	if err := SaveCheckpoint(&midCk, sys, CheckpointMeasuring, base); err != nil {
-		t.Fatalf("save mid checkpoint: %v", err)
-	}
-
-	// Resume from the warm checkpoint: full measurement phase.
-	h2 := oltp.MustNewHarness(o.Params(cfg))
-	sys2 := core.MustNewSystem(cfg, h2)
-	phase, _, err := LoadCheckpoint(bytes.NewReader(warmCk.Bytes()), sys2)
-	if err != nil {
-		t.Fatalf("load warm checkpoint: %v", err)
-	}
-	if phase != CheckpointWarmed {
-		t.Fatalf("warm checkpoint reports phase %d", phase)
-	}
-	resWarm := sys2.RunMeasured(o.MeasureTxns)
-	resWarm.Name = cfg.Name
-	if !reflect.DeepEqual(resA, resWarm) {
-		t.Fatalf("warm-checkpoint resume diverges:\n%+v\nvs\n%+v", resA, resWarm)
-	}
-
-	// Resume from the mid-measurement checkpoint: continue without a reset.
-	h3 := oltp.MustNewHarness(o.Params(cfg))
-	sys3 := core.MustNewSystem(cfg, h3)
-	phase, base3, err := LoadCheckpoint(bytes.NewReader(midCk.Bytes()), sys3)
-	if err != nil {
-		t.Fatalf("load mid checkpoint: %v", err)
-	}
-	if phase != CheckpointMeasuring || base3 != base {
-		t.Fatalf("mid checkpoint reports phase %d base %d, want %d base %d",
-			phase, base3, CheckpointMeasuring, base)
-	}
-	sys3.RunUntil(base3 + o.MeasureTxns)
-	resMid := sys3.Collect(cfg.Name, h3.Committed()-base3)
-	resMid.Name = cfg.Name
-	if !reflect.DeepEqual(resA, resMid) {
-		t.Fatalf("mid-measurement resume diverges:\n%+v\nvs\n%+v", resA, resMid)
-	}
-}
-
 // TestSnapshotConfigMismatch: restoring into a machine of a different shape
 // must fail loudly, never silently produce a franken-state.
 func TestSnapshotConfigMismatch(t *testing.T) {

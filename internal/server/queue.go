@@ -139,7 +139,7 @@ func (s *Server) runJob(j *Job) {
 			s.mu.Unlock()
 			s.cfg.Logf("resuming %s configuration %d from checkpoint", j.ID, i)
 		}
-		res, steps, err := o.RunCheckpointed(j.cfgs[i], cr)
+		sr, steps, err := o.Execute(j.cfgs[i], cr)
 		end := s.cfg.Now()
 		j.addWork(steps, end.Sub(start))
 		start = end
@@ -147,7 +147,7 @@ func (s *Server) runJob(j *Job) {
 			s.stopJob(j, i, err)
 			return
 		}
-		if err := s.commitResult(j, i, res); err != nil {
+		if err := s.commitResult(j, i, sr.Total); err != nil {
 			s.finishJob(j, StateFailed, "persisting result: "+err.Error())
 			return
 		}
@@ -215,7 +215,8 @@ func (s *Server) checkpointWriter(j *Job, i int) func([]byte) error {
 }
 
 // progressReporter feeds measurement progress into the job and its event
-// stream. Throttled to quantum boundaries by RunCheckpointed itself.
+// stream. Throttled to quantum boundaries by experiments.Options.Execute
+// itself.
 func (s *Server) progressReporter(j *Job, i int) func(measured, target uint64) {
 	return func(measured, target uint64) {
 		j.setProgress(measured, target)
@@ -226,7 +227,7 @@ func (s *Server) progressReporter(j *Job, i int) func(measured, target uint64) {
 // errKilled aborts checkpoint writes after Kill.
 var errKilled = errors.New("server: killed")
 
-// stopJob handles a RunCheckpointed error for configuration i: cancellation
+// stopJob handles an Execute error for configuration i: cancellation
 // (user, close, or kill) or a persistence failure.
 func (s *Server) stopJob(j *Job, i int, err error) {
 	switch {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"oltpsim/internal/snapshot"
 )
 
 // submitDirect hands a spec straight to the queue (the resume tests pin
@@ -408,5 +410,54 @@ func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("recovery error %q does not name %s", err, want)
 		}
+	}
+}
+
+// TestRecoveryFailsOutdatedCheckpoint pins what a restart does with an
+// in-flight job whose checkpoint.bin was written by an older server, in the
+// format-1 layout ("protocol" and "system" sections): the resume is refused,
+// and the job ends failed with the outdated format named — no panic, and no
+// silent restart from scratch.
+func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	st, err := newStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _, err := DecodeJobSpec(strings.NewReader(smokeSpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	if err := st.createJob(id, spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.writeState(id, persistedState{State: StateCheckpointed, Checkpoints: 3}); err != nil {
+		t.Fatal(err)
+	}
+	w := snapshot.NewWriter()
+	e := w.Section("protocol")
+	e.U8(2) // mid-measurement
+	e.U64(60)
+	w.Section("system").U8s([]byte("machine"))
+	var old bytes.Buffer
+	if err := w.Emit(&old); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.writeCheckpoint(id, old.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, testServerConfig(dir))
+	if got := waitTerminal(t, s, id); got != StateFailed {
+		t.Fatalf("job ended %q, want %q", got, StateFailed)
+	}
+	j, _ := s.jobByID(id)
+	final := j.status()
+	if !strings.Contains(final.Error, "outdated checkpoint format 1") {
+		t.Errorf("failure %q does not name the outdated checkpoint format", final.Error)
+	}
+	if len(final.Results) != 0 {
+		t.Errorf("job produced %d results from a refused checkpoint", len(final.Results))
 	}
 }

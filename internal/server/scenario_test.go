@@ -62,7 +62,7 @@ func TestServerScenarioJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := o.RunScenarioCheckpointed(cfg, experiments.CheckpointRun{})
+	want, _, err := o.Execute(cfg, experiments.CheckpointRun{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ func (m *MissTable) LoadState(d *snapshot.Decoder) error {
 	return nil
 }
 
-// SaveState writes one run result (scenario checkpoints persist completed
-// phase segments so a resumed run reproduces them byte-identically).
+// SaveState writes one run result (checkpoints persist completed segments
+// so a resumed run reproduces them byte-identically).
 // Floats round-trip exactly through their IEEE bit patterns (F64).
 func (r *RunResult) SaveState(e *snapshot.Encoder) {
 	e.String(r.Name)
