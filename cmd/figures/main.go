@@ -5,23 +5,18 @@
 //	figures            # all figures, paper-fidelity protocol
 //	figures -quick     # scaled-down database, short runs
 //	figures -fig 7     # just Figure 7
-//	figures -parallel  # run whole figures concurrently (GOMAXPROCS workers)
-//	figures -j 4       # same, with an explicit worker count
 //
-// Within one figure the bars already fan out across a worker pool
-// (experiments.Options.Workers); -parallel/-j additionally runs the figure
-// runners themselves concurrently, buffering each figure's rendered report
-// so interleaved goroutines never corrupt the output. Results are
-// bit-identical to a serial run and print in the paper's order.
+// The selected figures run as one sweep: every bar goes through a single
+// experiments.RunFigures call, whose worker pool (GOMAXPROCS goroutines)
+// stays full across figure boundaries. The figures print in the paper's
+// order once the sweep is done; results are bit-identical to a serial run.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 
 	"oltpsim/internal/cli"
 	"oltpsim/internal/core"
@@ -37,8 +32,6 @@ func main() {
 		measure  = flag.Int64("txns", -1, "override measured transactions (0 is honored; default: protocol value)")
 		detail   = flag.Bool("detail", false, "print per-bar diagnostics")
 		compare  = flag.Bool("compare", false, "score each figure against the paper's published values")
-		parallel = flag.Bool("parallel", false, "run figures concurrently (GOMAXPROCS workers)")
-		jobs     = flag.Int("j", 0, "concurrent figure runners (implies -parallel; 0 = GOMAXPROCS)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		scenFile = flag.String("scenario", "", "render the timeline figure family for this scenario profile (integration ladder vs. phase) instead of the paper figures")
@@ -56,12 +49,6 @@ func main() {
 			os.Exit(1)
 		}
 	}()
-
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "figures: -j must be >= 0 (got %d)\n", *jobs)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	opt := experiments.DefaultOptions()
 	if *quick {
@@ -106,43 +93,16 @@ func main() {
 		return
 	}
 
-	figWorkers := 1
-	if *parallel || *jobs > 0 {
-		figWorkers = *jobs
-		if figWorkers == 0 {
-			figWorkers = runtime.GOMAXPROCS(0)
-		}
-	}
-
 	want := func(id string) bool { return *fig == "all" || *fig == id }
 
 	if want("3") {
 		printFigure3()
 	}
 
-	type runner struct {
-		id     string
-		run    func(experiments.Options) experiments.Figure
-		misses bool
-	}
-	runners := []runner{
-		{"5", experiments.Fig05, true},
-		{"6", experiments.Fig06, true},
-		{"7", experiments.Fig07, true},
-		{"8", experiments.Fig08, true},
-		{"10", experiments.Fig10Uni, false},
-		{"10", experiments.Fig10MP, false},
-		{"11", experiments.Fig11, true},
-		{"12", experiments.Fig12Small, false},
-		{"12", experiments.Fig12Large, false},
-		{"13", experiments.Fig13Uni, false},
-		{"13", experiments.Fig13MP, false},
-	}
-
-	var selected []runner
-	for _, r := range runners {
-		if want(r.id) {
-			selected = append(selected, r)
+	var selected []experiments.FigureSpec
+	for _, spec := range experiments.PaperFigures() {
+		if want(spec.Fig) {
+			selected = append(selected, spec)
 		}
 	}
 	if len(selected) == 0 && !want("3") {
@@ -150,58 +110,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Each selected figure renders into its own buffer; reports print in
-	// presentation order once ready, so a fast later figure never interleaves
-	// with a slow earlier one.
-	reports := make([]string, len(selected))
-	render := func(i int) {
-		f := selected[i].run(opt)
-		var b strings.Builder
-		fmt.Fprintln(&b, f.RenderExec())
-		if selected[i].misses {
-			fmt.Fprintln(&b, f.RenderMisses())
+	for i, f := range experiments.RunFigures(opt, selected) {
+		fmt.Println(f.RenderExec())
+		if selected[i].Misses {
+			fmt.Println(f.RenderMisses())
 		}
 		if *detail {
-			fmt.Fprintln(&b, f.RenderDetail())
+			fmt.Println(f.RenderDetail())
 		}
 		if *compare {
 			if rows := experiments.Compare(&f); len(rows) > 0 {
-				fmt.Fprintln(&b, experiments.RenderComparison(rows))
+				fmt.Println(experiments.RenderComparison(rows))
 			}
 		}
-		fmt.Fprintln(&b, strings.Repeat("-", 72))
-		reports[i] = b.String()
-	}
-
-	if figWorkers <= 1 || len(selected) == 1 {
-		for i := range selected {
-			render(i)
-			fmt.Print(reports[i])
-		}
-		return
-	}
-
-	if figWorkers > len(selected) {
-		figWorkers = len(selected)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(figWorkers)
-	for g := 0; g < figWorkers; g++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				render(i)
-			}
-		}()
-	}
-	for i := range selected {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i := range reports {
-		fmt.Print(reports[i])
+		fmt.Println(strings.Repeat("-", 72))
 	}
 }
 

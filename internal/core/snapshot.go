@@ -224,7 +224,8 @@ func (s *System) Load(in io.Reader) error {
 // RunMeasured executes the measurement phase against the current —
 // presumably warmed — machine state: reset statistics, run measureTxns more
 // committed transactions, and collect. Run is warmup followed by
-// RunMeasured; a restored warm snapshot replaces the warmup.
+// RunMeasured; after Load of a machine saved at the end of its warmup,
+// RunMeasured alone continues it.
 func (s *System) RunMeasured(measureTxns uint64) stats.RunResult {
 	base := s.w.Committed()
 	s.ResetStats()

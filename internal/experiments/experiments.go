@@ -1,9 +1,9 @@
-// Package experiments defines one runner per figure of the paper's
-// evaluation. Each runner assembles the configurations that appear as bars
-// in that figure, runs them under the standard warmup/measure protocol, and
-// returns a Figure whose rendering matches the paper's presentation
-// (normalized execution-time breakdowns on the left, normalized L2 miss
-// breakdowns on the right).
+// Package experiments reproduces the paper's evaluation. A table holds one
+// entry per figure with the configurations that appear as its bars;
+// RunFigures runs any selection of it under the standard warmup/measure
+// protocol as one sweep and returns Figures whose rendering matches the
+// paper's presentation (normalized execution-time breakdowns on the left,
+// normalized L2 miss breakdowns on the right).
 package experiments
 
 import (
@@ -26,21 +26,12 @@ type Options struct {
 	Seed uint64
 	// Quick shrinks the run for smoke tests.
 	Quick bool
-	// Workers bounds how many configurations RunMany simulates concurrently.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial path. Every
+	// Workers bounds how many configurations the worker pool behind
+	// RunMany, RunFigures and RunTimelineLadder simulates concurrently. 0
+	// means runtime.GOMAXPROCS(0); 1 forces the serial path. Every
 	// simulation is a pure function of (config, seed), so parallel results
 	// are bit-identical to serial ones, in the same order.
 	Workers int
-	// Progress, when non-nil, is called by RunMany after each configuration
-	// of a sweep finishes, with the number of configurations completed so
-	// far and the sweep total. Calls are serialized (never concurrent),
-	// done is strictly increasing from 1 to total, and no call is made
-	// after RunMany returns — so a caller may drive an SSE stream or a
-	// progress bar from it without its own locking. The callback observes
-	// completion order, which under parallel Workers is not input order;
-	// results themselves are always delivered in input order regardless.
-	// Nil (the default) costs nothing.
-	Progress func(done, total int)
 	// Scenario, when non-nil, replaces the fixed-mix measurement with a
 	// compiled time-varying schedule: the measured length becomes the
 	// schedule's total transactions (MeasureTxns is ignored), phase 0 also
@@ -140,12 +131,6 @@ func (f *Figure) NormMisses(i int) float64 {
 		return 0
 	}
 	return 100 * (f.Bars[i].MissesPerTxn() / b)
-}
-
-// runAll executes a list of configurations as one figure, fanning the bars
-// across the Options worker pool while keeping presentation order.
-func runAll(o Options, id, title string, cfgs []core.Config) Figure {
-	return Figure{ID: id, Title: title, Bars: o.RunMany(cfgs)}
 }
 
 // label renames a configuration for presentation.

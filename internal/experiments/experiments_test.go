@@ -229,10 +229,10 @@ func TestWorkloadComposition(t *testing.T) {
 // The figure plumbing itself.
 func TestFigureNormalization(t *testing.T) {
 	o := testOptions()
-	fig := runAll(o, "t", "normalization check", []core.Config{
+	fig := RunFigures(o, []FigureSpec{{ID: "t", Title: "normalization check", Bars: []core.Config{
 		core.BaseConfig(1, 1*core.MB, 1),
 		core.BaseConfig(1, 8*core.MB, 4),
-	})
+	}}})[0]
 	if fig.NormExec(0) != 100 || fig.NormMisses(0) != 100 {
 		t.Fatal("baseline not normalized to 100")
 	}

@@ -17,10 +17,21 @@ func parallelTestOptions() Options {
 
 // TestParallelMatchesSerial is the determinism harness: a figure run through
 // the worker pool must be indistinguishable from the serial run — identical
-// stats.RunResult per bar and byte-identical rendered tables. This also
-// guards against accidental shared mutable state (package-level maps, shared
-// RNGs) creeping in between System instances.
+// stats.RunResult per bar and byte-identical rendered tables. That holds for
+// one figure, for figures selected together into one pool, and for the
+// timeline ladder. This also guards against accidental shared mutable state
+// (package-level maps, shared RNGs) creeping in between System instances.
 func TestParallelMatchesSerial(t *testing.T) {
+	serial := func() Options {
+		o := parallelTestOptions()
+		o.Workers = 1
+		return o
+	}
+	par := func() Options {
+		o := parallelTestOptions()
+		o.Workers = 4
+		return o
+	}
 	figs := map[string]func(Options) Figure{
 		"Fig10Uni": Fig10Uni,
 		"Fig11":    Fig11,
@@ -28,30 +39,64 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for name, run := range figs {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			serial := parallelTestOptions()
-			serial.Workers = 1
-			par := parallelTestOptions()
-			par.Workers = 4
-
-			fs := run(serial)
-			fp := run(par)
-
-			if len(fs.Bars) != len(fp.Bars) {
-				t.Fatalf("bar count differs: serial %d, parallel %d", len(fs.Bars), len(fp.Bars))
-			}
-			for i := range fs.Bars {
-				if !reflect.DeepEqual(fs.Bars[i], fp.Bars[i]) {
-					t.Errorf("bar %d (%s) differs between serial and parallel runs:\nserial:   %+v\nparallel: %+v",
-						i, fs.Bars[i].Name, fs.Bars[i], fp.Bars[i])
-				}
-			}
-			if fs.RenderExec() != fp.RenderExec() {
-				t.Error("RenderExec output differs between serial and parallel runs")
-			}
-			if fs.RenderMisses() != fp.RenderMisses() {
-				t.Error("RenderMisses output differs between serial and parallel runs")
-			}
+			sameFigure(t, run(serial()), run(par()))
 		})
+	}
+	t.Run("Fig10Uni+Fig11", func(t *testing.T) {
+		t.Parallel()
+		var specs []FigureSpec
+		for _, s := range PaperFigures() {
+			if s.ID == "Figure 10 (uni)" || s.ID == "Figure 11" {
+				specs = append(specs, s)
+			}
+		}
+		got := RunFigures(par(), specs)
+		if len(got) != 2 {
+			t.Fatalf("RunFigures returned %d figures, want 2", len(got))
+		}
+		sameFigure(t, Fig10Uni(serial()), got[0])
+		sameFigure(t, Fig11(serial()), got[1])
+	})
+	t.Run("TimelineLadder", func(t *testing.T) {
+		t.Parallel()
+		o := par()
+		o.Scenario = compileProfile(t, burstProfile())
+		got := RunTimelineLadder(o, 2, true)
+		cfgs := integrationLadder(2, true)
+		if len(got.Results) != len(cfgs) {
+			t.Fatalf("ladder has %d results, want %d", len(got.Results), len(cfgs))
+		}
+		for i, cfg := range cfgs {
+			if want := o.RunScenario(cfg); !reflect.DeepEqual(got.Results[i], want) {
+				t.Errorf("ladder result %d (%s) differs from its own RunScenario:\npool:   %+v\nserial: %+v",
+					i, cfg.Name, got.Results[i], want)
+			}
+		}
+	})
+}
+
+// sameFigure fails the test unless the pooled run of a figure matches the
+// serial one bar for bar and table for table.
+func sameFigure(t *testing.T, serial, pooled Figure) {
+	t.Helper()
+	if serial.ID != pooled.ID || serial.BaselineIdx != pooled.BaselineIdx {
+		t.Fatalf("figure %s (baseline %d) came back as %s (baseline %d)",
+			serial.ID, serial.BaselineIdx, pooled.ID, pooled.BaselineIdx)
+	}
+	if len(serial.Bars) != len(pooled.Bars) {
+		t.Fatalf("%s: bar count differs: serial %d, parallel %d", serial.ID, len(serial.Bars), len(pooled.Bars))
+	}
+	for i := range serial.Bars {
+		if !reflect.DeepEqual(serial.Bars[i], pooled.Bars[i]) {
+			t.Errorf("%s: bar %d (%s) differs between serial and parallel runs:\nserial:   %+v\nparallel: %+v",
+				serial.ID, i, serial.Bars[i].Name, serial.Bars[i], pooled.Bars[i])
+		}
+	}
+	if serial.RenderExec() != pooled.RenderExec() {
+		t.Errorf("%s: RenderExec output differs between serial and parallel runs", serial.ID)
+	}
+	if serial.RenderMisses() != pooled.RenderMisses() {
+		t.Errorf("%s: RenderMisses output differs between serial and parallel runs", serial.ID)
 	}
 }
 

@@ -8,49 +8,22 @@ import (
 	"oltpsim/internal/stats"
 )
 
-// workers resolves Options.Workers to a concrete pool size for n jobs.
-func (o Options) workers(n int) int {
+// pool calls run(i) for every i in [0, n) on a bounded worker pool
+// (Options.Workers goroutines, default GOMAXPROCS, never more than n) and
+// returns once all calls have. run must write only its own slot i of its
+// caller's output, so the output is the same whichever worker takes which
+// index.
+func (o Options) pool(n int, run func(i int)) {
 	w := o.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// RunMany executes every configuration under the protocol and returns the
-// results in input order. Configurations are dispatched to a bounded worker
-// pool (Options.Workers goroutines; default GOMAXPROCS). Because each
-// simulation is a pure function of (config, seed) — no package shares
-// mutable state between System instances — the result slice is bit-identical
-// to running the same list serially; only wall-clock time changes.
-func (o Options) RunMany(cfgs []core.Config) []stats.RunResult {
-	results := make([]stats.RunResult, len(cfgs))
-	w := o.workers(len(cfgs))
+	w = min(w, n)
 	if w <= 1 {
-		for i := range cfgs {
-			results[i] = o.Run(cfgs[i])
-			if o.Progress != nil {
-				o.Progress(i+1, len(cfgs))
-			}
+		for i := range n {
+			run(i)
 		}
-		return results
-	}
-	// progress serializes the Options.Progress callback across workers and
-	// turns completion events into the strictly increasing done count the
-	// callback contract promises.
-	var progressMu sync.Mutex
-	completed := 0
-	progress := func() {
-		if o.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		completed++
-		o.Progress(completed, len(cfgs))
-		progressMu.Unlock()
+		return
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -59,15 +32,25 @@ func (o Options) RunMany(cfgs []core.Config) []stats.RunResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = o.Run(cfgs[i])
-				progress()
+				run(i)
 			}
 		}()
 	}
-	for i := range cfgs {
+	for i := range n {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
+}
+
+// RunMany executes every configuration under the protocol and returns the
+// results in input order. Configurations are dispatched to the worker pool.
+// Because each simulation is a pure function of (config, seed) — no package
+// shares mutable state between System instances — the result slice is
+// bit-identical to running the same list serially; only wall-clock time
+// changes.
+func (o Options) RunMany(cfgs []core.Config) []stats.RunResult {
+	results := make([]stats.RunResult, len(cfgs))
+	o.pool(len(cfgs), func(i int) { results[i] = o.Run(cfgs[i]) })
 	return results
 }

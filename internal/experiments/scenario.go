@@ -139,15 +139,15 @@ type TimelineFigure struct {
 }
 
 // RunTimelineLadder runs the integration ladder (Base, L2, L2+MC, and with
-// full the All configuration) under Options.Scenario.
+// full the All configuration) under Options.Scenario, on the same worker
+// pool as RunMany.
 func RunTimelineLadder(o Options, procs int, full bool) TimelineFigure {
 	if o.Scenario == nil {
 		panic("experiments: RunTimelineLadder requires Options.Scenario")
 	}
-	f := TimelineFigure{Profile: o.Scenario.Name()}
-	for _, cfg := range integrationLadder(procs, full) {
-		f.Results = append(f.Results, o.RunScenario(cfg))
-	}
+	cfgs := integrationLadder(procs, full)
+	f := TimelineFigure{Profile: o.Scenario.Name(), Results: make([]ScenarioResult, len(cfgs))}
+	o.pool(len(cfgs), func(i int) { f.Results[i] = o.RunScenario(cfgs[i]) })
 	return f
 }
 

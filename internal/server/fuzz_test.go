@@ -17,7 +17,7 @@ func FuzzJobSpecDecode(f *testing.F) {
 	f.Add(validSpecJSON)
 	f.Add(`{"machines": [{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10}`)
 	f.Add(`{"machines": [{"procs": 8, "level": "l2mc", "l2": "8M", "assoc": 4, "cores": 2}], "warmup_txns": 3000, "measure_txns": 2000, "checkpoint_every": 500}`)
-	f.Add(`{"machines": [{"procs": 4, "level": "full", "l2": "8M", "assoc": 4, "rac": "2M", "repl": true}], "measure_txns": 100, "workers": 4}`)
+	f.Add(`{"machines": [{"procs": 4, "level": "full", "l2": "8M", "assoc": 4, "rac": "2M", "repl": true}], "measure_txns": 100}`)
 	f.Add(`{"machines": [{"procs": 2, "level": "l2", "l2": "512K", "assoc": 2, "dram": true, "ooo": true}], "measure_txns": 5, "seed": 42, "quick": true}`)
 	f.Add(`{"machines": [{"procs": 1, "level": "cons", "l2": "0.5M", "assoc": 1}], "measure_txns": 1, "checkpoint_every": 0}`)
 	f.Add(`{"machines": [{"procs": 8, "level": "l2", "l2": "2M", "assoc": 8}], "measure_txns": 10, "scenario": {"name": "burst", "phases": [{"name": "calm", "txns": 100}, {"name": "spike", "txns": 50, "ramp_txns": 10, "mix": {"update": 1, "read": 3}, "skew": 0.9}]}}`)
@@ -36,9 +36,6 @@ func FuzzJobSpecDecode(f *testing.F) {
 		}
 		if spec.MeasureTxns == 0 || spec.MeasureTxns > MaxTxns || spec.WarmupTxns > MaxTxns {
 			t.Fatalf("accepted spec with out-of-bounds protocol: warmup=%d measure=%d", spec.WarmupTxns, spec.MeasureTxns)
-		}
-		if spec.Workers < 0 || spec.Workers > MaxWorkers {
-			t.Fatalf("accepted spec with out-of-bounds workers: %d", spec.Workers)
 		}
 		if spec.Scenario != nil {
 			sched, err := spec.Scenario.Compile()

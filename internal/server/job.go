@@ -89,7 +89,8 @@ type Job struct {
 	// results holds the completed configurations' results, a prefix of cfgs.
 	results []stats.RunResult
 	// cancel is set by DELETE; the executor honors it at the next
-	// checkpoint-quantum boundary.
+	// checkpoint-quantum boundary, or for a checkpoint-free job the next
+	// configuration or segment boundary.
 	cancel bool
 	// resume carries the recovered checkpoint of the in-flight
 	// configuration across a server restart; consumed by the executor.
@@ -102,9 +103,6 @@ type Job struct {
 	curConfig   int
 	curMeasured uint64
 	curTarget   uint64
-	// sweepDone tracks configurations completed on the checkpoint-free
-	// RunMany path, where results only land at the end of the sweep.
-	sweepDone int
 	// steps counts simulator steps this process executed for the job;
 	// wall accumulates executor wall-clock time. Together they give the
 	// ns/ref exposition.
@@ -154,19 +152,13 @@ type Status struct {
 func (j *Job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	done := len(j.results)
-	if j.sweepDone > done {
-		// Checkpoint-free RunMany path: results only land when the whole
-		// sweep commits, so the Progress hook's count is the live view.
-		done = j.sweepDone
-	}
 	st := Status{
 		ID:              j.ID,
 		Name:            j.Spec.Name,
 		State:           j.state,
 		Error:           j.err,
 		Configs:         len(j.cfgs),
-		Done:            done,
+		Done:            len(j.results),
 		Config:          j.curConfig,
 		Measured:        j.curMeasured,
 		Target:          j.curTarget,
@@ -266,13 +258,6 @@ func (j *Job) setProgress(measured, target uint64) {
 	j.curTarget = target
 }
 
-// setSweepProgress records completed configurations on the RunMany path.
-func (j *Job) setSweepProgress(done int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.sweepDone = done
-}
-
 // noteCheckpoint records one durable checkpoint for configuration i and
 // moves the job into the checkpointed state.
 func (j *Job) noteCheckpoint(i int) {
@@ -306,14 +291,10 @@ func (j *Job) workDone() (uint64, time.Duration) {
 func (j *Job) event(typ string, config int) Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	done := len(j.results)
-	if j.sweepDone > done {
-		done = j.sweepDone
-	}
 	return Event{
 		Type:     typ,
 		Config:   config,
-		Done:     done,
+		Done:     len(j.results),
 		Total:    len(j.cfgs),
 		Measured: j.curMeasured,
 		Target:   j.curTarget,

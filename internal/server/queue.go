@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"time"
 
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/sim"
@@ -117,19 +116,19 @@ func (s *Server) runJob(j *Job) {
 
 	o := j.options()
 	every := s.quantum(j)
-	if every == 0 {
-		s.runJobSweep(j, o, start)
-		return
-	}
-
 	for i := first; i < len(j.cfgs); i++ {
 		j.startConfig(i, o.MeasuredTxns())
 		j.publish(j.event("config", i))
+		// A checkpoint-free job (quantum 0) gets no Write, which Execute
+		// would still call at the end of warmup; it is polled for a stop
+		// only at configuration and segment boundaries.
 		cr := experiments.CheckpointRun{
 			Every:      every,
-			Write:      s.checkpointWriter(j, i),
 			Canceled:   func() bool { return s.stopping() || j.canceled() },
 			OnProgress: s.progressReporter(j, i),
+		}
+		if every > 0 {
+			cr.Write = s.checkpointWriter(j, i)
 		}
 		if i == resumeConfig && resume != nil {
 			cr.Resume = resume
@@ -147,40 +146,16 @@ func (s *Server) runJob(j *Job) {
 			s.stopJob(j, i, err)
 			return
 		}
+		// A kill forbids any further disk write, and Execute can return
+		// cleanly after one: a checkpoint-free run has no write to refuse.
+		if s.isKilled() {
+			return
+		}
 		if err := s.commitResult(j, i, sr.Total); err != nil {
 			s.finishJob(j, StateFailed, "persisting result: "+err.Error())
 			return
 		}
 		j.publish(j.event("result", i))
-	}
-	s.finishJob(j, StateDone, "")
-}
-
-// runJobSweep is the checkpoint-free path (checkpoint_every explicitly 0):
-// the whole sweep goes through experiments.Options.RunMany, optionally
-// fanned across the job's own worker count, with the Progress hook feeding
-// the event stream. No checkpoints means no mid-sweep preemption — the job
-// is cancellable only while queued, and a kill loses it entirely.
-func (s *Server) runJobSweep(j *Job, o experiments.Options, start time.Time) {
-	o.Workers = j.Spec.Workers
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
-	o.Progress = func(done, total int) {
-		j.setSweepProgress(done)
-		j.publish(j.event("progress", -1))
-	}
-	results := o.RunMany(j.cfgs)
-	j.addWork(0, s.cfg.Now().Sub(start))
-	if s.isKilled() {
-		return
-	}
-	j.mu.Lock()
-	j.results = append(j.results[:0], results...)
-	j.mu.Unlock()
-	if err := s.st.writeResults(j.ID, results); err != nil {
-		s.finishJob(j, StateFailed, "persisting results: "+err.Error())
-		return
 	}
 	s.finishJob(j, StateDone, "")
 }

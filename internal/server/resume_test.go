@@ -2,10 +2,16 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"oltpsim/internal/snapshot"
 )
@@ -205,6 +211,74 @@ func TestCommitBoundaryCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestCheckpointFreeKillBarrier pins DESIGN.md §7's kill rule for a
+// checkpoint-free job, which has no checkpoint write to refuse one: a Kill
+// on the worker's second clock reading, taken right after configuration 0's
+// Execute returns, leaves the directory as the crash found it (no
+// results.json, state.json still running at configuration 0), and a restart
+// runs the job to done with the uninterrupted results.
+func TestCheckpointFreeKillBarrier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	body := strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "checkpoint_every": 0`, 1)
+	_, cfgs, err := DecodeJobSpec(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustJSON(t, smokeOptions().RunMany(cfgs))
+	dir := t.TempDir()
+
+	cfg := testServerConfig(dir)
+	clock := cfg.Now
+	var (
+		readings atomic.Int32
+		victim   *Server
+	)
+	killed := make(chan struct{})
+	cfg.Now = func() time.Time {
+		if readings.Add(1) == 2 {
+			victim.Kill()
+			close(killed)
+		}
+		return clock()
+	}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim = s1
+	id := submitDirect(t, s1, body).ID
+	s1.Start()
+	<-killed
+	s1.Close()
+
+	jobDir := filepath.Join(dir, "jobs", id)
+	if _, err := os.Stat(filepath.Join(jobDir, "results.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("results.json after the kill: %v, want it absent", err)
+	}
+	data, err := os.ReadFile(filepath.Join(jobDir, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps persistedState
+	if err := json.Unmarshal(data, &ps); err != nil {
+		t.Fatal(err)
+	}
+	if ps.State != StateRunning || ps.Config != 0 {
+		t.Errorf("state.json after the kill = %s, want running at configuration 0", data)
+	}
+
+	s2 := newTestServer(t, testServerConfig(dir))
+	if got := waitTerminal(t, s2, id); got != StateDone {
+		t.Fatalf("restarted job finished %q, want done", got)
+	}
+	j2, _ := s2.jobByID(id)
+	if got := mustJSON(t, j2.status().Results); !bytes.Equal(got, want) {
+		t.Errorf("results after the restart diverge from RunMany:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestServerDoubleKillResume chains two kills through the same job: crash,
 // resume, crash again further along, resume again — the result must still
 // be byte-identical. This is the "any interleaving" half of the resume
@@ -379,37 +453,42 @@ func TestServerRestartKeepsHistory(t *testing.T) {
 }
 
 // TestRecoveryRefusesRetiredSpecField pins what a restart does with a job
-// stored while the spec still had a step_workers field: recovery re-decodes
-// spec.json through the strict submission decoder, so New fails, naming
-// both the job and the field, instead of silently dropping the setting.
+// stored while the spec still had a field that has since been removed
+// (step_workers, workers): recovery re-decodes spec.json through the strict
+// submission decoder, so New fails, naming both the job and the field,
+// instead of silently dropping the setting.
 func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
-	dir := t.TempDir()
-	st, err := newStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _, err := DecodeJobSpec(strings.NewReader(validSpecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const id = "job-000001"
-	if err := st.createJob(id, spec); err != nil {
-		t.Fatal(err)
-	}
-	stored := `{"machines": [{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10, "step_workers": 2}`
-	if err := st.writeFile(id, "spec.json", []byte(stored)); err != nil {
-		t.Fatal(err)
-	}
+	for _, field := range []string{"step_workers", "workers"} {
+		t.Run(field, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := newStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, _, err := DecodeJobSpec(strings.NewReader(validSpecJSON))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const id = "job-000001"
+			if err := st.createJob(id, spec); err != nil {
+				t.Fatal(err)
+			}
+			stored := `{"machines": [{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10, "` + field + `": 2}`
+			if err := st.writeFile(id, "spec.json", []byte(stored)); err != nil {
+				t.Fatal(err)
+			}
 
-	s, err := New(testServerConfig(dir))
-	if err == nil {
-		s.Close()
-		t.Fatal("server recovered a job whose stored spec carries step_workers")
-	}
-	for _, want := range []string{id, `"step_workers"`} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("recovery error %q does not name %s", err, want)
-		}
+			s, err := New(testServerConfig(dir))
+			if err == nil {
+				s.Close()
+				t.Fatalf("server recovered a job whose stored spec carries %s", field)
+			}
+			for _, want := range []string{id, `"` + field + `"`} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("recovery error %q does not name %s", err, want)
+				}
+			}
+		})
 	}
 }
 

@@ -155,7 +155,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Close stops the server gracefully: no new submissions are admitted,
-// workers preempt their jobs at the next checkpoint boundary (leaving them
+// workers preempt their jobs at the next checkpoint boundary, or
+// configuration or segment boundary for a checkpoint-free job (leaving them
 // resumable on disk), and Close returns once every worker has exited. Live
 // SSE streams are terminated. Safe to call more than once, and after Kill.
 func (s *Server) Close() error {
@@ -309,8 +310,8 @@ func (s *Server) submit(spec JobSpec, cfgs []core.Config) (*Job, error) {
 }
 
 // cancelJob requests cancellation. Queued jobs cancel immediately; running
-// checkpointed jobs stop at their next quantum boundary; terminal jobs
-// return false.
+// jobs stop at their next quantum boundary (the next configuration or
+// segment boundary for a checkpoint-free job); terminal jobs return false.
 func (s *Server) cancelJob(j *Job) bool {
 	s.mu.Lock()
 	j.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,9 +267,10 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
-// TestServerRunManyPath pins the checkpoint-free executor: an explicit
-// checkpoint_every of 0 routes the sweep through RunMany (optionally
-// fanned across job workers) and still produces byte-identical results.
+// TestServerRunManyPath pins the checkpoint-free job: an explicit
+// checkpoint_every of 0 runs the same per-configuration executor as every
+// other job without writing a checkpoint, produces results byte-identical to
+// a direct RunMany, and counts its steps for /metrics.
 func TestServerRunManyPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -277,7 +279,7 @@ func TestServerRunManyPath(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	body := strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "checkpoint_every": 0, "workers": 2`, 1)
+	body := strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "checkpoint_every": 0`, 1)
 	st := postJob(t, ts, body)
 	if got := waitTerminal(t, s, st.ID); got != StateDone {
 		t.Fatalf("job finished %q, want done", got)
@@ -293,6 +295,10 @@ func TestServerRunManyPath(t *testing.T) {
 	want := smokeOptions().RunMany(cfgs)
 	if got, exp := mustJSON(t, final.Results), mustJSON(t, want); !bytes.Equal(got, exp) {
 		t.Errorf("RunMany-path results differ from direct call:\n got %s\nwant %s", got, exp)
+	}
+	series := `oltpserver_job_ns_per_ref{job="` + st.ID + `"}`
+	if metrics := s.renderMetrics(); !strings.Contains(metrics, series) {
+		t.Errorf("/metrics lacks the checkpoint-free job's %s series:\n%s", series, metrics)
 	}
 }
 
@@ -436,4 +442,37 @@ func TestServerCancel(t *testing.T) {
 	if last := events[len(events)-1].Type; last != string(StateCancelled) {
 		t.Errorf("replayed stream ends with %q, want cancelled", last)
 	}
+
+	// A checkpoint-free job has no quantum boundary: it stops at the next
+	// configuration or segment boundary. The cancel arrives on the worker's
+	// second clock reading, taken right after configuration 0's Execute
+	// returns, so configuration 0 commits and configuration 1 never runs.
+	t.Run("checkpoint-free", func(t *testing.T) {
+		cfg := testServerConfig(t.TempDir())
+		clock := cfg.Now
+		var (
+			readings atomic.Int32
+			s        *Server
+			j        *Job
+		)
+		cfg.Now = func() time.Time {
+			if readings.Add(1) == 2 {
+				s.cancelJob(j)
+			}
+			return clock()
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j = submitDirect(t, s, strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "checkpoint_every": 0`, 1))
+		s.Start()
+		t.Cleanup(func() { s.Close() })
+		if got := waitTerminal(t, s, j.ID); got != StateCancelled {
+			t.Fatalf("checkpoint-free job finished %q, want cancelled", got)
+		}
+		if st := j.status(); len(st.Results) != 1 {
+			t.Errorf("cancelled checkpoint-free job has %d results, want 1", len(st.Results))
+		}
+	})
 }

@@ -32,8 +32,6 @@ const (
 	MaxMachines = 64
 	// MaxTxns bounds warmup and measured transactions per configuration.
 	MaxTxns = 10_000_000
-	// MaxWorkers bounds the per-job RunMany fan-out.
-	MaxWorkers = 256
 	// MaxNameLen bounds the display name.
 	MaxNameLen = 200
 	// maxCacheBytes bounds any single simulated cache array (L2 or RAC).
@@ -55,16 +53,12 @@ type JobSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Quick selects the scaled-down database.
 	Quick bool `json:"quick,omitempty"`
-	// Workers fans the sweep across a per-job RunMany pool. Only honored on
-	// the checkpoint-free path (CheckpointEvery pointing at 0); checkpointed
-	// jobs run their configurations serially so exactly one machine state is
-	// in flight per job. 0 means serial.
-	Workers int `json:"workers,omitempty"`
 	// CheckpointEvery is the checkpoint quantum in committed transactions.
-	// Absent (null) means the server's configured default; an explicit 0
-	// disables checkpointing for this job, which makes it run through
-	// experiments.RunMany but also makes it non-resumable and cancellable
-	// only while queued.
+	// Absent (null) means the server's configured default. An explicit 0
+	// disables checkpointing for this job: each configuration still commits
+	// its result when it finishes, but a DELETE or shutdown takes effect only
+	// at the next configuration or segment boundary, and a kill loses the
+	// in-flight configuration.
 	CheckpointEvery *uint64 `json:"checkpoint_every,omitempty"`
 	// Scenario, when present, runs every configuration under a time-varying
 	// workload profile (internal/scenario) instead of the fixed mix: the
@@ -114,9 +108,6 @@ func (s *JobSpec) Configs() ([]core.Config, error) {
 	}
 	if s.MeasureTxns > MaxTxns || s.WarmupTxns > MaxTxns {
 		return nil, fmt.Errorf("job spec: transaction counts exceed the limit of %d", uint64(MaxTxns))
-	}
-	if s.Workers < 0 || s.Workers > MaxWorkers {
-		return nil, fmt.Errorf("job spec: workers out of range [0,%d]", MaxWorkers)
 	}
 	if s.CheckpointEvery != nil && *s.CheckpointEvery > MaxTxns {
 		return nil, fmt.Errorf("job spec: checkpoint_every exceeds the limit of %d", uint64(MaxTxns))

@@ -65,7 +65,8 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"measure too large", fmt.Sprintf(`{"machines": [%s], "measure_txns": %d}`, machine, uint64(MaxTxns)+1)},
 		{"warmup too large", fmt.Sprintf(`{"machines": [%s], "measure_txns": 10, "warmup_txns": %d}`, machine, uint64(MaxTxns)+1)},
 		{"negative workers", `{"machines": [` + machine + `], "measure_txns": 10, "workers": -1}`},
-		{"huge workers", fmt.Sprintf(`{"machines": [%s], "measure_txns": 10, "workers": %d}`, machine, MaxWorkers+1)},
+		{"huge workers", `{"machines": [` + machine + `], "measure_txns": 10, "workers": 257}`},
+		{"retired workers field", `{"machines": [` + machine + `], "measure_txns": 10, "workers": 2}`},
 		{"retired step_workers field", `{"machines": [` + machine + `], "measure_txns": 10, "step_workers": 2}`},
 		{"long name", `{"name": "` + strings.Repeat("x", MaxNameLen+1) + `", "machines": [` + machine + `], "measure_txns": 10}`},
 		{"bad level", `{"machines": [{"procs": 1, "level": "warp", "l2": "1M", "assoc": 1}], "measure_txns": 10}`},
@@ -84,8 +85,8 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 }
 
 // TestDecodeJobSpecCheckpointEvery pins the tri-state quantum: absent means
-// nil (server default), explicit 0 survives as a non-nil zero (the
-// checkpoint-free RunMany path), and a positive value passes through.
+// nil (server default), explicit 0 survives as a non-nil zero (a
+// checkpoint-free job), and a positive value passes through.
 func TestDecodeJobSpecCheckpointEvery(t *testing.T) {
 	machine := `{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}`
 	spec, _, err := DecodeJobSpec(strings.NewReader(`{"machines": [` + machine + `], "measure_txns": 10}`))
