@@ -539,6 +539,30 @@ func BenchmarkJobThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointWrite times one checkpoint write of the job server's
+// 8-CPU Full 2M8w quick job: System.Save plus the container encode of the
+// machine after its 150-transaction warmup, the checkpoint every
+// checkpointed job writes. No other guarded benchmark writes one
+// (JobThroughput runs with checkpoint_every 0). B/op is the encoder's
+// allocation, and ckpt-bytes the container's size.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	o := experiments.QuickOptions()
+	cfg := FullIntegrationConfig(8, 2*MB, 8)
+	sys := MustNewSystem(cfg, oltp.MustNewHarness(o.Params(cfg)))
+	sys.RunUntil(o.WarmupTxns)
+	var size int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := o.WarmedCheckpoint(sys)
+		if err != nil {
+			b.Fatal(err)
+		}
+		size = len(data)
+	}
+	b.ReportMetric(float64(size), "ckpt-bytes")
+}
+
 // BenchmarkOltpvet times the full static-analysis suite over the whole
 // module: load and type-check every package from source, build the
 // conservative call graph, and run all eight analyzers. The suite runs on

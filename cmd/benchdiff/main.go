@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchdiff -write            # record baseline BENCH_pr15.json
+//	go run ./cmd/benchdiff -write            # record baseline BENCH_pr16.json
 //	go run ./cmd/benchdiff -check            # fail on time or alloc regression
 //	go run ./cmd/benchdiff -check -allocs-only
 //	go run ./cmd/benchdiff -check -threshold 25
@@ -75,7 +75,7 @@ func main() {
 	var (
 		write      = flag.Bool("write", false, "record the baseline instead of checking against it")
 		check      = flag.Bool("check", false, "compare against the committed baseline")
-		baseline   = flag.String("baseline", "BENCH_pr15.json", "baseline file path")
+		baseline   = flag.String("baseline", "BENCH_pr16.json", "baseline file path")
 		count      = flag.Int("count", 3, "repetitions; the minimum per benchmark is used")
 		short      = flag.Bool("short", true, "run benchmarks in -short mode")
 		threshold  = flag.Float64("threshold", 10, "allowed ns/op regression in percent")
@@ -100,12 +100,15 @@ func main() {
 	// slowdown at large N shows up as a plain time regression at that N.
 	// Oltpvet re-analyzes the whole module per iteration (seconds of
 	// type-checking), so like the runner benchmarks it runs at 1x.
+	// CheckpointWrite saves one warmed machine per iteration (milliseconds),
+	// so ten iterations amortize nothing but keep the run short.
 	specs := []benchSpec{
 		{"^BenchmarkRunnerSerial$", "1x"},
 		{"^BenchmarkSimulationThroughput$", "2000000x"},
 		{"^BenchmarkStepScaling$", "1000000x"},
 		{"^BenchmarkStep64Serial$", "1x"},
 		{"^BenchmarkJobThroughput$", "1x"},
+		{"^BenchmarkCheckpointWrite$", "10x"},
 		{"^BenchmarkOltpvet$", "1x"},
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -365,10 +368,14 @@ func runBenchmarks(ctx context.Context, pattern, benchtime string, count int, sh
 	return parseBench(string(out))
 }
 
-// benchLine matches e.g.
+// benchLine matches a result line: the name, the iteration count, then
+// value/unit pairs, e.g.
 //
 //	BenchmarkRunnerSerial-16  1  951630154 ns/op  205174040 B/op  29821 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+//
+// Units a benchmark reports with b.ReportMetric (ckpt-bytes, say) sit
+// between ns/op and B/op.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+((?:\s+[\d.e+-]+ \S+)+)$`)
 
 func parseBench(out string) (map[string]Benchmark, error) {
 	res := make(map[string]Benchmark)
@@ -377,13 +384,25 @@ func parseBench(out string) (map[string]Benchmark, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %q: %w", line, err)
+		b := Benchmark{Name: m[1], NsPerOp: -1}
+		fields := strings.Fields(m[2])
+		for i := 0; i+1 < len(fields); i += 2 {
+			var err error
+			switch fields[i+1] {
+			case "ns/op":
+				b.NsPerOp, err = strconv.ParseFloat(fields[i], 64)
+			case "B/op":
+				b.BytesPerOp, err = strconv.ParseUint(fields[i], 10, 64)
+			case "allocs/op":
+				b.AllocsPerOp, err = strconv.ParseUint(fields[i], 10, 64)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("parsing %q: %w", line, err)
+			}
 		}
-		bytes, _ := strconv.ParseUint(m[3], 10, 64)
-		allocs, _ := strconv.ParseUint(m[4], 10, 64)
-		b := Benchmark{Name: m[1], NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs}
+		if b.NsPerOp < 0 {
+			continue
+		}
 		if prev, ok := res[b.Name]; ok {
 			// Keep the per-field minimum: noise is strictly additive.
 			if prev.NsPerOp < b.NsPerOp {

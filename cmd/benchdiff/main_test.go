@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -247,5 +248,30 @@ func TestCompareExtraObservations(t *testing.T) {
 	lines, failed := compare(base, got, 10, 0.01, false)
 	if failed || len(lines) != 1 {
 		t.Fatalf("failed=%v lines=%v, want one passing line", failed, lines)
+	}
+}
+
+// TestParseBenchCustomMetric: a b.ReportMetric unit between ns/op and B/op
+// does not hide the memory counters, and the minimum per field wins across
+// repetitions.
+func TestParseBenchCustomMetric(t *testing.T) {
+	out := `goos: linux
+BenchmarkCheckpointWrite-2   	      10	  12000000 ns/op	   6439327 ckpt-bytes	16000000 B/op	     120 allocs/op
+BenchmarkCheckpointWrite-2   	      10	  11000000 ns/op	   6439327 ckpt-bytes	16000100 B/op	     121 allocs/op
+BenchmarkRunnerSerial-2   	       1	 951630154 ns/op	205174040 B/op	   29821 allocs/op
+BenchmarkFig05OffChipL2Uni-2   	       1	 951630154 ns/op	       100.0 Base_1M1w-exec
+PASS
+`
+	got, err := parseBench(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Benchmark{
+		"BenchmarkCheckpointWrite":   {Name: "BenchmarkCheckpointWrite", NsPerOp: 11000000, BytesPerOp: 16000000, AllocsPerOp: 120},
+		"BenchmarkRunnerSerial":      {Name: "BenchmarkRunnerSerial", NsPerOp: 951630154, BytesPerOp: 205174040, AllocsPerOp: 29821},
+		"BenchmarkFig05OffChipL2Uni": {Name: "BenchmarkFig05OffChipL2Uni", NsPerOp: 951630154},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parseBench =\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -448,3 +448,30 @@ func TestWideMachineCrossesWordBoundary(t *testing.T) {
 		t.Fatalf("SharerCount after write = %d, want 1", got)
 	}
 }
+
+// TestLoadRefusesHugeTable: the 16-byte header a version-1 snapshot used
+// to ask for a table of 2^44 slots is refused before anything is
+// allocated; the saved layout no longer carries a table size, and the live
+// count it is read as cannot be backed by the input.
+func TestLoadRefusesHugeTable(t *testing.T) {
+	w := snapshot.NewWriter()
+	e := w.Section("directory")
+	e.Int(1 << 44)
+	e.Int(0)
+	var buf bytes.Buffer
+	if err := w.Emit(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := r.Section("directory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := setup(8)
+	if err := d.LoadState(dec); err == nil {
+		t.Fatal("loaded a directory claiming 2^44 entries from 16 bytes")
+	}
+}

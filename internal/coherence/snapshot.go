@@ -2,40 +2,36 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"oltpsim/internal/snapshot"
 )
 
 // SaveState writes the directory's line table and protocol counters. The
-// table is dumped as its allocated size plus the live (key, entry) pairs in
-// ascending key order: the canonical ordering makes Save→Load→Save
-// byte-stable regardless of the insertion history that produced the slot
-// layout (nothing ever iterates the table, so the layout itself is not
-// architectural state).
+// table is dumped as its live (key, entry) pairs in ascending key order: the
+// canonical ordering makes Save→Load→Save byte-stable regardless of the
+// insertion history that produced the slot layout (nothing ever iterates
+// the table, so neither the layout nor the allocated size is architectural
+// state).
 func (d *Directory) SaveState(e *snapshot.Encoder) {
 	t := d.entries
-	type pair struct {
-		key uint64
-		ent entry
-	}
-	pairs := make([]pair, 0, t.live)
-	for i, k := range t.keys {
+	keys := make([]uint64, 0, t.live)
+	for _, k := range t.keys {
 		if k != 0 {
-			pairs = append(pairs, pair{key: k, ent: t.entries[i]})
+			keys = append(keys, k)
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
-	e.Int(len(t.keys))
-	e.Int(len(pairs))
-	for _, p := range pairs {
-		e.U64(p.key)
-		for _, w := range p.ent.sharers {
+	slices.Sort(keys)
+	e.Int(len(keys))
+	for _, k := range keys {
+		ent := t.find(k >> 1)
+		e.U64(k)
+		for _, w := range ent.sharers {
 			e.U64(w)
 		}
-		e.I64(int64(p.ent.owner))
-		e.Bool(p.ent.dirty)
-		e.Bool(p.ent.inRAC)
+		e.I64(int64(ent.owner))
+		e.Bool(ent.dirty)
+		e.Bool(ent.inRAC)
 	}
 	e.U64s(d.Stats.Reads[:])
 	e.U64s(d.Stats.Writes[:])
@@ -47,22 +43,23 @@ func (d *Directory) SaveState(e *snapshot.Encoder) {
 	e.U64(d.Stats.ExclusiveGrant)
 }
 
+// savedEntryBytes is the encoded size of one (key, entry) pair: key,
+// sharer words, owner, dirty and inRAC.
+const savedEntryBytes = 8 + 8*sharerWords + 8 + 1 + 1
+
 // LoadState rebuilds the line table by probe-inserting the dumped pairs
-// into a fresh allocation of the saved size, then restores the counters.
+// into a fresh table sized from their count, then restores the counters.
+// The count is bounded by the input that could back it, so a hostile count
+// cannot force a large allocation.
 func (d *Directory) LoadState(dec *snapshot.Decoder) error {
-	size := dec.Int()
 	live := dec.Int()
 	if dec.Err() != nil {
 		return dec.Err()
 	}
-	if size < 1024 || size&(size-1) != 0 {
-		return fmt.Errorf("coherence: table size %d is not a power of two >= 1024", size)
+	if live < 0 || live > dec.Remaining()/savedEntryBytes {
+		return fmt.Errorf("coherence: %d live entries exceed the remaining input", live)
 	}
-	if live < 0 || live*4 >= size*3 {
-		return fmt.Errorf("coherence: %d live entries overflow table of %d slots", live, size)
-	}
-	t := &lineTable{}
-	t.alloc(size)
+	t := newLineTable(live)
 	var prevKey uint64
 	for i := 0; i < live; i++ {
 		key := dec.U64()

@@ -42,12 +42,22 @@ func (c Config) Fingerprint() string {
 // A system with a miss classifier cannot be saved (the classifier's
 // unbounded line-history table is diagnostic, not architectural).
 func (s *System) Save(out io.Writer) error {
+	w, err := s.Snapshot()
+	if err != nil {
+		return err
+	}
+	return w.Emit(out)
+}
+
+// Snapshot returns the machine state as the unemitted writer Save emits,
+// for a caller that embeds it in a larger stream.
+func (s *System) Snapshot() (*snapshot.Writer, error) {
 	if s.classifier != nil {
-		return fmt.Errorf("core: a system with Classify enabled cannot be snapshotted")
+		return nil, fmt.Errorf("core: a system with Classify enabled cannot be snapshotted")
 	}
 	ws, ok := s.w.(SnapshotState)
 	if !ok {
-		return fmt.Errorf("core: workload %T does not support snapshots", s.w)
+		return nil, fmt.Errorf("core: workload %T does not support snapshots", s.w)
 	}
 	w := snapshot.NewWriter()
 	w.Section("config").String(s.cfg.Fingerprint())
@@ -90,7 +100,7 @@ func (s *System) Save(out io.Writer) error {
 	}
 
 	ws.SaveState(w.Section("workload"))
-	return w.Emit(out)
+	return w, nil
 }
 
 // Load restores a snapshot into a system built from the identical

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"oltpsim/internal/core"
 	"oltpsim/internal/scenario"
 	"oltpsim/internal/snapshot"
 	"oltpsim/internal/stats"
@@ -24,9 +25,10 @@ type CheckpointRun struct {
 	// Every is the checkpoint quantum in committed transactions. When > 0
 	// (and Write is set), the run persists a checkpoint after every Every
 	// commits of warmup, counted from the start, and of measurement,
-	// counted from the statistics reset; 0 writes only the single
-	// end-of-warmup checkpoint. The quantum never changes results: chunked
-	// RunUntil lands on the same commit boundaries as an uninterrupted run.
+	// counted from the statistics reset, that end before the measurement
+	// does; 0 writes only the single end-of-warmup checkpoint. The quantum
+	// never changes results: chunked RunUntil lands on the same commit
+	// boundaries as an uninterrupted run.
 	Every uint64
 	// Write persists one checkpoint container. Nil disables all checkpoint
 	// writes. Write must not retain the slice.
@@ -124,9 +126,32 @@ type checkpoint struct {
 	system      []byte // the saved machine, as decoded
 }
 
+// save returns the container holding c and sys's current machine state.
+func (c *checkpoint) save(sys *core.System) ([]byte, error) {
+	machine, err := sys.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := c.encode(&buf, func(e *snapshot.Encoder) { e.Embed(machine) }); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// WarmedCheckpoint returns the container Execute hands CheckpointRun.Write
+// at the end of warmup, for sys, a machine built under o and warmed through
+// o.WarmupTxns. It lets a benchmark time the checkpoint write apart from
+// the simulation before it.
+func (o Options) WarmedCheckpoint(sys *core.System) ([]byte, error) {
+	c := checkpoint{pos: posWarmed, proto: o.protocol()}
+	return c.save(sys)
+}
+
 // encode writes the container: one "checkpoint" section holding the
-// format, position, protocol, completed segments and the saved machine.
-func (c *checkpoint) encode(out io.Writer, system []byte) error {
+// format, position, protocol, completed segments and the saved machine,
+// which system appends as a length-prefixed byte string.
+func (c *checkpoint) encode(out io.Writer, system func(*snapshot.Encoder)) error {
 	w := snapshot.NewWriter()
 	e := w.Section("checkpoint")
 	e.U32(checkpointFormat)
@@ -141,7 +166,7 @@ func (c *checkpoint) encode(out io.Writer, system []byte) error {
 	for i := range c.cums {
 		c.cums[i].SaveState(e)
 	}
-	e.U8s(system)
+	system(e)
 	return w.Emit(out)
 }
 
@@ -150,6 +175,10 @@ func (c *checkpoint) encode(out io.Writer, system []byte) error {
 func decodeCheckpoint(data []byte) (checkpoint, error) {
 	var c checkpoint
 	r, err := snapshot.NewReader(bytes.NewReader(data))
+	var old *snapshot.VersionError
+	if errors.As(err, &old) && old.Got < snapshot.Version {
+		return c, fmt.Errorf("experiments: outdated checkpoint (snapshot version %d, this build reads version %d); it cannot be resumed, run again from the start", old.Got, snapshot.Version)
+	}
 	if err != nil {
 		return c, err
 	}

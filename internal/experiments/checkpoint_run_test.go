@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,8 +64,11 @@ func resumeFromEveryCheckpoint(t *testing.T, o Options, shapes []core.Config) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("checkpointed run differs from the plain run")
 				}
-				if len(cks) < 2 {
-					t.Fatalf("only %d checkpoints written", len(cks))
+				// Every quantum ending inside warmup, the end of warmup,
+				// and every quantum ending inside the measurement.
+				w, m := o.WarmupTxns, o.MeasuredTxns()
+				if want := (w-1)/every + 1 + (m-1)/every; uint64(len(cks)) != want {
+					t.Fatalf("%d checkpoints written, want %d", len(cks), want)
 				}
 				for i, ck := range cks {
 					resumed, _, err := o.Execute(cfg, CheckpointRun{Resume: ck})
@@ -111,8 +116,8 @@ func TestScenarioCheckpointResumeEquivalence(t *testing.T) {
 }
 
 // TestCheckpointWritePositions pins where checkpoints land: after every
-// quantum of warmup counted from the start, at the end of warmup, after
-// every quantum counted from the statistics reset, and at the end of
+// quantum of warmup counted from the start, at the end of warmup, and after
+// every quantum counted from the statistics reset that ends inside the
 // measurement. A phased run writes at exactly the commit counts of a
 // steady run of the same length — its phase boundaries (40 and 90 into
 // the measurement here) stop the run but write nothing.
@@ -139,7 +144,7 @@ func TestCheckpointWritePositions(t *testing.T) {
 		}
 		return at
 	}
-	want := []uint64{25, 50, 75, 90, 115, 140, 165, 190, 210}
+	want := []uint64{25, 50, 75, 90, 115, 140, 165, 190}
 	if got := committedAt(steady); !reflect.DeepEqual(got, want) {
 		t.Errorf("steady run wrote checkpoints at %v, want %v", got, want)
 	}
@@ -278,9 +283,19 @@ func parentContainer(phased bool, system []byte) []byte {
 	return buf.Bytes()
 }
 
+// withVersion returns data, a snapshot stream, stamped as written in
+// snapshot version v, with its CRC recomputed so only the version differs.
+func withVersion(data []byte, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[len(snapshot.Magic):], v)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
 // TestOutdatedCheckpointRefused: a container in the format-1 layout, steady
 // or phased, is refused on resume with an error naming the outdated format,
-// before any machine state is touched.
+// and a current container written in snapshot version 1 with an error
+// naming that version, before any machine state is touched.
 func TestOutdatedCheckpointRefused(t *testing.T) {
 	cfg := core.BaseConfig(1, 1*core.MB, 1)
 	o := checkpointRunOptions()
@@ -297,5 +312,11 @@ func TestOutdatedCheckpointRefused(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "outdated checkpoint format 1") {
 			t.Errorf("phased=%t: resume error %v, want the outdated format named", phased, err)
 		}
+	}
+
+	_, cks := checkpointsOf(t, o, cfg, 0)
+	_, _, err := o.Execute(cfg, CheckpointRun{Resume: withVersion(cks[0], 1)})
+	if err == nil || !strings.Contains(err.Error(), "outdated checkpoint (snapshot version 1") {
+		t.Errorf("snapshot version 1: resume error %v, want the outdated version named", err)
 	}
 }

@@ -55,9 +55,12 @@ func (o Options) segmentEnd(i int) uint64 {
 // Throughout it chunks by cr.Every, polls cr.Canceled before every chunk,
 // reports cr.OnProgress, and writes checkpoints: after every quantum of
 // warmup and at its end, then after every quantum counted from the
-// statistics reset and at the end of measurement. Phase boundaries stop
+// statistics reset that ends inside the measurement. Phase boundaries stop
 // the run for a read-only Collect but write nothing, so a phased run writes
-// at the same commit counts as a steady run of the same length.
+// at the same commit counts as a steady run of the same length. Nothing is
+// written at the end of measurement: every caller replaces that state with
+// the result at once, and a run lost before the result is kept re-runs from
+// the last checkpoint.
 //
 // Collect is read-only, checkpoint writes are read-only, and RunUntil stops
 // on exact commit boundaries, so for any quantum and any interleaving of
@@ -106,13 +109,9 @@ func (o Options) Execute(cfg core.Config, cr CheckpointRun) (ScenarioResult, uin
 		if !due || cr.Write == nil {
 			return nil
 		}
-		var machine, buf bytes.Buffer
-		err := sys.Save(&machine)
+		data, err := st.save(sys)
 		if err == nil {
-			err = st.encode(&buf, machine.Bytes())
-		}
-		if err == nil {
-			err = cr.Write(buf.Bytes())
+			err = cr.Write(data)
 		}
 		if err != nil {
 			err = fmt.Errorf("experiments: writing checkpoint: %w", err)
@@ -155,12 +154,13 @@ func (o Options) Execute(cfg core.Config, cr CheckpointRun) (ScenarioResult, uin
 			}
 			next := chunkEnd(base, end)
 			sys.RunUntil(next)
-			// A phase boundary inside a quantum writes and reports nothing.
-			quantum := next == base+total || (cr.Every > 0 && (next-base)%cr.Every == 0)
-			if err := write(quantum && cr.Every > 0); err != nil {
+			// A phase boundary inside a quantum writes and reports nothing;
+			// the end of measurement reports but does not write.
+			quantum := cr.Every > 0 && (next-base)%cr.Every == 0
+			if err := write(quantum && next < base+total); err != nil {
 				return stop(err)
 			}
-			if quantum && cr.OnProgress != nil {
+			if (quantum || next == base+total) && cr.OnProgress != nil {
 				cr.OnProgress(next-base, total)
 			}
 		}

@@ -9,16 +9,26 @@ import (
 	"oltpsim/internal/core"
 )
 
-// finalState runs cfg under o through the driver and returns the result and
-// the final machine state, read from the end-of-measurement checkpoint.
+// finalState runs cfg under o through the driver and returns the result,
+// and the final machine state of the same protocol driven by hand: the
+// built system through the warmup, the statistics reset and the
+// measurement.
 func finalState(t *testing.T, o Options, cfg core.Config) (ScenarioResult, []byte) {
 	t.Helper()
-	sr, cks := checkpointsOf(t, o, cfg, o.WarmupTxns+o.MeasuredTxns())
-	ck, err := decodeCheckpoint(cks[len(cks)-1])
-	if err != nil {
+	sr, _ := checkpointsOf(t, o, cfg, o.WarmupTxns+o.MeasuredTxns())
+	sys := o.build(cfg)
+	sys.RunUntil(o.WarmupTxns)
+	sys.ResetStats()
+	end := o.WarmupTxns + o.MeasuredTxns()
+	sys.RunUntil(end)
+	if got := sys.Committed(); got != end {
+		t.Fatalf("%s: committed %d transactions, want warmup + measured = %d", cfg.Name, got, end)
+	}
+	var state bytes.Buffer
+	if err := sys.Save(&state); err != nil {
 		t.Fatal(err)
 	}
-	return sr, ck.system
+	return sr, state.Bytes()
 }
 
 // TestScenarioSinglePhaseIsSteadyState pins the opt-in contract at its

@@ -147,7 +147,8 @@ func (s *Server) runJob(j *Job) {
 			return
 		}
 		// A kill forbids any further disk write, and Execute can return
-		// cleanly after one: a checkpoint-free run has no write to refuse.
+		// cleanly after one: no run writes at the end of its measurement,
+		// so none has a write left to refuse.
 		if s.isKilled() {
 			return
 		}

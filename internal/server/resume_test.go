@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"oltpsim/internal/experiments"
 	"oltpsim/internal/snapshot"
 )
 
@@ -51,15 +54,15 @@ func TestServerResumeEquivalence(t *testing.T) {
 	// killAfter counts durable checkpoints before the kill. With warmup 60
 	// and measure 120: quantum 25 dies in config 0's warmup; quantum 60
 	// dies right at config 0's warmup/measure boundary; quantum 121 (with
-	// three checkpoints: warmup-end and measure-end of config 0, then
-	// config 1's warmup-end) dies inside config 1.
+	// two checkpoints: config 0's warmup-end, then config 1's warmup-end)
+	// dies inside config 1.
 	for _, tc := range []struct {
 		quantum   uint64
 		killAfter int32
 	}{
 		{25, 2},
 		{60, 1},
-		{121, 3},
+		{121, 2},
 	} {
 		dir := t.TempDir()
 		cfg := testServerConfig(dir)
@@ -493,50 +496,76 @@ func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
 }
 
 // TestRecoveryFailsOutdatedCheckpoint pins what a restart does with an
-// in-flight job whose checkpoint.bin was written by an older server, in the
-// format-1 layout ("protocol" and "system" sections): the resume is refused,
-// and the job ends failed with the outdated format named — no panic, and no
+// in-flight job whose checkpoint.bin was written by an older server: in the
+// format-1 layout ("protocol" and "system" sections), or in the current
+// layout under snapshot version 1. The resume is refused, and the job ends
+// failed with the outdated format or version named — no panic, and no
 // silent restart from scratch.
 func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	st, err := newStore(dir)
+	spec, cfgs, err := DecodeJobSpec(strings.NewReader(smokeSpec()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, _, err := DecodeJobSpec(strings.NewReader(smokeSpec()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const id = "job-000001"
-	if err := st.createJob(id, spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.writeState(id, persistedState{State: StateCheckpointed, Checkpoints: 3}); err != nil {
-		t.Fatal(err)
-	}
+
 	w := snapshot.NewWriter()
 	e := w.Section("protocol")
 	e.U8(2) // mid-measurement
 	e.U64(60)
 	w.Section("system").U8s([]byte("machine"))
-	var old bytes.Buffer
-	if err := w.Emit(&old); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.writeCheckpoint(id, old.Bytes()); err != nil {
+	var format1 bytes.Buffer
+	if err := w.Emit(&format1); err != nil {
 		t.Fatal(err)
 	}
 
-	s := newTestServer(t, testServerConfig(dir))
-	if got := waitTerminal(t, s, id); got != StateFailed {
-		t.Fatalf("job ended %q, want %q", got, StateFailed)
+	// The current container for configuration 0 at the end of warmup,
+	// stamped as snapshot version 1 with its CRC recomputed.
+	var current []byte
+	_, _, err = smokeOptions().Execute(cfgs[0], experiments.CheckpointRun{
+		Write:    func(data []byte) error { current = append([]byte(nil), data...); return nil },
+		Canceled: func() bool { return current != nil },
+	})
+	if !errors.Is(err, experiments.ErrCanceled) {
+		t.Fatalf("capturing the warmed checkpoint: %v", err)
 	}
-	j, _ := s.jobByID(id)
-	final := j.status()
-	if !strings.Contains(final.Error, "outdated checkpoint format 1") {
-		t.Errorf("failure %q does not name the outdated checkpoint format", final.Error)
-	}
-	if len(final.Results) != 0 {
-		t.Errorf("job produced %d results from a refused checkpoint", len(final.Results))
+	binary.LittleEndian.PutUint32(current[len(snapshot.Magic):], 1)
+	binary.LittleEndian.PutUint32(current[len(current)-4:], crc32.ChecksumIEEE(current[:len(current)-4]))
+
+	for _, tc := range []struct {
+		name, named string
+		ck          []byte
+	}{
+		{"format 1", "outdated checkpoint format 1", format1.Bytes()},
+		{"snapshot version 1", "outdated checkpoint (snapshot version 1", current},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := newStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const id = "job-000001"
+			if err := st.createJob(id, spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.writeState(id, persistedState{State: StateCheckpointed, Checkpoints: 3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.writeCheckpoint(id, tc.ck); err != nil {
+				t.Fatal(err)
+			}
+
+			s := newTestServer(t, testServerConfig(dir))
+			if got := waitTerminal(t, s, id); got != StateFailed {
+				t.Fatalf("job ended %q, want %q", got, StateFailed)
+			}
+			j, _ := s.jobByID(id)
+			final := j.status()
+			if !strings.Contains(final.Error, tc.named) {
+				t.Errorf("failure %q does not contain %q", final.Error, tc.named)
+			}
+			if len(final.Results) != 0 {
+				t.Errorf("job produced %d results from a refused checkpoint", len(final.Results))
+			}
+		})
 	}
 }

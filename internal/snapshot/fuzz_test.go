@@ -45,6 +45,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40 // CRC mismatch
 	f.Add(flipped)
+	f.Add(wrappingSliceLen())
+	f.Add(hugeDirectoryHeader())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := parse(data)
 		if err != nil {

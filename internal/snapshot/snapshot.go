@@ -30,9 +30,19 @@ import (
 // Magic identifies a snapshot stream.
 const Magic = "OLTPSNAP"
 
-// Version is the current format version. Load refuses any other version:
-// state layout changes must bump it.
-const Version uint32 = 1
+// Version is the current format version. Load refuses any other version
+// with a *VersionError: state layout changes must bump it.
+const Version uint32 = 2
+
+// VersionError reports a stream written in another format version, so a
+// caller can tell an outdated stream from a corrupt one.
+type VersionError struct {
+	Got uint32
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("snapshot: version %d, want %d", e.Got, Version)
+}
 
 // maxSectionName bounds section names; anything longer is corruption.
 const maxSectionName = 255
@@ -42,7 +52,7 @@ const maxSectionName = 255
 // byte stream a deterministic function of the save calls.
 type Writer struct {
 	names    []string
-	payloads [][]byte
+	payloads [][][]byte // each section's payload, in parts
 	cur      *Encoder
 }
 
@@ -63,26 +73,65 @@ func (w *Writer) Section(name string) *Encoder {
 
 func (w *Writer) seal() {
 	if w.cur != nil {
-		w.payloads = append(w.payloads, w.cur.buf)
+		w.payloads = append(w.payloads, append(w.cur.parts, w.cur.buf))
 		w.cur = nil
 	}
 }
 
-// Emit seals the last section and writes the complete stream.
-func (w *Writer) Emit(out io.Writer) error {
+// frame returns the stream Emit writes, less its trailing CRC, as parts:
+// the magic and version, then each section's header and payload parts.
+func (w *Writer) frame() [][]byte {
 	w.seal()
-	var buf []byte
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
+	parts := [][]byte{binary.LittleEndian.AppendUint32([]byte(Magic), Version)}
 	for i, name := range w.names {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-		buf = append(buf, name...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(w.payloads[i])))
-		buf = append(buf, w.payloads[i]...)
+		hdr := binary.LittleEndian.AppendUint16(make([]byte, 0, 10+len(name)), uint16(len(name)))
+		hdr = append(hdr, name...)
+		parts = append(parts, binary.LittleEndian.AppendUint64(hdr, uint64(payloadLen(w.payloads[i]))))
+		parts = append(parts, w.payloads[i]...)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	_, err := out.Write(buf)
+	return parts
+}
+
+// Emit seals the last section and writes the complete stream. Each header
+// and payload goes straight to out under a running CRC, so emitting never
+// copies the stream into one buffer of its own; an out that can reserve
+// room, such as a bytes.Buffer, reserves the whole stream up front.
+func (w *Writer) Emit(out io.Writer) error {
+	parts := w.frame()
+	if g, ok := out.(interface{ Grow(int) }); ok {
+		g.Grow(payloadLen(parts) + 4)
+	}
+	crc := crc32.NewIEEE()
+	body := io.MultiWriter(out, crc)
+	for _, part := range parts {
+		if _, err := body.Write(part); err != nil {
+			return err
+		}
+	}
+	_, err := out.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
 	return err
+}
+
+// Embed appends the stream w would emit as a length-prefixed byte string,
+// the bytes U8s would append for it, but refers to w's payloads instead of
+// copying them: w must not change until this encoder's stream is emitted.
+func (e *Encoder) Embed(w *Writer) {
+	parts := w.frame()
+	crc := crc32.NewIEEE()
+	for _, part := range parts {
+		crc.Write(part)
+	}
+	e.Int(payloadLen(parts) + 4)
+	e.parts = append(append(e.parts, e.buf), parts...)
+	e.buf = binary.LittleEndian.AppendUint32(nil, crc.Sum32())
+}
+
+func payloadLen(parts [][]byte) int {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	return n
 }
 
 // Reader parses a complete snapshot stream: it validates the magic, the
@@ -114,7 +163,7 @@ func parse(data []byte) (*Reader, error) {
 		return nil, fmt.Errorf("snapshot: bad magic %q", data[:len(Magic)])
 	}
 	if v := binary.LittleEndian.Uint32(data[len(Magic):]); v != Version {
-		return nil, fmt.Errorf("snapshot: version %d, want %d", v, Version)
+		return nil, &VersionError{Got: v}
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
@@ -184,17 +233,41 @@ func (r *Reader) Finish() error {
 
 // Encoder appends fixed-width primitives to a section payload.
 type Encoder struct {
-	buf []byte
+	buf   []byte   // the payload's open part
+	parts [][]byte // the full parts before buf, in order
+}
+
+// grow makes room for n more bytes. A full part is kept as it is and the
+// next one is at least twice its size, so building a section allocates at
+// most about twice its final size and never copies what it already holds;
+// growing one slice by append costs about five times, because append's
+// growth falls to about 1.25x for large slices.
+func (e *Encoder) grow(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		if len(e.buf) > 0 {
+			e.parts = append(e.parts, e.buf)
+		}
+		e.buf = make([]byte, 0, max(n, 2*cap(e.buf), 64))
+	}
 }
 
 // U64 appends v.
-func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *Encoder) U64(v uint64) {
+	e.grow(8)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
 
 // U32 appends v.
-func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *Encoder) U32(v uint32) {
+	e.grow(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
 
 // U8 appends v.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Encoder) U8(v uint8) {
+	e.grow(1)
+	e.buf = append(e.buf, v)
+}
 
 // I64 appends v as its two's-complement bits.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
@@ -217,36 +290,41 @@ func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
 // U64s appends a length-prefixed slice.
 func (e *Encoder) U64s(vs []uint64) {
-	e.Int(len(vs))
+	e.grow(8 + 8*len(vs))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(len(vs)))
 	for _, v := range vs {
-		e.U64(v)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 	}
 }
 
 // U8s appends a length-prefixed byte slice.
 func (e *Encoder) U8s(vs []uint8) {
+	e.grow(8 + len(vs))
 	e.Int(len(vs))
 	e.buf = append(e.buf, vs...)
 }
 
 // I64s appends a length-prefixed slice of signed integers.
 func (e *Encoder) I64s(vs []int64) {
-	e.Int(len(vs))
+	e.grow(8 + 8*len(vs))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(len(vs)))
 	for _, v := range vs {
-		e.I64(v)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
 	}
 }
 
 // F64s appends a length-prefixed slice of floats.
 func (e *Encoder) F64s(vs []float64) {
-	e.Int(len(vs))
+	e.grow(8 + 8*len(vs))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(len(vs)))
 	for _, v := range vs {
-		e.F64(v)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 	}
 }
 
 // String appends a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
+	e.grow(8 + len(s))
 	e.Int(len(s))
 	e.buf = append(e.buf, s...)
 }
@@ -346,7 +424,8 @@ func (d *Decoder) sliceLen(elemBytes int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n*int64(elemBytes) > int64(len(d.buf)-d.off) {
+	// Compare by division: n*elemBytes wraps around for hostile n.
+	if n < 0 || n > int64((len(d.buf)-d.off)/elemBytes) {
 		d.fail("slice length %d exceeds remaining input", n)
 		return 0
 	}

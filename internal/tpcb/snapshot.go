@@ -12,9 +12,9 @@ import (
 // constants, and layout fields are derived from the configuration at
 // construction and are not state.
 func (e *Engine) SaveState(enc *snapshot.Encoder) {
-	enc.I64s(e.accountBal)
-	enc.I64s(e.tellerBal)
-	enc.I64s(e.branchBal)
+	saveBalances(enc, e.accountBal)
+	saveBalances(enc, e.tellerBal)
+	saveBalances(enc, e.branchBal)
 	enc.U64(e.historyLen)
 	enc.I64(e.deltaSum)
 	enc.Int(len(e.histSlot))
@@ -39,20 +39,93 @@ func (e *Engine) SaveState(enc *snapshot.Encoder) {
 	e.log.SaveState(enc)
 }
 
+// balance is one nonzero entry of a saved balance table.
+type balance struct {
+	row int
+	val int64
+}
+
+// saveBalances writes a balance table sparsely: its length, its nonzero
+// count, then the (row, balance) pairs in ascending row order. A committed
+// transaction makes at most one account balance nonzero, so the dense
+// account table is almost all zeros.
+func saveBalances(e *snapshot.Encoder, table []int64) {
+	var rows []int
+	for i, v := range table {
+		if v != 0 {
+			rows = append(rows, i)
+		}
+	}
+	e.Int(len(table))
+	e.Int(len(rows))
+	for _, i := range rows {
+		e.Int(i)
+		e.I64(table[i])
+	}
+}
+
+// loadBalances reads what saveBalances wrote for a table of the given
+// number of rows. The spelling is canonical: it refuses another length, a
+// row out of range, out of order or repeated, a zero balance, and a
+// nonzero count the remaining input cannot back.
+func loadBalances(d *snapshot.Decoder, name string, rows int) ([]balance, error) {
+	n := d.Int()
+	nonzero := d.Int()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if n != rows {
+		return nil, fmt.Errorf("tpcb: snapshot %s table has %d rows, want %d", name, n, rows)
+	}
+	if nonzero < 0 || nonzero > d.Remaining()/16 {
+		return nil, fmt.Errorf("tpcb: snapshot %s table claims %d nonzero balances, the input holds at most %d", name, nonzero, d.Remaining()/16)
+	}
+	bal := make([]balance, nonzero)
+	for k := range bal {
+		b := balance{row: d.Int(), val: d.I64()}
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		switch {
+		case b.row < 0 || b.row >= rows:
+			return nil, fmt.Errorf("tpcb: snapshot %s row %d out of range 0..%d", name, b.row, rows-1)
+		case k > 0 && b.row <= bal[k-1].row:
+			return nil, fmt.Errorf("tpcb: snapshot %s row %d is out of order or repeated", name, b.row)
+		case b.val == 0:
+			return nil, fmt.Errorf("tpcb: snapshot %s row %d saved with a zero balance", name, b.row)
+		}
+		bal[k] = b
+	}
+	return bal, nil
+}
+
+// restoreBalances zeroes table and fills in the saved nonzero entries.
+func restoreBalances(table []int64, bal []balance) {
+	clear(table)
+	for _, b := range bal {
+		table[b.row] = b.val
+	}
+}
+
 // LoadState restores an engine built from the identical configuration.
 func (e *Engine) LoadState(d *snapshot.Decoder) error {
-	accounts := d.I64s()
-	tellers := d.I64s()
-	branches := d.I64s()
+	accounts, err := loadBalances(d, "account", len(e.accountBal))
+	if err != nil {
+		return err
+	}
+	tellers, err := loadBalances(d, "teller", len(e.tellerBal))
+	if err != nil {
+		return err
+	}
+	branches, err := loadBalances(d, "branch", len(e.branchBal))
+	if err != nil {
+		return err
+	}
 	historyLen := d.U64()
 	deltaSum := d.I64()
 	nSlots := d.Int()
 	if d.Err() != nil {
 		return d.Err()
-	}
-	if len(accounts) != len(e.accountBal) || len(tellers) != len(e.tellerBal) || len(branches) != len(e.branchBal) {
-		return fmt.Errorf("tpcb: snapshot tables sized %d/%d/%d, want %d/%d/%d",
-			len(accounts), len(tellers), len(branches), len(e.accountBal), len(e.tellerBal), len(e.branchBal))
 	}
 	if nSlots != len(e.histSlot) {
 		return fmt.Errorf("tpcb: snapshot has %d history slots, want %d", nSlots, len(e.histSlot))
@@ -103,9 +176,9 @@ func (e *Engine) LoadState(d *snapshot.Decoder) error {
 	if err := e.log.LoadState(d); err != nil {
 		return err
 	}
-	copy(e.accountBal, accounts)
-	copy(e.tellerBal, tellers)
-	copy(e.branchBal, branches)
+	restoreBalances(e.accountBal, accounts)
+	restoreBalances(e.tellerBal, tellers)
+	restoreBalances(e.branchBal, branches)
 	e.historyLen = historyLen
 	e.deltaSum = deltaSum
 	copy(e.histSlot, slots)
