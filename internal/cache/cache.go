@@ -6,7 +6,7 @@
 //
 // The model is a tag store only: data values live in the functional workload
 // engine, so the cache tracks presence and coherence state per 64-byte line.
-// Replacement is true LRU within a set.
+// Replacement is true LRU within a set, kept as the order of the set's ways.
 package cache
 
 import "fmt"
@@ -64,8 +64,8 @@ func (c Config) Sets() int {
 
 // Validate reports a descriptive error for impossible configurations.
 func (c Config) Validate() error {
-	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache %s: line size %d is not a positive power of two", c.Name, c.LineBytes)
+	if c.LineBytes < 8 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache %s: line size %d is not a power of two of at least 8 bytes", c.Name, c.LineBytes)
 	}
 	if c.Assoc <= 0 {
 		return fmt.Errorf("cache %s: associativity %d must be positive", c.Name, c.Assoc)
@@ -80,6 +80,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// A way holds one word: a resident line's address, which is line-aligned,
+// with the valid bit in bit 0 and the State in bits 1-2 (hence the 8-byte
+// minimum line). An empty way is 0; the valid bit keeps line 0 distinct
+// from it, so a lookup is one masked compare per way.
+const (
+	validBit  uint64 = 1
+	stateBits uint64 = 3 << 1
+	flagBits         = validBit | stateBits
+)
+
+func stateOf(w uint64) State { return State(w >> 1 & 3) }
+
 // Cache is a set-associative tag store with per-set LRU replacement.
 type Cache struct {
 	cfg       Config
@@ -89,16 +101,11 @@ type Cache struct {
 	pow2      bool
 	lineShift uint
 
-	// Flat way arrays, indexed by set*assoc + way. A tag encodes the line
-	// address and a validity bit as line<<1|1 (0 when the way is invalid),
-	// so the hot lookup is a single compare per way instead of a state
-	// check plus a tag check. states mirrors validity: states[i] == Invalid
-	// exactly when tags[i] == 0.
-	tags   []uint64
-	states []State
-	stamps []uint64
-
-	clock uint64 // LRU timestamp source
+	// ways holds set s's words at [s*assoc, (s+1)*assoc), most recently
+	// used first and empty ways last. An Access hit or an Insert moves its
+	// word to the front, so the set's last word is the LRU victim: the
+	// line whose last Access hit or Insert is oldest.
+	ways []uint64
 
 	// Stats counts accesses and hits; misses are derived.
 	Accesses uint64
@@ -114,13 +121,11 @@ func New(cfg Config) *Cache {
 	}
 	nsets := uint64(cfg.Sets())
 	c := &Cache{
-		cfg:    cfg,
-		nsets:  nsets,
-		assoc:  uint64(cfg.Assoc),
-		pow2:   nsets&(nsets-1) == 0,
-		tags:   make([]uint64, nsets*uint64(cfg.Assoc)),
-		states: make([]State, nsets*uint64(cfg.Assoc)),
-		stamps: make([]uint64, nsets*uint64(cfg.Assoc)),
+		cfg:   cfg,
+		nsets: nsets,
+		assoc: uint64(cfg.Assoc),
+		pow2:  nsets&(nsets-1) == 0,
+		ways:  make([]uint64, nsets*uint64(cfg.Assoc)),
 	}
 	c.setMask = nsets - 1
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
@@ -140,26 +145,37 @@ func (c *Cache) setOf(line uint64) uint64 {
 	return idx % c.nsets
 }
 
-// tagOf encodes line as a stored tag: the validity bit in bit 0 makes an
-// invalid way (tag 0) unequal to every encoded line, including line 0.
-func tagOf(line uint64) uint64 { return line<<1 | 1 }
+// set returns the ways of line's set, in recency order.
+func (c *Cache) set(line uint64) []uint64 {
+	base := c.setOf(line) * c.assoc
+	return c.ways[base : base+c.assoc : base+c.assoc]
+}
 
-// find returns the way index holding line within set, or -1.
-func (c *Cache) find(set, line uint64) int {
-	key := tagOf(line)
-	base := set * c.assoc
-	for i, end := base, base+c.assoc; i < end; i++ {
-		if c.tags[i] == key {
-			return int(i)
+// find returns line's rank within ways, or -1.
+func find(ways []uint64, line uint64) int {
+	key := line | validBit
+	for i, w := range ways {
+		if w&^stateBits == key {
+			return i
 		}
 	}
 	return -1
 }
 
+// toFront moves ways[i] to rank 0, shifting the more recent words down one.
+func toFront(ways []uint64, i int) {
+	w := ways[i]
+	for ; i > 0; i-- {
+		ways[i] = ways[i-1]
+	}
+	ways[0] = w
+}
+
 // Probe returns the state of line without updating LRU or statistics.
 func (c *Cache) Probe(line uint64) State {
-	if i := c.find(c.setOf(line), line); i >= 0 {
-		return c.states[i]
+	ways := c.set(line)
+	if i := find(ways, line); i >= 0 {
+		return stateOf(ways[i])
 	}
 	return Invalid
 }
@@ -168,53 +184,40 @@ func (c *Cache) Probe(line uint64) State {
 // It returns the line's state; Invalid means miss.
 func (c *Cache) Access(line uint64) State {
 	c.Accesses++
-	if i := c.find(c.setOf(line), line); i >= 0 {
-		c.clock++
-		c.stamps[i] = c.clock
+	ways := c.set(line)
+	if i := find(ways, line); i >= 0 {
+		toFront(ways, i)
 		c.Hits++
-		return c.states[i]
+		return stateOf(ways[0])
 	}
 	return Invalid
 }
 
-// Insert places line with the given state, evicting the LRU way if the set is
-// full. It returns the victim line and its prior state; vstate == Invalid
-// means no eviction happened. Inserting a line that is already present just
-// updates its state.
+// Insert places line, a line-aligned address, with the given state,
+// evicting the LRU way if the set is full. It returns the victim line and
+// its prior state; vstate == Invalid means no eviction happened. Inserting
+// a line that is already present just updates its state.
 func (c *Cache) Insert(line uint64, st State) (victim uint64, vstate State) {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	set := c.setOf(line)
-	if i := c.find(set, line); i >= 0 {
-		c.states[i] = st
-		c.clock++
-		c.stamps[i] = c.clock
+	if line>>c.lineShift<<c.lineShift != line {
+		panic("cache: Insert of an unaligned line")
+	}
+	ways := c.set(line)
+	// The word dropped is line's own if present, else the last: an empty
+	// way if there is one, otherwise the least recently used line.
+	i := find(ways, line)
+	if i < 0 {
+		i = len(ways) - 1
+	}
+	old := ways[i]
+	ways[i] = line | uint64(st)<<1 | validBit
+	toFront(ways, i)
+	if old == 0 || old&^stateBits == line|validBit {
 		return 0, Invalid
 	}
-	base := set * c.assoc
-	victimIdx := base
-	oldest := ^uint64(0)
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == 0 {
-			victimIdx = i
-			oldest = 0
-			break
-		}
-		if c.stamps[i] < oldest {
-			oldest = c.stamps[i]
-			victimIdx = i
-		}
-	}
-	victim, vstate = c.tags[victimIdx]>>1, c.states[victimIdx]
-	c.tags[victimIdx] = tagOf(line)
-	c.states[victimIdx] = st
-	c.clock++
-	c.stamps[victimIdx] = c.clock
-	if vstate == Invalid {
-		return 0, Invalid
-	}
-	return victim, vstate
+	return old &^ flagBits, stateOf(old)
 }
 
 // SetState changes the state of a resident line, returning false if the line
@@ -223,19 +226,22 @@ func (c *Cache) SetState(line uint64, st State) bool {
 	if st == Invalid {
 		panic("cache: SetState to Invalid; use Invalidate")
 	}
-	if i := c.find(c.setOf(line), line); i >= 0 {
-		c.states[i] = st
+	ways := c.set(line)
+	if i := find(ways, line); i >= 0 {
+		ways[i] = ways[i]&^stateBits | uint64(st)<<1
 		return true
 	}
 	return false
 }
 
 // Invalidate removes line and returns its prior state (Invalid if absent).
+// The less recent words close the gap, so empty ways stay last.
 func (c *Cache) Invalidate(line uint64) State {
-	if i := c.find(c.setOf(line), line); i >= 0 {
-		st := c.states[i]
-		c.states[i] = Invalid
-		c.tags[i] = 0
+	ways := c.set(line)
+	if i := find(ways, line); i >= 0 {
+		st := stateOf(ways[i])
+		copy(ways[i:], ways[i+1:])
+		ways[len(ways)-1] = 0
 		return st
 	}
 	return Invalid
@@ -255,9 +261,9 @@ func (c *Cache) ResetStats() {
 // (inclusion) checks in tests and by the functional engine's integrity
 // checks; it is not on the hot path.
 func (c *Cache) ForEachResident(fn func(line uint64, st State)) {
-	for i := range c.tags {
-		if c.states[i] != Invalid {
-			fn(c.tags[i]>>1, c.states[i])
+	for _, w := range c.ways {
+		if w != 0 {
+			fn(w&^flagBits, stateOf(w))
 		}
 	}
 }
@@ -265,8 +271,8 @@ func (c *Cache) ForEachResident(fn func(line uint64, st State)) {
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.states {
-		if c.states[i] != Invalid {
+	for _, w := range c.ways {
+		if w != 0 {
 			n++
 		}
 	}

@@ -1,10 +1,15 @@
 package cache
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"oltpsim/internal/sim"
+	"oltpsim/internal/snapshot"
 )
 
 func mk(t *testing.T, size int64, assoc int) *Cache {
@@ -21,6 +26,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "c", SizeBytes: 1024, Assoc: 0, LineBytes: 64},  // zero assoc
 		{Name: "d", SizeBytes: -64, Assoc: 1, LineBytes: 64},   // negative
 		{Name: "e", SizeBytes: 4096, Assoc: -2, LineBytes: 64}, // negative assoc
+		{Name: "f", SizeBytes: 1024, Assoc: 1, LineBytes: 4},   // no room for the state bits
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -259,4 +265,343 @@ func TestStateString(t *testing.T) {
 	if State(9).String() != "?" {
 		t.Fatal("unknown state string wrong")
 	}
+}
+
+func TestInsertPanicsOnUnalignedLine(t *testing.T) {
+	c := mk(t, 4096, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Insert of an unaligned line did not panic")
+		}
+	}()
+	c.Insert(64+8, Shared)
+}
+
+// TestMatchesStampLRU drives the recency-ordered cache and the stamp-LRU
+// reference with the same random operations on 1-, 2-, 4- and 8-way
+// geometries, Figure 12's 5,120-set 1.25 MB L2 among them. Every return
+// value must agree at every step, and the resident (line, state) pairs and
+// counters must agree at the end.
+func TestMatchesStampLRU(t *testing.T) {
+	const ops = 200_000
+	for _, g := range []struct {
+		size  int64
+		assoc int
+	}{
+		{64 * 64, 1},
+		{64 << 10, 2},
+		{5 << 18, 4},
+		{2 << 20, 8},
+		{16 * 64 * 8, 8},
+	} {
+		t.Run(fmt.Sprintf("%dB_%dway", g.size, g.assoc), func(t *testing.T) {
+			cfg := Config{Name: "T", SizeBytes: g.size, Assoc: g.assoc, LineBytes: 64}
+			c, ref := New(cfg), newStampCache(cfg)
+			nsets := uint64(cfg.Sets())
+			r := sim.NewRNG(uint64(g.size) + uint64(g.assoc))
+			// Lines crowd 24 sets, three ways' worth each, so sets fill,
+			// evict and hit at every rank; a set index past nsets wraps.
+			line := func() uint64 {
+				set := uint64(r.Intn(24)) * (nsets/24 + 1)
+				return (set + uint64(r.Intn(3*g.assoc))*nsets) * 64
+			}
+			for i := 0; i < ops; i++ {
+				l := line()
+				st := State(1 + r.Intn(3))
+				var got, want any
+				switch op := r.Intn(6); op {
+				case 0:
+					got, want = c.Access(l), ref.Access(l)
+				case 1:
+					v1, s1 := c.Insert(l, st)
+					v2, s2 := ref.Insert(l, st)
+					got, want = [2]any{v1, s1}, [2]any{v2, s2}
+				case 2:
+					got, want = c.SetState(l, st), ref.SetState(l, st)
+				case 3:
+					got, want = c.Invalidate(l), ref.Invalidate(l)
+				case 4:
+					got, want = c.Probe(l), ref.Probe(l)
+				default: // a reference: access, then fill on a miss
+					got, want = c.Access(l), ref.Access(l)
+					if got == Invalid {
+						v1, s1 := c.Insert(l, st)
+						v2, s2 := ref.Insert(l, st)
+						got, want = [2]any{v1, s1}, [2]any{v2, s2}
+					}
+				}
+				if got != want {
+					t.Fatalf("op %d on line %#x: got %v, reference %v", i, l, got, want)
+				}
+			}
+			resident := func(each func(func(uint64, State))) map[uint64]State {
+				m := map[uint64]State{}
+				each(func(l uint64, st State) { m[l] = st })
+				return m
+			}
+			if got, want := resident(c.ForEachResident), resident(ref.ForEachResident); !reflect.DeepEqual(got, want) {
+				t.Errorf("resident lines differ: %d vs reference %d", len(got), len(want))
+			}
+			if c.Accesses != ref.Accesses || c.Hits != ref.Hits || c.Occupancy() != ref.Occupancy() {
+				t.Errorf("counters %d/%d/%d, reference %d/%d/%d", c.Accesses, c.Hits, c.Occupancy(),
+					ref.Accesses, ref.Hits, ref.Occupancy())
+			}
+		})
+	}
+}
+
+// loadWords restores a cache of 4 sets of 2 ways from the given words and
+// counters.
+func loadWords(ways []uint64, accesses, hits uint64) (*Cache, error) {
+	w := snapshot.NewWriter()
+	e := w.Section("cache")
+	e.U64s(ways)
+	e.U64(accesses)
+	e.U64(hits)
+	var buf bytes.Buffer
+	if err := w.Emit(&buf); err != nil {
+		return nil, err
+	}
+	r, err := snapshot.NewReader(&buf)
+	if err != nil {
+		return nil, err
+	}
+	d, err := r.Section("cache")
+	if err != nil {
+		return nil, err
+	}
+	c := mk(nil, 4*2*64, 2)
+	return c, c.LoadState(d)
+}
+
+// TestLoadStateRefusesBadWords: each invariant the lookup and the LRU order
+// rely on has a checkpoint that breaks it and is refused. Line 0 and line
+// 0x100 (= 4 sets * 64 B) both belong to set 0; ways 0-1 are set 0.
+func TestLoadStateRefusesBadWords(t *testing.T) {
+	m := func(line uint64) uint64 { return line | uint64(Modified)<<1 | validBit }
+	for _, tc := range []struct {
+		name, want string
+		ways       []uint64
+		hits       uint64
+	}{
+		{"wrong way count", "ways, want 8", make([]uint64, 6), 0},
+		{"stray low bits", "stray low bits", []uint64{m(0) | 0x10, 0, 0, 0, 0, 0, 0, 0}, 0},
+		{"valid bit without a state", "not a valid line", []uint64{validBit, 0, 0, 0, 0, 0, 0, 0}, 0},
+		{"state without the valid bit", "not a valid line", []uint64{uint64(Shared) << 1, 0, 0, 0, 0, 0, 0, 0}, 0},
+		{"line outside its set", "outside its set", []uint64{m(64), 0, 0, 0, 0, 0, 0, 0}, 0},
+		{"line twice in one set", "twice", []uint64{m(0), m(0), 0, 0, 0, 0, 0, 0}, 0},
+		{"occupied way after an empty one", "after an empty way", []uint64{0, m(0x100), 0, 0, 0, 0, 0, 0}, 0},
+		{"hits exceed accesses", "hits exceed", make([]uint64, 8), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := loadWords(tc.ways, 0, tc.hits)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadState error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	// The same words with line 0 once and line 0x100 behind it load, and
+	// invalidating line 0 then leaves no copy behind.
+	c, err := loadWords([]uint64{m(0), m(0x100), 0, 0, 0, 0, 0, 0}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Invalidate(0); st != Modified || c.Probe(0) != Invalid || c.Probe(0x100) != Modified {
+		t.Fatalf("Invalidate(0) = %v, then Probe(0) = %v, Probe(0x100) = %v", st, c.Probe(0), c.Probe(0x100))
+	}
+}
+
+// stampCache is the tag store as it was before the recency-ordered words:
+// three way arrays and an LRU timestamp per way. It is the reference the
+// packed Cache must match decision for decision.
+type stampCache struct {
+	cfg       Config
+	nsets     uint64
+	assoc     uint64 // cfg.Assoc hoisted out of the nested struct
+	setMask   uint64 // nsets-1 when nsets is a power of two
+	pow2      bool
+	lineShift uint
+
+	// Flat way arrays, indexed by set*assoc + way. A tag encodes the line
+	// address and a validity bit as line<<1|1 (0 when the way is invalid),
+	// so the hot lookup is a single compare per way instead of a state
+	// check plus a tag check. states mirrors validity: states[i] == Invalid
+	// exactly when tags[i] == 0.
+	tags   []uint64
+	states []State
+	stamps []uint64
+
+	clock uint64 // LRU timestamp source
+
+	// Stats counts accesses and hits; misses are derived.
+	Accesses uint64
+	Hits     uint64
+}
+
+// newStampCache builds a cache from cfg, panicking on invalid configuration (cache
+// geometry is fixed by the experiment definitions, so an invalid one is a
+// programming error, not a runtime condition).
+func newStampCache(cfg Config) *stampCache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	nsets := uint64(cfg.Sets())
+	c := &stampCache{
+		cfg:    cfg,
+		nsets:  nsets,
+		assoc:  uint64(cfg.Assoc),
+		pow2:   nsets&(nsets-1) == 0,
+		tags:   make([]uint64, nsets*uint64(cfg.Assoc)),
+		states: make([]State, nsets*uint64(cfg.Assoc)),
+		stamps: make([]uint64, nsets*uint64(cfg.Assoc)),
+	}
+	c.setMask = nsets - 1
+	for s := cfg.LineBytes; s > 1; s >>= 1 {
+		c.lineShift++
+	}
+	return c
+}
+
+// Config returns the cache geometry.
+func (c *stampCache) Config() Config { return c.cfg }
+
+func (c *stampCache) setOf(line uint64) uint64 {
+	idx := line >> c.lineShift
+	if c.pow2 {
+		return idx & c.setMask
+	}
+	return idx % c.nsets
+}
+
+// tagOf encodes line as a stored tag: the validity bit in bit 0 makes an
+// invalid way (tag 0) unequal to every encoded line, including line 0.
+func tagOf(line uint64) uint64 { return line<<1 | 1 }
+
+// find returns the way index holding line within set, or -1.
+func (c *stampCache) find(set, line uint64) int {
+	key := tagOf(line)
+	base := set * c.assoc
+	for i, end := base, base+c.assoc; i < end; i++ {
+		if c.tags[i] == key {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// Probe returns the state of line without updating LRU or statistics.
+func (c *stampCache) Probe(line uint64) State {
+	if i := c.find(c.setOf(line), line); i >= 0 {
+		return c.states[i]
+	}
+	return Invalid
+}
+
+// Access looks up line, counts the access, and refreshes LRU on a hit.
+// It returns the line's state; Invalid means miss.
+func (c *stampCache) Access(line uint64) State {
+	c.Accesses++
+	if i := c.find(c.setOf(line), line); i >= 0 {
+		c.clock++
+		c.stamps[i] = c.clock
+		c.Hits++
+		return c.states[i]
+	}
+	return Invalid
+}
+
+// Insert places line with the given state, evicting the LRU way if the set is
+// full. It returns the victim line and its prior state; vstate == Invalid
+// means no eviction happened. Inserting a line that is already present just
+// updates its state.
+func (c *stampCache) Insert(line uint64, st State) (victim uint64, vstate State) {
+	if st == Invalid {
+		panic("cache: Insert with Invalid state")
+	}
+	set := c.setOf(line)
+	if i := c.find(set, line); i >= 0 {
+		c.states[i] = st
+		c.clock++
+		c.stamps[i] = c.clock
+		return 0, Invalid
+	}
+	base := set * c.assoc
+	victimIdx := base
+	oldest := ^uint64(0)
+	for i := base; i < base+c.assoc; i++ {
+		if c.tags[i] == 0 {
+			victimIdx = i
+			oldest = 0
+			break
+		}
+		if c.stamps[i] < oldest {
+			oldest = c.stamps[i]
+			victimIdx = i
+		}
+	}
+	victim, vstate = c.tags[victimIdx]>>1, c.states[victimIdx]
+	c.tags[victimIdx] = tagOf(line)
+	c.states[victimIdx] = st
+	c.clock++
+	c.stamps[victimIdx] = c.clock
+	if vstate == Invalid {
+		return 0, Invalid
+	}
+	return victim, vstate
+}
+
+// SetState changes the state of a resident line, returning false if the line
+// is not present.
+func (c *stampCache) SetState(line uint64, st State) bool {
+	if st == Invalid {
+		panic("cache: SetState to Invalid; use Invalidate")
+	}
+	if i := c.find(c.setOf(line), line); i >= 0 {
+		c.states[i] = st
+		return true
+	}
+	return false
+}
+
+// Invalidate removes line and returns its prior state (Invalid if absent).
+func (c *stampCache) Invalidate(line uint64) State {
+	if i := c.find(c.setOf(line), line); i >= 0 {
+		st := c.states[i]
+		c.states[i] = Invalid
+		c.tags[i] = 0
+		return st
+	}
+	return Invalid
+}
+
+// Misses returns Accesses - Hits.
+func (c *stampCache) Misses() uint64 { return c.Accesses - c.Hits }
+
+// ResetStats zeroes the access counters without disturbing cache contents;
+// the experiment harness calls this at the end of warmup.
+func (c *stampCache) ResetStats() {
+	c.Accesses = 0
+	c.Hits = 0
+}
+
+// ForEachResident calls fn for every valid line. Used by back-invalidation
+// (inclusion) checks in tests and by the functional engine's integrity
+// checks; it is not on the hot path.
+func (c *stampCache) ForEachResident(fn func(line uint64, st State)) {
+	for i := range c.tags {
+		if c.states[i] != Invalid {
+			fn(c.tags[i]>>1, c.states[i])
+		}
+	}
+}
+
+// Occupancy returns the number of valid lines.
+func (c *stampCache) Occupancy() int {
+	n := 0
+	for i := range c.states {
+		if c.states[i] != Invalid {
+			n++
+		}
+	}
+	return n
 }

@@ -6,55 +6,51 @@ import (
 	"oltpsim/internal/snapshot"
 )
 
-// SaveState writes the cache's mutable state: the way arrays, the LRU
-// clock, and the access counters. Geometry is not written — the loader
-// rebuilds the cache from the same configuration and only the contents are
-// restored — but the array length acts as a cross-check.
+// SaveState writes the cache's mutable state: the way words, in recency
+// order within each set, and the access counters. Geometry is not written —
+// the loader rebuilds the cache from the same configuration and only the
+// contents are restored — but the word count acts as a cross-check.
 func (c *Cache) SaveState(e *snapshot.Encoder) {
-	e.U64s(c.tags)
-	e.U8s(stateBytes(c.states))
-	e.U64s(c.stamps)
-	e.U64(c.clock)
+	e.U64s(c.ways)
 	e.U64(c.Accesses)
 	e.U64(c.Hits)
 }
 
 // LoadState restores state saved by SaveState into a cache of identical
-// geometry, validating every invariant the hot paths rely on.
+// geometry, validating every invariant the hot paths rely on: each word is
+// empty or a valid line of its own set, no set holds a line twice, and
+// empty ways are last.
 func (c *Cache) LoadState(d *snapshot.Decoder) error {
-	tags := d.U64s()
-	states := d.U8s()
-	stamps := d.U64s()
-	clock := d.U64()
+	ways := d.U64s()
 	accesses := d.U64()
 	hits := d.U64()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if len(tags) != len(c.tags) || len(states) != len(c.states) || len(stamps) != len(c.stamps) {
-		return fmt.Errorf("cache %s: snapshot geometry %d/%d/%d ways, want %d",
-			c.cfg.Name, len(tags), len(states), len(stamps), len(c.tags))
+	if len(ways) != len(c.ways) {
+		return fmt.Errorf("cache %s: snapshot has %d ways, want %d", c.cfg.Name, len(ways), len(c.ways))
 	}
-	for i := range tags {
-		if states[i] > uint8(Modified) {
-			return fmt.Errorf("cache %s: way %d has invalid state %d", c.cfg.Name, i, states[i])
-		}
-		if (tags[i] == 0) != (states[i] == uint8(Invalid)) {
-			return fmt.Errorf("cache %s: way %d tag/state validity mismatch", c.cfg.Name, i)
-		}
-		if tags[i] != 0 && c.setOf(tags[i]>>1) != uint64(i)/c.assoc {
-			return fmt.Errorf("cache %s: way %d holds line %#x outside its set", c.cfg.Name, i, tags[i]>>1)
+	low := uint64(c.cfg.LineBytes) - 1
+	for i, w := range ways {
+		first := uint64(i) - uint64(i)%c.assoc
+		switch line := w &^ flagBits; {
+		case w == 0:
+		case uint64(i) > first && ways[i-1] == 0:
+			return fmt.Errorf("cache %s: way %d is occupied after an empty way", c.cfg.Name, i)
+		case w&low&^flagBits != 0:
+			return fmt.Errorf("cache %s: way %d word %#x has stray low bits", c.cfg.Name, i, w)
+		case w&validBit == 0 || w&stateBits == 0:
+			return fmt.Errorf("cache %s: way %d word %#x is not a valid line with a state", c.cfg.Name, i, w)
+		case c.setOf(line) != uint64(i)/c.assoc:
+			return fmt.Errorf("cache %s: way %d holds line %#x outside its set", c.cfg.Name, i, line)
+		case find(ways[first:i], line) >= 0:
+			return fmt.Errorf("cache %s: way %d holds line %#x twice in its set", c.cfg.Name, i, line)
 		}
 	}
 	if hits > accesses {
 		return fmt.Errorf("cache %s: %d hits exceed %d accesses", c.cfg.Name, hits, accesses)
 	}
-	copy(c.tags, tags)
-	for i := range states {
-		c.states[i] = State(states[i])
-	}
-	copy(c.stamps, stamps)
-	c.clock = clock
+	copy(c.ways, ways)
 	c.Accesses = accesses
 	c.Hits = hits
 	return nil
@@ -108,12 +104,4 @@ func (v *VictimBuffer) LoadState(d *snapshot.Decoder) error {
 	v.Hits = hits
 	v.Probes = probes
 	return nil
-}
-
-func stateBytes(states []State) []uint8 {
-	b := make([]uint8, len(states))
-	for i, s := range states {
-		b[i] = uint8(s)
-	}
-	return b
 }

@@ -109,19 +109,17 @@ type System struct {
 	// finished core, so earliest-core selection touches one contiguous
 	// uint64 slice instead of dereferencing every coreCtx.
 	clocks []uint64
-	// heap is an indexed binary min-heap of live core indices keyed on
-	// (clocks[i], i): heap[0] is the next core to step, and pos[i] is core
-	// i's slot in heap (-1 once the core is done and removed). A core's
-	// clock only ever grows, and only the core at the root moves, so each
-	// Step restores the heap with a single sift-down from the root — idle
-	// and done cores cost nothing per step, unlike the former O(P) scan.
-	// The (clock, then lowest index) key ordering reproduces the scan's
-	// tie-break exactly, so the reference interleaving is byte-identical.
+	// heap is a binary min-heap of live core indices keyed on
+	// (clocks[i], i): heap[0] is the next core to step, and a core leaves
+	// it once done. A core's clock only ever grows, and only the core at
+	// the root moves, so each Step restores the heap with a single
+	// sift-down from the root — idle and done cores cost nothing per step,
+	// unlike the former O(P) scan. The (clock, then lowest index) key
+	// ordering reproduces the scan's tie-break exactly, so the reference
+	// interleaving is byte-identical.
 	//oltpvet:derived not saved: Load rebuilds the heap from the restored per-core clocks (rebuildHeap)
 	heap []int32
-	//oltpvet:derived not saved: rebuilt alongside heap by rebuildHeap on load
-	pos []int32
-	dir *coherence.Directory
+	dir  *coherence.Directory
 
 	// latByCat / stallByCat are latFor/stallFor precomputed as arrays
 	// indexed by coherence.Category, so the per-miss category mapping is a
@@ -220,21 +218,13 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 }
 
 // rebuildHeap reconstructs the event queue from s.clocks: every live core
-// (clock below the done sentinel) enters the heap, finished cores are marked
-// absent. Called at construction and after a snapshot load replaces the
+// (clock below the done sentinel) enters the heap, finished cores stay
+// out. Called at construction and after a snapshot load replaces the
 // clocks wholesale.
 func (s *System) rebuildHeap() {
-	if s.pos == nil {
-		s.pos = make([]int32, len(s.clocks))
-		s.heap = make([]int32, 0, len(s.clocks))
-	}
-	s.heap = s.heap[:0]
-	for i := range s.pos {
-		s.pos[i] = -1
-	}
+	s.heap = make([]int32, 0, len(s.clocks))
 	for i, t := range s.clocks {
 		if t != ^uint64(0) {
-			s.pos[i] = int32(len(s.heap))
 			s.heap = append(s.heap, int32(i))
 		}
 	}
@@ -268,18 +258,15 @@ func (s *System) siftDown(i int) {
 			break
 		}
 		h[i] = best
-		s.pos[best] = int32(i)
 		i = child
 	}
 	h[i] = moved
-	s.pos[moved] = int32(i)
 }
 
 // popRoot removes the earliest core from the queue once it reports done.
 func (s *System) popRoot() {
 	h := s.heap
 	last := len(h) - 1
-	s.pos[h[0]] = -1
 	h[0] = h[last]
 	s.heap = h[:last]
 	if last > 0 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"oltpsim/internal/cache"
+	"oltpsim/internal/core"
 	"oltpsim/internal/scenario"
 	"oltpsim/internal/snapshot"
 	"oltpsim/internal/stats"
@@ -48,6 +50,31 @@ func badBalanceTables() [][]byte {
 	return out
 }
 
+// duplicateLineMachine returns a machine stream for the 1-CPU Base 1M1w
+// whose first cache, CPU 0's 2-way L1I, holds line 0 as Modified in both
+// ways of set 0: a copy that would survive its own invalidation, so the
+// cache's load refuses it.
+func duplicateLineMachine() []byte {
+	cfg := core.BaseConfig(1, 1*core.MB, 1)
+	l1i := make([]uint64, cfg.L1SizeBytes/64)
+	l1i[0] = uint64(cache.Modified)<<1 | 1
+	l1i[1] = l1i[0]
+	w := snapshot.NewWriter()
+	w.Section("config").String(cfg.Fingerprint())
+	e := w.Section("machine")
+	e.U64s([]uint64{0}) // per-core clocks
+	e.U64(0)            // write-invalidate operations
+	e.U64(0)            // steps
+	e.U64s(l1i)
+	e.U64(0) // accesses
+	e.U64(0) // hits
+	var buf bytes.Buffer
+	if err := w.Emit(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint container
 // decoder, up to but not including the machine restore. Malformed input
 // must return an error, never panic; an accepted container carries at most
@@ -75,6 +102,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped[len(flipped)-1] ^= 0x40
 	f.Add(flipped)
 	f.Add(withVersion(steady, 1))
+	f.Add(withVersion(steady, 2))
+	f.Add(encodedCheckpoint(f, checkpoint{
+		pos:    posWarmed,
+		proto:  protocol{warmup: 90, measure: 180, quick: true},
+		system: duplicateLineMachine(),
+	}))
 	for _, table := range badBalanceTables() {
 		f.Add(encodedCheckpoint(f, checkpoint{
 			pos:    posWarmed,

@@ -294,7 +294,7 @@ func withVersion(data []byte, v uint32) []byte {
 
 // TestOutdatedCheckpointRefused: a container in the format-1 layout, steady
 // or phased, is refused on resume with an error naming the outdated format,
-// and a current container written in snapshot version 1 with an error
+// and a current container written in snapshot version 1 or 2 with an error
 // naming that version, before any machine state is touched.
 func TestOutdatedCheckpointRefused(t *testing.T) {
 	cfg := core.BaseConfig(1, 1*core.MB, 1)
@@ -315,8 +315,25 @@ func TestOutdatedCheckpointRefused(t *testing.T) {
 	}
 
 	_, cks := checkpointsOf(t, o, cfg, 0)
-	_, _, err := o.Execute(cfg, CheckpointRun{Resume: withVersion(cks[0], 1)})
-	if err == nil || !strings.Contains(err.Error(), "outdated checkpoint (snapshot version 1") {
-		t.Errorf("snapshot version 1: resume error %v, want the outdated version named", err)
+	for _, v := range []uint32{1, 2} {
+		_, _, err := o.Execute(cfg, CheckpointRun{Resume: withVersion(cks[0], v)})
+		if want := fmt.Sprintf("outdated checkpoint (snapshot version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("snapshot version %d: resume error %v, want the outdated version named", v, err)
+		}
+	}
+}
+
+// TestResumeRefusesDuplicateLine: a checkpoint whose L1I set holds one
+// line in two ways is refused on resume, naming the cache, rather than
+// restored into a machine where the line would survive its invalidation.
+func TestResumeRefusesDuplicateLine(t *testing.T) {
+	ck := encodedCheckpoint(t, checkpoint{
+		pos:    posWarmed,
+		proto:  protocol{warmup: 90, measure: 180, quick: true},
+		system: duplicateLineMachine(),
+	})
+	_, _, err := checkpointRunOptions().Execute(core.BaseConfig(1, 1*core.MB, 1), CheckpointRun{Resume: ck})
+	if err == nil || !strings.Contains(err.Error(), "cache L1I: way 1 holds line 0x0 twice in its set") {
+		t.Fatalf("resume error %v, want the duplicate line named", err)
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"oltpsim/internal/core"
 )
 
 // parallelTestOptions is small enough to run a figure several times in a
@@ -131,5 +133,60 @@ func TestRunManyOrderAndDefaults(t *testing.T) {
 		if !reflect.DeepEqual(res, ref) {
 			t.Fatalf("Workers=%d: results diverge from the serial reference", workers)
 		}
+	}
+}
+
+// TestRunManySharesMachines: configurations that build the same machine
+// run once, and every one of them still gets the result a separate Run
+// gives it, under its own name. The list holds one machine under two
+// names, one RAC machine through two distinct but equal *RACConfig
+// pointers, and a machine that differs from it only in RAC size.
+func TestRunManySharesMachines(t *testing.T) {
+	o := parallelTestOptions()
+	o.Workers = 2
+	base := core.BaseConfig(1, 1*core.MB, 1)
+	rac := func(size int64, name string) core.Config {
+		cfg := core.FullConfig(2, 1*core.MB, 4)
+		cfg.RAC = &core.RACConfig{SizeBytes: size, Assoc: 8}
+		cfg.Name = name
+		return cfg
+	}
+	cfgs := []core.Config{
+		label(base, "base A"),
+		rac(1*core.MB, "RAC A"),
+		label(base, "base B"),
+		rac(1*core.MB, "RAC B"),
+		rac(2*core.MB, "RAC 2M"),
+	}
+	if cfgs[1].RAC == cfgs[3].RAC {
+		t.Fatal("the two equal RAC configurations share a pointer")
+	}
+	got := o.RunMany(cfgs)
+	if len(got) != len(cfgs) {
+		t.Fatalf("RunMany returned %d results for %d configurations", len(got), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		if want := o.Run(cfg); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("result %d (%s) differs from its own Run:\nRunMany: %+v\nRun:     %+v", i, cfg.Name, got[i], want)
+		}
+	}
+	if got[1].Name != "RAC A" || got[3].Name != "RAC B" || reflect.DeepEqual(got[3], got[4]) {
+		t.Errorf("shared results not kept apart: %q %q, and RAC 2M equal to RAC B: %t",
+			got[1].Name, got[3].Name, reflect.DeepEqual(got[3], got[4]))
+	}
+}
+
+// TestPaperFiguresShareMachines pins how many distinct machines the figure
+// table simulates, so an edit that splits a shared baseline is noticed.
+func TestPaperFiguresShareMachines(t *testing.T) {
+	bars, machines := 0, map[string]bool{}
+	for _, s := range PaperFigures() {
+		for _, cfg := range s.Bars {
+			bars++
+			machines[cfg.Fingerprint()] = true
+		}
+	}
+	if bars != 57 || len(machines) != 47 {
+		t.Errorf("PaperFigures has %d bars on %d distinct machines, want 57 on 47", bars, len(machines))
 	}
 }

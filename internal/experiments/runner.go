@@ -44,13 +44,29 @@ func (o Options) pool(n int, run func(i int)) {
 }
 
 // RunMany executes every configuration under the protocol and returns the
-// results in input order. Configurations are dispatched to the worker pool.
-// Because each simulation is a pure function of (config, seed) — no package
-// shares mutable state between System instances — the result slice is
-// bit-identical to running the same list serially; only wall-clock time
-// changes.
+// results in input order. Configurations with equal Fingerprints build the
+// same machine, so the worker pool runs each distinct machine once, in
+// first-appearance order, and every configuration sharing it gets a copy
+// of its result under its own Name (RunResult holds no slices or maps).
+// Because each simulation is a pure function of (config, seed) — no
+// package shares mutable state between System instances — the result slice
+// is bit-identical to running every configuration serially; only
+// wall-clock time changes.
 func (o Options) RunMany(cfgs []core.Config) []stats.RunResult {
+	first := make(map[string]int, len(cfgs)) // fingerprint -> first index
+	var runs []int
+	for i, cfg := range cfgs {
+		fp := cfg.Fingerprint()
+		if _, seen := first[fp]; !seen {
+			first[fp] = i
+			runs = append(runs, i)
+		}
+	}
 	results := make([]stats.RunResult, len(cfgs))
-	o.pool(len(cfgs), func(i int) { results[i] = o.Run(cfgs[i]) })
+	o.pool(len(runs), func(k int) { results[runs[k]] = o.Run(cfgs[runs[k]]) })
+	for i, cfg := range cfgs {
+		results[i] = results[first[cfg.Fingerprint()]]
+		results[i].Name = cfg.Name
+	}
 	return results
 }

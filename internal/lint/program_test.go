@@ -232,7 +232,6 @@ func TestContractAnalyzersPinned(t *testing.T) {
 
 	wantDerived := []string{
 		"oltpsim/internal/core System.heap",
-		"oltpsim/internal/core System.pos",
 		"oltpsim/internal/kernel Scheduler.nextID",
 		"oltpsim/internal/tpcb BufferPool.blockToFrame",
 	}

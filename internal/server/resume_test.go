@@ -498,8 +498,8 @@ func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
 // TestRecoveryFailsOutdatedCheckpoint pins what a restart does with an
 // in-flight job whose checkpoint.bin was written by an older server: in the
 // format-1 layout ("protocol" and "system" sections), or in the current
-// layout under snapshot version 1. The resume is refused, and the job ends
-// failed with the outdated format or version named — no panic, and no
+// layout under snapshot version 1 or 2. The resume is refused, and the job
+// ends failed with the outdated format or version named — no panic, and no
 // silent restart from scratch.
 func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 	spec, cfgs, err := DecodeJobSpec(strings.NewReader(smokeSpec()))
@@ -518,7 +518,7 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 	}
 
 	// The current container for configuration 0 at the end of warmup,
-	// stamped as snapshot version 1 with its CRC recomputed.
+	// stamped as an older snapshot version with its CRC recomputed.
 	var current []byte
 	_, _, err = smokeOptions().Execute(cfgs[0], experiments.CheckpointRun{
 		Write:    func(data []byte) error { current = append([]byte(nil), data...); return nil },
@@ -527,15 +527,20 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 	if !errors.Is(err, experiments.ErrCanceled) {
 		t.Fatalf("capturing the warmed checkpoint: %v", err)
 	}
-	binary.LittleEndian.PutUint32(current[len(snapshot.Magic):], 1)
-	binary.LittleEndian.PutUint32(current[len(current)-4:], crc32.ChecksumIEEE(current[:len(current)-4]))
+	stamped := func(v uint32) []byte {
+		out := append([]byte(nil), current...)
+		binary.LittleEndian.PutUint32(out[len(snapshot.Magic):], v)
+		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+		return out
+	}
 
 	for _, tc := range []struct {
 		name, named string
 		ck          []byte
 	}{
 		{"format 1", "outdated checkpoint format 1", format1.Bytes()},
-		{"snapshot version 1", "outdated checkpoint (snapshot version 1", current},
+		{"snapshot version 1", "outdated checkpoint (snapshot version 1", stamped(1)},
+		{"snapshot version 2", "outdated checkpoint (snapshot version 2", stamped(2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
