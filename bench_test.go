@@ -485,9 +485,10 @@ func BenchmarkStep64Serial(b *testing.B) {
 // BenchmarkJobThroughput measures one job's end-to-end trip through the
 // simulation service: HTTP submission, queue admission, worker execution of
 // a quick single-machine run, and the SSE stream closing on completion.
-// The simulation itself is the same work the runner benchmarks time, so
-// this number is the service-layer overhead on top of it; cmd/benchdiff
-// guards it like the rest.
+// The number is the whole trip, not the service layer alone: it includes
+// the job's harness construction and its 90-transaction simulation. It
+// excludes the engine's Zipf sums, which the server's cache holds from the
+// unmeasured first job on. cmd/benchdiff guards it like the rest.
 func BenchmarkJobThroughput(b *testing.B) {
 	srv, err := server.New(server.Config{
 		DataDir:    b.TempDir(),

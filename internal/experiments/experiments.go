@@ -38,13 +38,16 @@ type Options struct {
 	// governs warmup, and RunScenario segments the result per phase. Nil —
 	// every committed figure — keeps steady state, byte for byte.
 	Scenario *scenario.Schedule
-	// Zeta shares the Zipf harmonic-sum constants across the harness
-	// constructions of a sweep. Every bar rebuilds its engine from the same
-	// sizing parameters, so without the cache each bar redoes an O(database
-	// size) math.Pow loop for an identical result. The cached constants are
-	// bit-identical to freshly computed ones (and the cache is internally
-	// locked), so sharing it across RunMany workers never changes output.
-	// Nil is valid and means compute per harness.
+	// Zeta shares the Zipf harmonic-sum constants across harness
+	// constructions. Every bar of a sweep, and every job configuration on
+	// the job server, rebuilds its engine from the same sizing parameters,
+	// so without the cache each redoes an O(database size) math.Pow loop
+	// (524,288 terms quick, 1,572,864 at paper scale) for an identical
+	// result. DefaultOptions and QuickOptions give each sweep one; the
+	// server passes its own server-lifetime cache to every job. The cached
+	// constants are bit-identical to freshly computed ones (and the cache
+	// is internally locked), so sharing it across workers never changes
+	// output. Nil is valid and means compute per harness.
 	Zeta *sim.ZetaCache
 }
 

@@ -19,7 +19,9 @@ const (
 // starts from, and one pre-built branch-Zipf sampler per skewed phase.
 // Everything here is derived from Params at construction — the samplers
 // are stateless and the schedule immutable — so scenario runs add no
-// snapshot state to the harness.
+// snapshot state to the harness. The samplers bypass cfg.Zeta: their sum
+// has only Branches terms, and keying a long-lived cache on each phase's
+// client-chosen skew would grow it without bound.
 type scenarioCtl struct {
 	sched *scenario.Schedule
 	base  uint64
@@ -30,7 +32,7 @@ func newScenarioCtl(sched *scenario.Schedule, base uint64, cfg *tpcb.Config) *sc
 	c := &scenarioCtl{sched: sched, base: base, zipf: make([]*sim.Zipf, sched.NumPhases())}
 	for i := range c.zipf {
 		if sh := sched.Shape(i); sh.Skew > 0 && cfg.Branches > 1 {
-			c.zipf[i] = sim.NewZipfCached(cfg.Branches, sh.Skew, cfg.Zeta)
+			c.zipf[i] = sim.NewZipf(cfg.Branches, sh.Skew)
 		}
 	}
 	return c

@@ -2,7 +2,6 @@ package server
 
 import (
 	"sync"
-	"time"
 
 	"oltpsim/internal/core"
 	"oltpsim/internal/stats"
@@ -103,11 +102,6 @@ type Job struct {
 	curConfig   int
 	curMeasured uint64
 	curTarget   uint64
-	// steps counts simulator steps this process executed for the job;
-	// wall accumulates executor wall-clock time. Together they give the
-	// ns/ref exposition.
-	steps uint64
-	wall  time.Duration
 
 	// events is the SSE replay log; firstSeq is events[0].Seq after the
 	// history cap trims the front. subs are live subscriber channels (in
@@ -268,22 +262,6 @@ func (j *Job) noteCheckpoint(i int) {
 	if j.state == StateRunning {
 		j.state = StateCheckpointed
 	}
-}
-
-// addWork accumulates executed simulator steps and wall-clock time (the
-// ns-per-step exposition on /metrics).
-func (j *Job) addWork(steps uint64, wall time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.steps += steps
-	j.wall += wall
-}
-
-// workDone returns the accumulated (steps, wall) pair.
-func (j *Job) workDone() (uint64, time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.steps, j.wall
 }
 
 // event builds a job-level event of the given type from current progress.

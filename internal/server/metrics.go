@@ -3,13 +3,15 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
+	"time"
 )
 
 // handleMetrics renders the Prometheus text exposition (version 0.0.4) by
 // hand — the package is stdlib-only. Series order is fixed: scalar
 // families in declaration order, per-state gauges in state-machine order,
-// per-job series in submission order. Two scrapes of the same server state
+// histogram buckets in bound order. Two scrapes of the same server state
 // are byte-identical, which is what the golden metrics test pins.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -36,6 +38,7 @@ func (s *Server) renderMetrics() string {
 	capacity := s.cfg.QueueDepth
 	workers := s.cfg.Workers
 	busy := s.busy
+	nsPerRef := s.nsPerRef
 	counters := []struct {
 		name, help string
 		value      uint64
@@ -72,15 +75,49 @@ func (s *Server) renderMetrics() string {
 	fmt.Fprintf(&b, "# HELP oltpserver_workers Configured worker-pool size.\n# TYPE oltpserver_workers gauge\noltpserver_workers %d\n", workers)
 	fmt.Fprintf(&b, "# HELP oltpserver_workers_busy Workers currently executing a job.\n# TYPE oltpserver_workers_busy gauge\noltpserver_workers_busy %d\n", busy)
 
-	// Per-job wall-clock cost per simulator reference (step), submission
-	// order. Only jobs that executed steps in this process have a value.
-	fmt.Fprint(&b, "# HELP oltpserver_job_ns_per_ref Wall-clock nanoseconds per simulator step, per job.\n# TYPE oltpserver_job_ns_per_ref gauge\n")
-	for _, j := range jobList {
-		steps, wall := j.workDone()
-		if steps == 0 {
-			continue
+	// Wall-clock cost per simulator reference (step) of every finished
+	// configuration, as a fixed-bucket histogram: its series set does not
+	// grow with the number of jobs.
+	fmt.Fprint(&b, "# HELP oltpserver_job_ns_per_ref Wall-clock nanoseconds per simulator step of each finished job configuration.\n# TYPE oltpserver_job_ns_per_ref histogram\n")
+	var cum uint64
+	for i, n := range nsPerRef.counts {
+		cum += n
+		le := "+Inf"
+		if i < len(nsPerRefBuckets) {
+			le = strconv.Itoa(nsPerRefBuckets[i])
 		}
-		fmt.Fprintf(&b, "oltpserver_job_ns_per_ref{job=%q} %.3f\n", j.ID, float64(wall.Nanoseconds())/float64(steps))
+		fmt.Fprintf(&b, "oltpserver_job_ns_per_ref_bucket{le=%q} %d\n", le, cum)
 	}
+	fmt.Fprintf(&b, "oltpserver_job_ns_per_ref_sum %.3f\noltpserver_job_ns_per_ref_count %d\n", nsPerRef.sum, cum)
 	return b.String()
+}
+
+// nsPerRefBuckets are the upper bounds (inclusive, in ns per step) of the
+// ns/ref histogram's buckets; a last +Inf bucket follows them. They are
+// finest around the 200-500 ns a quick job's step costs on a 2-vCPU host.
+var nsPerRefBuckets = [...]int{100, 150, 200, 300, 500, 1000, 2000, 5000}
+
+// histogram counts observations into nsPerRefBuckets: counts[i] is the
+// number that fell in bucket i alone (the exposition accumulates them), and
+// the last slot is +Inf. The zero value is empty.
+type histogram struct {
+	counts [len(nsPerRefBuckets) + 1]uint64
+	sum    float64
+}
+
+// observeNsPerRef records one finished configuration's wall-clock cost per
+// simulator step this process executed for it.
+func (s *Server) observeNsPerRef(steps uint64, wall time.Duration) {
+	if steps == 0 {
+		return
+	}
+	v := float64(wall.Nanoseconds()) / float64(steps)
+	i := 0
+	for i < len(nsPerRefBuckets) && v > float64(nsPerRefBuckets[i]) {
+		i++
+	}
+	s.mu.Lock()
+	s.nsPerRef.counts[i]++
+	s.nsPerRef.sum += v
+	s.mu.Unlock()
 }

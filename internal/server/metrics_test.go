@@ -9,7 +9,8 @@ import (
 )
 
 // fabricatedServer builds a server with hand-placed state: two terminal
-// jobs with known step/wall accounting, one queued, one running — no
+// jobs, one checkpointed, one queued, and three finished configurations
+// with known step/wall accounting (one exactly on a bucket bound) — no
 // simulations, no goroutines, so the exposition is exactly reproducible.
 func fabricatedServer(t *testing.T) *Server {
 	t.Helper()
@@ -24,10 +25,14 @@ func fabricatedServer(t *testing.T) *Server {
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
 	}
-	add(&Job{ID: "job-000001", state: StateDone, steps: 4000, wall: 10 * time.Millisecond})
+	add(&Job{ID: "job-000001", state: StateDone})
 	add(&Job{ID: "job-000002", state: StateCancelled})
-	add(&Job{ID: "job-000003", state: StateCheckpointed, steps: 1000, wall: 1500 * time.Microsecond})
+	add(&Job{ID: "job-000003", state: StateCheckpointed})
 	add(&Job{ID: "job-000004", state: StateQueued})
+	s.observeNsPerRef(4000, 10*time.Millisecond)   // 2500 ns/ref
+	s.observeNsPerRef(1000, 1500*time.Microsecond) // 1500
+	s.observeNsPerRef(1000, 200*time.Microsecond)  // 200: bounds are inclusive
+	s.observeNsPerRef(0, time.Millisecond)         // no steps: not observed
 	s.pending = []string{"job-000004"}
 	s.busy = 1
 	s.seq = 4
@@ -87,10 +92,19 @@ oltpserver_workers 2
 # HELP oltpserver_workers_busy Workers currently executing a job.
 # TYPE oltpserver_workers_busy gauge
 oltpserver_workers_busy 1
-# HELP oltpserver_job_ns_per_ref Wall-clock nanoseconds per simulator step, per job.
-# TYPE oltpserver_job_ns_per_ref gauge
-oltpserver_job_ns_per_ref{job="job-000001"} 2500.000
-oltpserver_job_ns_per_ref{job="job-000003"} 1500.000
+# HELP oltpserver_job_ns_per_ref Wall-clock nanoseconds per simulator step of each finished job configuration.
+# TYPE oltpserver_job_ns_per_ref histogram
+oltpserver_job_ns_per_ref_bucket{le="100"} 0
+oltpserver_job_ns_per_ref_bucket{le="150"} 0
+oltpserver_job_ns_per_ref_bucket{le="200"} 1
+oltpserver_job_ns_per_ref_bucket{le="300"} 1
+oltpserver_job_ns_per_ref_bucket{le="500"} 1
+oltpserver_job_ns_per_ref_bucket{le="1000"} 1
+oltpserver_job_ns_per_ref_bucket{le="2000"} 2
+oltpserver_job_ns_per_ref_bucket{le="5000"} 3
+oltpserver_job_ns_per_ref_bucket{le="+Inf"} 3
+oltpserver_job_ns_per_ref_sum 4200.000
+oltpserver_job_ns_per_ref_count 3
 `
 
 // TestMetricsGolden pins the full exposition byte-for-byte.

@@ -63,14 +63,16 @@ func (s *Server) nextJob() *Job {
 	}
 }
 
-// options builds the measurement protocol for one job.
-func (j *Job) options() experiments.Options {
+// options builds the measurement protocol for one job. Every job shares
+// the server's Zipf-constant cache, so only the first engine of each
+// database scale pays the harmonic sums.
+func (j *Job) options(zeta *sim.ZetaCache) experiments.Options {
 	o := experiments.Options{
 		WarmupTxns:  j.Spec.WarmupTxns,
 		MeasureTxns: j.Spec.MeasureTxns,
 		Seed:        j.Spec.Seed,
 		Quick:       j.Spec.Quick,
-		Zeta:        sim.NewZetaCache(),
+		Zeta:        zeta,
 	}
 	// The spec was validated at submission (and again at restore), so a
 	// present scenario always compiles.
@@ -114,7 +116,7 @@ func (s *Server) runJob(j *Job) {
 	j.publish(j.event("started", -1))
 	s.cfg.Logf("running %s from configuration %d/%d", j.ID, first, len(j.cfgs))
 
-	o := j.options()
+	o := j.options(s.zeta)
 	every := s.quantum(j)
 	for i := first; i < len(j.cfgs); i++ {
 		j.startConfig(i, o.MeasuredTxns())
@@ -140,12 +142,13 @@ func (s *Server) runJob(j *Job) {
 		}
 		sr, steps, err := o.Execute(j.cfgs[i], cr)
 		end := s.cfg.Now()
-		j.addWork(steps, end.Sub(start))
+		wall := end.Sub(start)
 		start = end
 		if err != nil {
 			s.stopJob(j, i, err)
 			return
 		}
+		s.observeNsPerRef(steps, wall)
 		// A kill forbids any further disk write, and Execute can return
 		// cleanly after one: no run writes at the end of its measurement,
 		// so none has a write left to refuse.

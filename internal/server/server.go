@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"oltpsim/internal/core"
+	"oltpsim/internal/sim"
 )
 
 // Config configures a Server. The zero value is not usable: Now is
@@ -72,6 +73,10 @@ type Server struct {
 	cfg Config
 	st  *store
 	mux *http.ServeMux
+	// zeta is the Zipf-constant cache every job's engines share for the
+	// server's whole life. Its keys are the engine's own (n, theta) pairs,
+	// two per database scale, so it stays bounded whatever clients submit.
+	zeta *sim.ZetaCache
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -102,6 +107,9 @@ type Server struct {
 	jobsCancelled      uint64
 	jobsRejected       uint64
 	checkpointsWritten uint64
+	// nsPerRef is the histogram of finished configurations' wall-clock
+	// nanoseconds per simulator step.
+	nsPerRef histogram
 
 	wg sync.WaitGroup
 }
@@ -122,6 +130,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:  cfg,
 		st:   st,
+		zeta: sim.NewZetaCache(),
 		jobs: make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)

@@ -125,19 +125,22 @@ func NewZipfCached(n int, theta float64, cache *ZetaCache) *Zipf {
 }
 
 // ZetaCache memoizes the O(n) generalized harmonic sum zeta(n, theta) that
-// dominates Zipf construction (n is the shared-pool line count — hundreds of
-// thousands to millions of math.Pow calls per engine). Every experiment bar
-// builds its own engine from the same sizing parameters, so the sum is
-// recomputed with identical inputs once per bar; sharing one cache across a
-// sweep removes all but the first computation.
+// dominates Zipf construction. n is the shared-pool line count: 524,288
+// math.Pow terms per engine on the quick database and 1,572,864 on the
+// paper's. Every engine built from the same sizing parameters needs the
+// same sums, so one cache per owner removes all but the first computation.
+// The owners are a sweep's experiments.Options (DefaultOptions and
+// QuickOptions each create one) and the job server, which keeps one for
+// its whole life and hands it to every job.
 //
-// The cache is deliberately NOT package-level state: it is created by
-// whoever owns a sweep (experiments.Options) and threaded through the
-// configuration, so independent runs stay pure functions of (config, seed) —
-// the determinism contract oltpvet enforces. The mutex makes it safe to
-// share across the parallel experiment runner's workers; since the cached
-// value is bit-identical to the recomputed one, hit/miss interleaving cannot
-// affect results.
+// The cache is deliberately NOT package-level state: it is created by its
+// owner and threaded through the configuration, so independent runs stay
+// pure functions of (config, seed) — the determinism contract oltpvet
+// enforces. Its keys are the engine's own (n, theta) pairs, never client
+// input, so a long-lived cache holds at most two entries per database
+// scale. The mutex makes it safe to share across workers; since the cached
+// value is bit-identical to the recomputed one, hit/miss interleaving
+// cannot affect results.
 type ZetaCache struct {
 	mu sync.Mutex
 	m  map[zetaKey]float64
@@ -150,6 +153,13 @@ type zetaKey struct {
 
 // NewZetaCache returns an empty cache ready for concurrent use.
 func NewZetaCache() *ZetaCache { return &ZetaCache{m: make(map[zetaKey]float64)} }
+
+// Len returns the number of memoized (n, theta) entries.
+func (c *ZetaCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
 
 // zetan returns zeta(n, theta), memoized. A nil receiver computes directly.
 func (c *ZetaCache) zetan(n int, theta float64) float64 {

@@ -90,11 +90,11 @@ type Config struct {
 	PGABytes int
 
 	// Zeta, when non-nil, memoizes the O(n) Zipf harmonic-sum constants
-	// across engine constructions (one engine per experiment bar; the sums
-	// depend only on the sizes above, so a sweep recomputes them
-	// identically for every bar). The cached constants are bit-identical to
-	// freshly computed ones, so sharing a cache never changes simulation
-	// output. Nil means compute per engine.
+	// across engine constructions (one engine per experiment bar or server
+	// job configuration; the sums depend only on the sizes above, so each
+	// engine would recompute them identically). The cached constants are
+	// bit-identical to freshly computed ones, so sharing a cache never
+	// changes simulation output. Nil means compute per engine.
 	Zeta *sim.ZetaCache
 }
 
