@@ -451,11 +451,11 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 }
 
 // BenchmarkStepScaling measures per-reference stepping cost as the machine
-// widens from the paper's 8 nodes to 128. With the indexed min-heap event
-// queue, earliest-core selection costs O(log P) instead of the former O(P)
-// scan, so ns/op (ns per retired reference) should grow far slower than
-// node count; cmd/benchdiff tracks the large shapes to keep that
-// sub-linear.
+// widens from the paper's 8 nodes to 128. With the loser-tree event queue,
+// earliest-core selection costs one compare per tree level, O(log P),
+// instead of the former O(P) scan, so ns/op (ns per retired reference)
+// should grow far slower than node count; cmd/benchdiff tracks the large
+// shapes to keep that sub-linear.
 func BenchmarkStepScaling(b *testing.B) {
 	for _, procs := range []int{8, 32, 64, 128} {
 		b.Run(fmt.Sprintf("nodes=%d", procs), func(b *testing.B) {

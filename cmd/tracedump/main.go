@@ -109,7 +109,7 @@ func run(ctx context.Context, out io.Writer, cpus, cpu, n, skip int, quick bool)
 		r, st, wake := h.Next(c, clocks[c])
 		switch st {
 		case kernel.StatusRef:
-			clocks[c] += uint64(r.Instrs) + 1
+			clocks[c] += uint64(r.Instrs()) + 1
 			if c != cpu {
 				continue
 			}
@@ -118,8 +118,8 @@ func run(ctx context.Context, out io.Writer, cpus, cpu, n, skip int, quick bool)
 				continue
 			}
 			fmt.Fprintf(out, "%d,%d,%s,%#x,%#x,%d,%t,%t,%d\n",
-				seen, c, r.Kind, r.Addr, r.Line(),
-				h.HomeOf(r.Line()), r.Kernel, r.DepPrev, r.Instrs)
+				seen, c, r.Kind(), r.Addr(), r.Line(),
+				h.HomeOf(r.Line()), r.Kernel(), r.DepPrev(), r.Instrs())
 			emitted++
 		case kernel.StatusIdle:
 			clocks[c] = wake

@@ -29,8 +29,8 @@ func TestCMPValidation(t *testing.T) {
 // remote miss.
 func TestCMPSharedL2(t *testing.T) {
 	src := newScript(4) // 4 cores on 2 chips
-	src.add(0, memref.Ref{Addr: 4096, Kind: memref.Store})
-	src.add(1, memref.Ref{Addr: 4096, Kind: memref.Load}) // same chip as 0
+	src.add(0, memref.New(4096, memref.Store, false, false, 0))
+	src.add(1, memref.New(4096, memref.Load, false, false, 0)) // same chip as 0
 	cfg := cmpCfg(4, 2)
 	sys := runScript(t, cfg, src)
 	if sys.Chips() != 2 {
@@ -53,8 +53,8 @@ func TestCMPSharedL2(t *testing.T) {
 // through the directory.
 func TestCMPCrossChipStillRemote(t *testing.T) {
 	src := newScript(4)
-	src.add(0, memref.Ref{Addr: 4096, Kind: memref.Store}) // chip 0
-	src.add(2, memref.Ref{Addr: 4096, Kind: memref.Load})  // chip 1
+	src.add(0, memref.New(4096, memref.Store, false, false, 0)) // chip 0
+	src.add(2, memref.New(4096, memref.Load, false, false, 0))  // chip 1
 	sys := runScript(t, cmpCfg(4, 2), src)
 	res := sys.Collect("t", 1)
 	if res.Miss.RemoteDirty() != 1 {
@@ -67,8 +67,8 @@ func TestCMPCrossChipStillRemote(t *testing.T) {
 func TestCMPSiblingWriteInvariant(t *testing.T) {
 	src := newScript(2)
 	for i := 0; i < 50; i++ {
-		src.add(0, memref.Ref{Addr: 4096, Kind: memref.Store})
-		src.add(1, memref.Ref{Addr: 4096, Kind: memref.Store})
+		src.add(0, memref.New(4096, memref.Store, false, false, 0))
+		src.add(1, memref.New(4096, memref.Store, false, false, 0))
 	}
 	sys := runScript(t, cmpCfg(2, 2), src)
 	n := sys.nodes[0]
@@ -88,14 +88,14 @@ func TestCMPSiblingWriteInvariant(t *testing.T) {
 // shared L2 and both end up Shared.
 func TestCMPDirtySiblingReadMergesToL2(t *testing.T) {
 	src := newScript(2)
-	src.add(0, memref.Ref{Addr: 4096, Kind: memref.Load})  // E grant
-	src.add(0, memref.Ref{Addr: 4096, Kind: memref.Store}) // silent E->M
+	src.add(0, memref.New(4096, memref.Load, false, false, 0))  // E grant
+	src.add(0, memref.New(4096, memref.Store, false, false, 0)) // silent E->M
 	// Pad core 1's clock with busy work so its read executes after core 0's
 	// store in the global time order.
 	for i := 0; i < 10; i++ {
-		src.add(1, memref.Ref{Addr: 1 << 30, Kind: memref.IFetch, Instrs: 16})
+		src.add(1, memref.New(1<<30, memref.IFetch, false, false, 16))
 	}
-	src.add(1, memref.Ref{Addr: 4096, Kind: memref.Load})
+	src.add(1, memref.New(4096, memref.Load, false, false, 0))
 	sys := runScript(t, cmpCfg(2, 2), src)
 	if st := sys.nodes[0].l2.Probe(4096); st != cache.Modified {
 		t.Fatalf("chip L2 state %v, want Modified (dirtiness merged)", st)

@@ -172,45 +172,63 @@ func TestStepDoneCoreNeverSelected(t *testing.T) {
 func TestStepOrderMatchesLinearScanReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 50; trial++ {
-		cpus := 2 + rng.Intn(7)
-		src := newOrderSource(cpus)
-		for cpu := 0; cpu < cpus; cpu++ {
-			steps := 1 + rng.Intn(40)
-			for k := 0; k < steps; k++ {
-				// Wakes from a small absolute range so clocks collide often;
-				// wakes in the past exercise the zero-advance re-serve path.
-				src.idle(cpu, uint64(rng.Intn(60)))
-			}
-		}
-
-		// Reference simulation over a copy of the scripts.
-		clock := make([]uint64, cpus)
-		done := make([]bool, cpus)
-		ppos := make([]int, cpus)
-		var want []orderEvent
-		for {
-			idx := -1
-			best := ^uint64(0)
-			for i := 0; i < cpus; i++ {
-				if !done[i] && clock[i] < best {
-					idx, best = i, clock[i]
-				}
-			}
-			if idx < 0 {
-				break
-			}
-			want = append(want, orderEvent{cpu: idx, now: best})
-			if ppos[idx] >= len(src.acts[idx]) {
-				done[idx] = true
-				continue
-			}
-			if w := src.acts[idx][ppos[idx]].wake; w > clock[idx] {
-				clock[idx] = w
-			}
-			ppos[idx]++
-		}
-
-		sys := MustNewSystem(smallCfg(cpus), src)
-		checkCallOrder(t, sys, src, want)
+		checkAgainstLinearScan(t, randomScripts(rng, 2+rng.Intn(7), 1))
 	}
+	// One CPU, core counts the tree pads up to a power of two with finished
+	// leaves, and the 64- and 128-CPU trees. Empty scripts make a core
+	// finish on its first call; with no scripts at all, every core does.
+	for _, cpus := range []int{1, 3, 5, 7, 13, 64, 128} {
+		checkAgainstLinearScan(t, randomScripts(rng, cpus, 0))
+		checkAgainstLinearScan(t, randomScripts(rng, cpus, 0))
+		checkAgainstLinearScan(t, newOrderSource(cpus))
+	}
+}
+
+// randomScripts gives each of cpus cores minSteps..40 idle naps.
+func randomScripts(rng *rand.Rand, cpus, minSteps int) *orderSource {
+	src := newOrderSource(cpus)
+	for cpu := 0; cpu < cpus; cpu++ {
+		steps := minSteps + rng.Intn(41-minSteps)
+		for k := 0; k < steps; k++ {
+			// Wakes from a small absolute range so clocks collide often;
+			// wakes in the past exercise the zero-advance re-serve path.
+			src.idle(cpu, uint64(rng.Intn(60)))
+		}
+	}
+	return src
+}
+
+// checkAgainstLinearScan runs src's scripts through a linear-scan reference
+// and through Step, and requires the same Next calls in the same order.
+func checkAgainstLinearScan(t *testing.T, src *orderSource) {
+	t.Helper()
+	cpus := len(src.acts)
+	clock := make([]uint64, cpus)
+	done := make([]bool, cpus)
+	ppos := make([]int, cpus)
+	var want []orderEvent
+	for {
+		idx := -1
+		best := ^uint64(0)
+		for i := 0; i < cpus; i++ {
+			if !done[i] && clock[i] < best {
+				idx, best = i, clock[i]
+			}
+		}
+		if idx < 0 {
+			break
+		}
+		want = append(want, orderEvent{cpu: idx, now: best})
+		if ppos[idx] >= len(src.acts[idx]) {
+			done[idx] = true
+			continue
+		}
+		if w := src.acts[idx][ppos[idx]].wake; w > clock[idx] {
+			clock[idx] = w
+		}
+		ppos[idx]++
+	}
+
+	sys := MustNewSystem(smallCfg(cpus), src)
+	checkCallOrder(t, sys, src, want)
 }

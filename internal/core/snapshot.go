@@ -60,7 +60,7 @@ func (s *System) Snapshot() (*snapshot.Writer, error) {
 		return nil, fmt.Errorf("core: workload %T does not support snapshots", s.w)
 	}
 	w := snapshot.NewWriter()
-	w.Section("config").String(s.cfg.Fingerprint())
+	w.Section("config").String(s.fingerprint)
 
 	e := w.Section("machine")
 	e.U64s(s.clocks)
@@ -123,7 +123,7 @@ func (s *System) Load(in io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if fp := d.String(); d.Err() == nil && fp != s.cfg.Fingerprint() {
+	if fp := d.String(); d.Err() == nil && fp != s.fingerprint {
 		return fmt.Errorf("core: snapshot was taken on a different machine configuration")
 	}
 	if err := d.Finish(); err != nil {
@@ -142,6 +142,11 @@ func (s *System) Load(in io.Reader) error {
 	}
 	if len(clocks) != len(s.clocks) {
 		return fmt.Errorf("core: snapshot has %d CPU clocks, want %d", len(clocks), len(s.clocks))
+	}
+	for i, c := range clocks {
+		if c != doneKey && c > maxClock {
+			return fmt.Errorf("core: snapshot clock %d of CPU %d exceeds %d", c, i, uint64(maxClock))
+		}
 	}
 	for _, n := range s.nodes {
 		for _, co := range n.cores {
@@ -185,7 +190,7 @@ func (s *System) Load(in io.Reader) error {
 	copy(s.clocks, clocks)
 	// The restored clocks invalidate the event queue wholesale (including
 	// which cores are done), so rebuild it rather than patching.
-	s.rebuildHeap()
+	s.rebuildTree()
 	s.writeInvalOps = writeInvalOps
 	s.steps = steps
 

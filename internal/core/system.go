@@ -101,24 +101,30 @@ type System struct {
 	chips   int
 	cores   int // per chip
 
+	// fingerprint is cfg.Fingerprint(), computed once: a snapshot writes it
+	// and a load checks it, and formatting it on every checkpoint would put
+	// fmt's garbage-collector-dependent buffer pool on the write path.
+	fingerprint string
+
 	nodes []*node
-	// allCores flattens nodes[i].cores[j] in CPU-ID order so Step's
-	// earliest-core scan is one linear pass over a single slice.
+	// allCores flattens nodes[i].cores[j] in CPU-ID order, so a core's
+	// index here is its CPU ID and its key's low bits in tree.
 	allCores []*coreCtx
 	// clocks[i] mirrors allCores[i].model.Now(), with ^0 standing for a
-	// finished core, so earliest-core selection touches one contiguous
-	// uint64 slice instead of dereferencing every coreCtx.
+	// finished core: the per-core state a snapshot saves and tree is
+	// rebuilt from.
 	clocks []uint64
-	// heap is a binary min-heap of live core indices keyed on
-	// (clocks[i], i): heap[0] is the next core to step, and a core leaves
-	// it once done. A core's clock only ever grows, and only the core at
-	// the root moves, so each Step restores the heap with a single
-	// sift-down from the root — idle and done cores cost nothing per step,
-	// unlike the former O(P) scan. The (clock, then lowest index) key
-	// ordering reproduces the scan's tie-break exactly, so the reference
-	// interleaving is byte-identical.
-	//oltpvet:derived not saved: Load rebuilds the heap from the restored per-core clocks (rebuildHeap)
-	heap []int32
+	// tree is a loser tree over the cores' keys clock<<coreBits | index
+	// (^0 for a finished core or a padding leaf). Its leaves are implicit:
+	// core i is leaf len(tree)+i, len(tree) is the power of two at or above
+	// the core count, tree[p] for 1 <= p < len(tree) holds the loser of the
+	// match at node p, and tree[0] holds the overall winner, the next core
+	// to step. Only the winner's key changes in a step, so Step replays just
+	// its leaf-to-root path (replay), one compare per level. Keys order by
+	// clock and then lowest CPU ID, the order of the linear scan this queue
+	// replaced, so the reference interleaving is unchanged.
+	//oltpvet:derived not saved: Load rebuilds the tree from the restored per-core clocks (rebuildTree)
+	tree []uint64
 	dir  *coherence.Directory
 
 	// latByCat / stallByCat are latFor/stallFor precomputed as arrays
@@ -147,7 +153,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		cores = 1
 	}
 	chips := cfg.Processors / cores
-	s := &System{cfg: cfg, lat: cfg.Latencies(), w: w, chips: chips, cores: cores}
+	s := &System{cfg: cfg, fingerprint: cfg.Fingerprint(), lat: cfg.Latencies(), w: w, chips: chips, cores: cores}
 	if rs, ok := w.(RefSource); ok {
 		s.sched = rs.RefSource()
 	}
@@ -213,65 +219,68 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	if cfg.Classify {
 		s.classifier = cache.NewClassifier(int(cfg.L2SizeBytes / 64))
 	}
-	s.rebuildHeap()
+	s.rebuildTree()
 	return s, nil
 }
 
-// rebuildHeap reconstructs the event queue from s.clocks: every live core
-// (clock below the done sentinel) enters the heap, finished cores stay
-// out. Called at construction and after a snapshot load replaces the
-// clocks wholesale.
-func (s *System) rebuildHeap() {
-	s.heap = make([]int32, 0, len(s.clocks))
-	for i, t := range s.clocks {
-		if t != ^uint64(0) {
-			s.heap = append(s.heap, int32(i))
-		}
+// Tree keys: a live core's key is clock<<coreBits | CPU ID (Validate caps
+// Processors at 128 = 1<<coreBits), and doneKey, above every live key,
+// marks a finished core or a padding leaf.
+const (
+	coreBits = 7
+	coreMask = 1<<coreBits - 1
+	doneKey  = ^uint64(0)
+	// maxClock is the last clock a key can carry: beyond it the shift
+	// would drop bits of the clock, or (at maxClock+1 on CPU 127) yield
+	// doneKey, and reorder the cores.
+	maxClock = doneKey>>coreBits - 1
+)
+
+// keyOf packs core i's clock into its tree key.
+func keyOf(clock uint64, i int) uint64 {
+	if clock > maxClock {
+		panic("core: a core clock reached 2^57 - 1 cycles, beyond what the scheduling tree orders")
 	}
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
+	return clock<<coreBits | uint64(i)
 }
 
-// siftDown restores the heap invariant below slot i after the core stored
-// there gained a later clock (or was just swapped in). Keys are (clock,
-// core index), so equal clocks resolve to the lowest CPU ID — the exact
-// tie-break of the linear scan this queue replaced.
-func (s *System) siftDown(i int) {
-	h, clocks := s.heap, s.clocks
-	n := len(h)
-	moved := h[i]
-	mc := clocks[moved]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		best := h[child]
-		bc := clocks[best]
-		if r := child + 1; r < n {
-			if cand := h[r]; clocks[cand] < bc || (clocks[cand] == bc && cand < best) {
-				child, best, bc = r, cand, clocks[cand]
-			}
-		}
-		if mc < bc || (mc == bc && moved < best) {
-			break
-		}
-		h[i] = best
-		i = child
+// rebuildTree builds the loser tree from s.clocks. Called at construction
+// and after a snapshot load replaces the clocks wholesale.
+func (s *System) rebuildTree() {
+	leaves := 1
+	for leaves < len(s.clocks) {
+		leaves <<= 1
 	}
-	h[i] = moved
+	s.tree = make([]uint64, leaves)
+	s.tree[0] = s.build(1)
 }
 
-// popRoot removes the earliest core from the queue once it reports done.
-func (s *System) popRoot() {
-	h := s.heap
-	last := len(h) - 1
-	h[0] = h[last]
-	s.heap = h[:last]
-	if last > 0 {
-		s.siftDown(0)
+// build fills the losers of the subtree rooted at node p and returns its
+// winner.
+func (s *System) build(p int) uint64 {
+	if p >= len(s.tree) {
+		i := p - len(s.tree)
+		if i >= len(s.clocks) || s.clocks[i] == doneKey {
+			return doneKey
+		}
+		return keyOf(s.clocks[i], i)
 	}
+	a, b := s.build(2*p), s.build(2*p+1)
+	s.tree[p] = max(a, b)
+	return min(a, b)
+}
+
+// replay re-seats the winner, core i, under its new key: walking from its
+// leaf to the root, the smaller of the carried key and each node's loser
+// goes on up and the larger stays as the node's loser.
+func (s *System) replay(i int, key uint64) {
+	t := s.tree
+	for p := (len(t) + i) >> 1; p > 0; p >>= 1 {
+		l := t[p]
+		t[p] = max(l, key)
+		key = min(l, key)
+	}
+	t[0] = key
 }
 
 // MustNewSystem panics on configuration errors.
@@ -341,61 +350,62 @@ func (s *System) FastForwarded() uint64 { return 0 }
 // Step advances the earliest CPU by one reference. It returns false when
 // every CPU's workload is exhausted.
 func (s *System) Step() bool {
-	// The event queue keeps the earliest core at the heap root; selection is
-	// O(1) and the post-step reorder is one sift-down over the live cores
-	// only. The clock mirror keeps the ^0 done sentinel for snapshots and
-	// contention bookkeeping, but done cores leave the heap entirely.
-	if len(s.heap) == 0 {
+	// The loser tree keeps the earliest core's key at tree[0]: selection is
+	// one load, and the post-step reorder replays one leaf-to-root path.
+	win := s.tree[0]
+	if win == doneKey {
 		return false
 	}
-	idx := int(s.heap[0])
+	idx := int(win & coreMask)
 	co := s.allCores[idx]
-	best := s.clocks[idx]
+	now := win >> coreBits
 	var r memref.Ref
 	var st kernel.Status
 	var wake uint64
 	if s.sched != nil {
-		r, st, wake = s.sched.Next(co.cpuID, best)
+		r, st, wake = s.sched.Next(co.cpuID, now)
 	} else {
-		r, st, wake = s.w.Next(co.cpuID, best)
+		r, st, wake = s.w.Next(co.cpuID, now)
 	}
+	var clock uint64
 	switch st {
 	case kernel.StatusDone:
-		s.clocks[idx] = ^uint64(0)
-		s.popRoot()
+		s.clocks[idx] = doneKey
+		s.replay(idx, doneKey)
 		return true
 	case kernel.StatusIdle:
 		if m := co.inorder; m != nil {
 			m.AdvanceTo(wake)
-			s.clocks[idx] = m.Now()
+			clock = m.Now()
 		} else {
 			co.model.AdvanceTo(wake)
-			s.clocks[idx] = co.model.Now()
+			clock = co.model.Now()
 		}
-		s.siftDown(0)
-		return true
+	default:
+		lat, cat := s.access(co.chip, co, r)
+		if m := co.inorder; m != nil {
+			m.Account(r, lat, cat)
+			clock = m.Now()
+		} else {
+			co.model.Account(r, lat, cat)
+			clock = co.model.Now()
+		}
+		s.steps++
 	}
-	lat, cat := s.access(co.chip, co, r)
-	if m := co.inorder; m != nil {
-		m.Account(r, lat, cat)
-		s.clocks[idx] = m.Now()
-	} else {
-		co.model.Account(r, lat, cat)
-		s.clocks[idx] = co.model.Now()
-	}
-	s.siftDown(0)
-	s.steps++
+	s.clocks[idx] = clock
+	s.replay(idx, keyOf(clock, idx))
 	return true
 }
 
 // refBudgetPerTxn is the deadlock-guard allowance: how many steps each core
 // may take per outstanding committed transaction before RunUntil declares
-// the scheduler stuck. Measured OLTP shapes spend on the order of 10⁴
-// references per transaction per busy core (plus idleRecheck-paced naps on
-// waiting cores), so a two-million-step allowance is two orders of
-// magnitude of headroom — far beyond any latency or contention sweep, yet
-// tight enough that a genuinely wedged scheduler dies in milliseconds of
-// wall time instead of minutes.
+// the scheduler stuck. At paper scale a committed transaction costs about
+// 830 references across the whole machine, at 1 CPU and at 8 alike (plus
+// idleRecheck-paced naps on waiting cores), so a two-million-step
+// allowance per core is over three orders of magnitude of headroom — far
+// beyond any latency or contention sweep, yet tight enough that a
+// genuinely wedged scheduler dies in milliseconds of wall time instead of
+// minutes.
 const refBudgetPerTxn = 2_000_000
 
 // stepBound derives RunUntil's deadlock bound from the work remaining:
@@ -531,10 +541,11 @@ func (s *System) Run(warmupTxns, measureTxns uint64) stats.RunResult {
 // and directory state, and returns the stall latency and its category.
 func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCat) {
 	line := r.Line()
-	ifetch := r.Kind == memref.IFetch
-	write := r.Kind == memref.Store
+	kind := r.Kind()
+	ifetch := kind == memref.IFetch
+	write := kind == memref.Store
 
-	switch r.Kind {
+	switch kind {
 	case memref.IFetch:
 		n.ifetches++
 	case memref.Load:
@@ -651,7 +662,7 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 			} else {
 				n.racHitD++
 			}
-			return s.contended(s.lat.RACHit, n.id, n.id, line), cpu.CatLocal
+			return s.contended(s.lat.RACHit, n.id, line, true), cpu.CatLocal
 		}
 	}
 
@@ -668,7 +679,7 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 	s.insertL2(n, line, res.Grant)
 	s.fillL1(n, l1, line, l1FillState(res.Grant, ifetch))
 	n.miss.Count(ifetch, res.Cat)
-	return s.contended(s.latFor(res.Cat), n.id, s.dir.Home(line), line), s.stallFor(res.Cat)
+	return s.contended(s.latFor(res.Cat), n.id, line, false), s.stallFor(res.Cat)
 }
 
 // siblingShare demotes other cores' exclusive L1 copies of line when a core
@@ -713,10 +724,18 @@ func (s *System) siblingInvalidate(n *node, co *coreCtx, line uint64) {
 	}
 }
 
-// contended adds queuing delay from the contention layer, when enabled.
-func (s *System) contended(base uint32, requester, home int, line uint64) uint32 {
+// contended adds queuing delay from the contention layer, when enabled: at
+// the memory controller of the line's home node, or of the requester's own
+// node when local (a RAC hit is served from the requester's memory), plus
+// the network when that node is remote. The home is looked up only past
+// the early return, so a run without contention never pays for it.
+func (s *System) contended(base uint32, requester int, line uint64, local bool) uint32 {
 	if s.mcs == nil {
 		return base
+	}
+	home := requester
+	if !local {
+		home = s.dir.Home(line)
 	}
 	// Read the model, not the clock mirror: the mirror holds the done
 	// sentinel once a core's workload is exhausted.

@@ -57,7 +57,7 @@ func runScript(t *testing.T, cfg Config, src *scriptSource) *System {
 func TestUniprocessorAllLocal(t *testing.T) {
 	src := newScript(1)
 	for i := 0; i < 1000; i++ {
-		src.add(0, memref.Ref{Addr: uint64(i) * 64, Kind: memref.Load})
+		src.add(0, memref.New(uint64(i)*64, memref.Load, false, false, 0))
 	}
 	sys := runScript(t, smallCfg(1), src)
 	res := sys.Collect("t", 1)
@@ -76,11 +76,11 @@ func TestL2HitLatencyCharged(t *testing.T) {
 	src := newScript(1)
 	// Touch a line; then touch enough other lines to evict it from L1
 	// (64KB 2-way = 512 sets) but not from the 1MB L2; then touch it again.
-	src.add(0, memref.Ref{Addr: 0, Kind: memref.Load})
+	src.add(0, memref.New(0, memref.Load, false, false, 0))
 	for i := 1; i <= 2048; i++ {
-		src.add(0, memref.Ref{Addr: uint64(i) * 64, Kind: memref.Load})
+		src.add(0, memref.New(uint64(i)*64, memref.Load, false, false, 0))
 	}
-	src.add(0, memref.Ref{Addr: 0, Kind: memref.Load})
+	src.add(0, memref.New(0, memref.Load, false, false, 0))
 	sys := runScript(t, smallCfg(1), src)
 	if sys.Model(0).Breakdown().L2Hit == 0 {
 		t.Fatal("no L2-hit stall recorded")
@@ -89,8 +89,8 @@ func TestL2HitLatencyCharged(t *testing.T) {
 
 func TestStoreMigratesOwnership(t *testing.T) {
 	src := newScript(2)
-	src.add(0, memref.Ref{Addr: 4096, Kind: memref.Store})
-	src.add(1, memref.Ref{Addr: 4096, Kind: memref.Load})
+	src.add(0, memref.New(4096, memref.Store, false, false, 0))
+	src.add(1, memref.New(4096, memref.Load, false, false, 0))
 	cfg := smallCfg(2)
 	sys := runScript(t, cfg, src)
 	// After CPU1's migratory read, it must own the line Modified.
@@ -108,8 +108,8 @@ func TestStoreMigratesOwnership(t *testing.T) {
 
 func TestNoMigratoryDowngrades(t *testing.T) {
 	src := newScript(2)
-	src.add(0, memref.Ref{Addr: 4096, Kind: memref.Store})
-	src.add(1, memref.Ref{Addr: 4096, Kind: memref.Load})
+	src.add(0, memref.New(4096, memref.Store, false, false, 0))
+	src.add(1, memref.New(4096, memref.Load, false, false, 0))
 	cfg := smallCfg(2)
 	cfg.NoMigratory = true
 	sys := runScript(t, cfg, src)
@@ -127,9 +127,9 @@ func TestUpgradePath(t *testing.T) {
 	cfg.NoMigratory = true
 	// Both CPUs read (shared), then CPU0 writes: an upgrade with one
 	// invalidation.
-	src.add(0, memref.Ref{Addr: 4096, Kind: memref.Load})
-	src.add(1, memref.Ref{Addr: 4096, Kind: memref.Load})
-	src.add(0, memref.Ref{Addr: 4096, Kind: memref.Store})
+	src.add(0, memref.New(4096, memref.Load, false, false, 0))
+	src.add(1, memref.New(4096, memref.Load, false, false, 0))
+	src.add(0, memref.New(4096, memref.Store, false, false, 0))
 	sys := runScript(t, cfg, src)
 	res := sys.Collect("t", 1)
 	if res.Miss.UpgradeTotal() != 1 {
@@ -155,7 +155,7 @@ func TestInclusionBackInvalidation(t *testing.T) {
 		if i%3 == 0 {
 			kind = memref.Store
 		}
-		src.add(0, memref.Ref{Addr: uint64((i*7919)%4096) * 64, Kind: kind})
+		src.add(0, memref.New(uint64((i*7919)%4096)*64, kind, false, false, 0))
 	}
 	sys := runScript(t, cfg, src)
 	violations := 0
@@ -191,7 +191,7 @@ func TestCoherenceGlobalInvariant(t *testing.T) {
 			if next(3) == 0 {
 				kind = memref.Store
 			}
-			src.add(c, memref.Ref{Addr: uint64(next(256)) * 64, Kind: kind})
+			src.add(c, memref.New(uint64(next(256))*64, kind, false, false, 0))
 		}
 	}
 	sys := runScript(t, smallCfg(cpus), src)
@@ -232,7 +232,7 @@ func TestRACCapturesRemoteVictims(t *testing.T) {
 	// CPU0 streams over remote lines twice: the second pass hits the RAC.
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 4096; i++ {
-			src.add(0, memref.Ref{Addr: uint64(i) * 64, Kind: memref.Load})
+			src.add(0, memref.New(uint64(i)*64, memref.Load, false, false, 0))
 		}
 	}
 	sys := runScript(t, cfg, src)
@@ -259,8 +259,8 @@ func TestVictimBufferHits(t *testing.T) {
 	// buffer catches the ping-pong.
 	a, b := uint64(0), uint64(64*KB)
 	for i := 0; i < 200; i++ {
-		src.add(0, memref.Ref{Addr: a, Kind: memref.Load})
-		src.add(0, memref.Ref{Addr: b, Kind: memref.Load})
+		src.add(0, memref.New(a, memref.Load, false, false, 0))
+		src.add(0, memref.New(b, memref.Load, false, false, 0))
 	}
 	sys := runScript(t, cfg, src)
 	if sys.nodes[0].vb.Hits == 0 {
@@ -286,11 +286,11 @@ func (s *idleSource) Next(cpu int, now uint64) (memref.Ref, kernel.Status, uint6
 	s.step++
 	switch s.step {
 	case 1:
-		return memref.Ref{Addr: 64, Kind: memref.Load}, kernel.StatusRef, 0
+		return memref.New(64, memref.Load, false, false, 0), kernel.StatusRef, 0
 	case 2:
 		return memref.Ref{}, kernel.StatusIdle, now + 500
 	case 3:
-		return memref.Ref{Addr: 128, Kind: memref.Load}, kernel.StatusRef, 0
+		return memref.New(128, memref.Load, false, false, 0), kernel.StatusRef, 0
 	default:
 		return memref.Ref{}, kernel.StatusDone, 0
 	}
@@ -302,7 +302,7 @@ func (s *idleSource) Committed() uint64      { return 0 }
 func TestResetStatsKeepsArchState(t *testing.T) {
 	src := newScript(1)
 	for i := 0; i < 100; i++ {
-		src.add(0, memref.Ref{Addr: uint64(i) * 64, Kind: memref.Load})
+		src.add(0, memref.New(uint64(i)*64, memref.Load, false, false, 0))
 	}
 	sys := runScript(t, smallCfg(1), src)
 	occ := sys.L2(0).Occupancy()

@@ -17,18 +17,18 @@ func NewInOrder() *InOrder { return &InOrder{} }
 
 // Account implements Model.
 func (m *InOrder) Account(r memref.Ref, lat uint32, cat StallCat) {
-	if r.Kind == memref.IFetch {
-		n := uint64(r.Instrs)
+	if r.Kind() == memref.IFetch {
+		n := uint64(r.Instrs())
 		m.now += n
 		m.b.Busy += n
 		m.b.Instructions += n
-		if r.Kernel {
+		if r.Kernel() {
 			m.b.Kernel += n
 		}
 	}
 	if lat > 0 {
 		m.now += uint64(lat)
-		m.b.charge(cat, uint64(lat), r.Kernel)
+		m.b.charge(cat, uint64(lat), r.Kernel())
 	}
 }
 

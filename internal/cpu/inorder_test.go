@@ -8,7 +8,7 @@ import (
 
 func TestInOrderBusyAccounting(t *testing.T) {
 	m := NewInOrder()
-	m.Account(memref.Ref{Kind: memref.IFetch, Instrs: 16}, 0, CatNone)
+	m.Account(memref.New(0, memref.IFetch, false, false, 16), 0, CatNone)
 	if m.Now() != 16 || m.Breakdown().Busy != 16 {
 		t.Fatalf("now %d busy %d", m.Now(), m.Breakdown().Busy)
 	}
@@ -19,10 +19,10 @@ func TestInOrderBusyAccounting(t *testing.T) {
 
 func TestInOrderStallAccounting(t *testing.T) {
 	m := NewInOrder()
-	m.Account(memref.Ref{Kind: memref.Load}, 25, CatL2Hit)
-	m.Account(memref.Ref{Kind: memref.Store}, 100, CatLocal)
-	m.Account(memref.Ref{Kind: memref.Load}, 175, CatRemote)
-	m.Account(memref.Ref{Kind: memref.Load}, 275, CatRemoteDirty)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 25, CatL2Hit)
+	m.Account(memref.New(0, memref.Store, false, false, 0), 100, CatLocal)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 175, CatRemote)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 275, CatRemoteDirty)
 	b := m.Breakdown()
 	if b.L2Hit != 25 || b.Local != 100 || b.Remote != 175 || b.RemoteDirty != 275 {
 		t.Fatalf("breakdown %+v", b)
@@ -37,7 +37,7 @@ func TestInOrderStallAccounting(t *testing.T) {
 
 func TestInOrderL1HitIsFree(t *testing.T) {
 	m := NewInOrder()
-	m.Account(memref.Ref{Kind: memref.Load}, 0, CatNone)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 0, CatNone)
 	if m.Now() != 0 {
 		t.Fatalf("L1 hit advanced clock to %d", m.Now())
 	}
@@ -45,9 +45,9 @@ func TestInOrderL1HitIsFree(t *testing.T) {
 
 func TestInOrderKernelAttribution(t *testing.T) {
 	m := NewInOrder()
-	m.Account(memref.Ref{Kind: memref.IFetch, Instrs: 10, Kernel: true}, 0, CatNone)
-	m.Account(memref.Ref{Kind: memref.Load, Kernel: true}, 25, CatL2Hit)
-	m.Account(memref.Ref{Kind: memref.Load}, 25, CatL2Hit)
+	m.Account(memref.New(0, memref.IFetch, true, false, 10), 0, CatNone)
+	m.Account(memref.New(0, memref.Load, true, false, 0), 25, CatL2Hit)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 25, CatL2Hit)
 	if k := m.Breakdown().Kernel; k != 35 {
 		t.Fatalf("kernel cycles %d, want 35", k)
 	}
@@ -55,7 +55,7 @@ func TestInOrderKernelAttribution(t *testing.T) {
 
 func TestInOrderIdle(t *testing.T) {
 	m := NewInOrder()
-	m.Account(memref.Ref{Kind: memref.IFetch, Instrs: 8}, 0, CatNone)
+	m.Account(memref.New(0, memref.IFetch, false, false, 8), 0, CatNone)
 	m.AdvanceTo(100)
 	if m.Now() != 100 || m.Breakdown().Idle != 92 {
 		t.Fatalf("now %d idle %d", m.Now(), m.Breakdown().Idle)
@@ -68,7 +68,7 @@ func TestInOrderIdle(t *testing.T) {
 
 func TestInOrderResetStats(t *testing.T) {
 	m := NewInOrder()
-	m.Account(memref.Ref{Kind: memref.IFetch, Instrs: 8}, 25, CatL2Hit)
+	m.Account(memref.New(0, memref.IFetch, false, false, 8), 25, CatL2Hit)
 	m.ResetStats()
 	if m.Breakdown().NonIdle() != 0 {
 		t.Fatal("breakdown not reset")

@@ -153,12 +153,12 @@ func (m *OOO) gateTime(target uint64) float64 {
 
 // Account implements Model.
 func (m *OOO) Account(r memref.Ref, lat uint32, cat StallCat) {
-	if r.Kind == memref.IFetch {
-		n := float64(r.Instrs)
-		m.seq += uint64(r.Instrs)
+	if r.Kind() == memref.IFetch {
+		n := float64(r.Instrs())
+		m.seq += uint64(r.Instrs())
 		m.now += n / m.cfg.EffectiveWidth
-		m.b.Instructions += uint64(r.Instrs)
-		m.chargeF(fracBusy, n/m.cfg.EffectiveWidth, r.Kernel)
+		m.b.Instructions += uint64(r.Instrs())
+		m.chargeF(fracBusy, n/m.cfg.EffectiveWidth, r.Kernel())
 		if lat > 0 {
 			// Instruction fetch is in-order: an L1I miss stalls the
 			// frontend while the backend drains the window. The drainable
@@ -169,7 +169,7 @@ func (m *OOO) Account(r memref.Ref, lat uint32, cat StallCat) {
 			// processors.
 			if exposed := float64(lat) * iFetchExposure; exposed > 0 {
 				m.now += exposed
-				m.chargeCatF(cat, exposed, r.Kernel)
+				m.chargeCatF(cat, exposed, r.Kernel())
 			}
 		}
 		m.pushGate(m.seq, m.now)
@@ -179,8 +179,8 @@ func (m *OOO) Account(r memref.Ref, lat uint32, cat StallCat) {
 	// The ROB gate: this operation occupies an ROB slot, so instruction
 	// seq-Window must have retired before it can even be in flight.
 	issue := m.gateTime(sub(m.seq, uint64(m.cfg.Window)))
-	chained := r.DepPrev
-	if !chained && r.Kind == memref.Load {
+	chained := r.DepPrev()
+	if !chained && r.Kind() == memref.Load {
 		// Deterministic pseudo-random chain marking by sequence hash.
 		h := (m.seq * 0x9e3779b97f4a7c15) >> 40
 		chained = float64(h&0xffff)/65536.0 < m.cfg.ChainFraction
@@ -191,7 +191,7 @@ func (m *OOO) Account(r memref.Ref, lat uint32, cat StallCat) {
 	if p := m.ports[m.nextPort]; p > issue {
 		issue = p
 	}
-	if r.Kind == memref.Store {
+	if r.Kind() == memref.Store {
 		// Sequential consistency without store speculation: the store's
 		// memory transaction begins at the retire frontier.
 		issue = m.now
@@ -210,9 +210,9 @@ func (m *OOO) Account(r memref.Ref, lat uint32, cat StallCat) {
 		stall := complete - m.now
 		m.now = complete
 		if lat > 0 {
-			m.chargeCatF(cat, stall, r.Kernel)
+			m.chargeCatF(cat, stall, r.Kernel())
 		} else {
-			m.chargeF(fracBusy, stall, r.Kernel)
+			m.chargeF(fracBusy, stall, r.Kernel())
 		}
 	}
 	m.pushGate(m.seq, m.now)

@@ -16,7 +16,7 @@ func fetch(m *OOO, instrs int) {
 		if n > 16 {
 			n = 16
 		}
-		m.Account(memref.Ref{Kind: memref.IFetch, Instrs: uint16(n)}, 0, CatNone)
+		m.Account(memref.New(0, memref.IFetch, false, false, n), 0, CatNone)
 		instrs -= n
 	}
 }
@@ -35,18 +35,18 @@ func TestOOOIndependentMissesOverlap(t *testing.T) {
 	// less than 200 cycles of stall.
 	m := newTestOOO()
 	fetch(m, 16)
-	m.Account(memref.Ref{Kind: memref.Load}, 100, CatLocal)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 100, CatLocal)
 	fetch(m, 16)
-	m.Account(memref.Ref{Kind: memref.Load}, 100, CatLocal)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 100, CatLocal)
 	total := m.Now()
 	if total > 130 {
 		t.Fatalf("two overlapping misses took %d cycles", total)
 	}
 	serial := NewInOrder()
-	serial.Account(memref.Ref{Kind: memref.IFetch, Instrs: 16}, 0, CatNone)
-	serial.Account(memref.Ref{Kind: memref.Load}, 100, CatLocal)
-	serial.Account(memref.Ref{Kind: memref.IFetch, Instrs: 16}, 0, CatNone)
-	serial.Account(memref.Ref{Kind: memref.Load}, 100, CatLocal)
+	serial.Account(memref.New(0, memref.IFetch, false, false, 16), 0, CatNone)
+	serial.Account(memref.New(0, memref.Load, false, false, 0), 100, CatLocal)
+	serial.Account(memref.New(0, memref.IFetch, false, false, 16), 0, CatNone)
+	serial.Account(memref.New(0, memref.Load, false, false, 0), 100, CatLocal)
 	if total >= serial.Now() {
 		t.Fatalf("OOO (%d) not faster than in-order (%d)", total, serial.Now())
 	}
@@ -56,9 +56,9 @@ func TestOOOWindowLimitsOverlap(t *testing.T) {
 	// Misses more than a window apart cannot overlap: the second's ROB slot
 	// only exists after the first retires.
 	m := newTestOOO()
-	m.Account(memref.Ref{Kind: memref.Load}, 100, CatLocal)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 100, CatLocal)
 	fetch(m, 128) // two windows of instructions
-	m.Account(memref.Ref{Kind: memref.Load}, 100, CatLocal)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 100, CatLocal)
 	// First miss: ~100; 128 instrs: 64; second miss gated by window: ~100
 	// mostly exposed beyond the fetch time.
 	if m.Now() < 190 {
@@ -69,8 +69,8 @@ func TestOOOWindowLimitsOverlap(t *testing.T) {
 func TestOOODependentChainSerializes(t *testing.T) {
 	m := newTestOOO()
 	fetch(m, 16)
-	m.Account(memref.Ref{Kind: memref.Load}, 100, CatLocal)
-	m.Account(memref.Ref{Kind: memref.Load, DepPrev: true}, 100, CatLocal)
+	m.Account(memref.New(0, memref.Load, false, false, 0), 100, CatLocal)
+	m.Account(memref.New(0, memref.Load, false, true, 0), 100, CatLocal)
 	if m.Now() < 200 {
 		t.Fatalf("dependent chain finished in %d cycles, want >= 200", m.Now())
 	}
@@ -80,8 +80,8 @@ func TestOOOStoresFullyExposed(t *testing.T) {
 	// Sequential consistency: a store's latency starts at the retire
 	// frontier, so back-to-back store misses serialize.
 	m := newTestOOO()
-	m.Account(memref.Ref{Kind: memref.Store}, 100, CatLocal)
-	m.Account(memref.Ref{Kind: memref.Store}, 100, CatLocal)
+	m.Account(memref.New(0, memref.Store, false, false, 0), 100, CatLocal)
+	m.Account(memref.New(0, memref.Store, false, false, 0), 100, CatLocal)
 	if m.Now() < 200 {
 		t.Fatalf("SC stores overlapped: %d cycles", m.Now())
 	}
@@ -92,7 +92,7 @@ func TestOOOStoresFullyExposed(t *testing.T) {
 
 func TestOOOIFetchMissPartiallyExposed(t *testing.T) {
 	m := newTestOOO()
-	m.Account(memref.Ref{Kind: memref.IFetch, Instrs: 16}, 100, CatLocal)
+	m.Account(memref.New(0, memref.IFetch, false, false, 16), 100, CatLocal)
 	want := uint64(8 + 72) // 16/2 busy + 100*0.72 exposure
 	if m.Now() != want {
 		t.Fatalf("ifetch miss: now %d, want %d", m.Now(), want)
@@ -107,9 +107,9 @@ func TestOOOChainFractionForcesSerialization(t *testing.T) {
 	free := newTestOOO()
 	for i := 0; i < 50; i++ {
 		fetch(chained, 16)
-		chained.Account(memref.Ref{Kind: memref.Load}, 100, CatLocal)
+		chained.Account(memref.New(0, memref.Load, false, false, 0), 100, CatLocal)
 		fetch(free, 16)
-		free.Account(memref.Ref{Kind: memref.Load}, 100, CatLocal)
+		free.Account(memref.New(0, memref.Load, false, false, 0), 100, CatLocal)
 	}
 	if chained.Now() <= free.Now() {
 		t.Fatalf("chained (%d) not slower than unchained (%d)", chained.Now(), free.Now())
@@ -144,7 +144,7 @@ func TestOOOGateRingGrowth(t *testing.T) {
 	// neither panic nor lose accounting.
 	m := newTestOOO()
 	for i := 0; i < 10_000; i++ {
-		m.Account(memref.Ref{Kind: memref.Load}, 0, CatNone)
+		m.Account(memref.New(0, memref.Load, false, false, 0), 0, CatNone)
 		if i%100 == 0 {
 			fetch(m, 16)
 		}
@@ -165,11 +165,11 @@ func TestOOOCompareWithInOrderOnSameStream(t *testing.T) {
 		lat uint32
 		cat StallCat
 	}{
-		{memref.Ref{Kind: memref.IFetch, Instrs: 16}, 0, CatNone},
-		{memref.Ref{Kind: memref.Load}, 25, CatL2Hit},
-		{memref.Ref{Kind: memref.IFetch, Instrs: 16}, 25, CatL2Hit},
-		{memref.Ref{Kind: memref.Store}, 275, CatRemoteDirty},
-		{memref.Ref{Kind: memref.Load, DepPrev: true}, 175, CatRemote},
+		{memref.New(0, memref.IFetch, false, false, 16), 0, CatNone},
+		{memref.New(0, memref.Load, false, false, 0), 25, CatL2Hit},
+		{memref.New(0, memref.IFetch, false, false, 16), 25, CatL2Hit},
+		{memref.New(0, memref.Store, false, false, 0), 275, CatRemoteDirty},
+		{memref.New(0, memref.Load, false, true, 0), 175, CatRemote},
 	}
 	for i := 0; i < 200; i++ {
 		for _, x := range refs {

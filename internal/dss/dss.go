@@ -229,16 +229,16 @@ type segEmitter struct {
 
 func (e *segEmitter) Code(fn *tpcb.CodeFn) {
 	fn.Lines(func(addr uint64, instrs int) {
-		e.out.Append(memref.Ref{Addr: addr, Kind: memref.IFetch, Instrs: uint16(instrs)})
+		e.out.Append(memref.New(addr, memref.IFetch, false, false, instrs))
 	})
 }
 
 func (e *segEmitter) Load(addr uint64, dep bool) {
-	e.out.Append(memref.Ref{Addr: addr, Kind: memref.Load, DepPrev: dep})
+	e.out.Append(memref.New(addr, memref.Load, false, dep, 0))
 }
 
 func (e *segEmitter) Store(addr uint64, dep bool) {
-	e.out.Append(memref.Ref{Addr: addr, Kind: memref.Store})
+	e.out.Append(memref.New(addr, memref.Store, false, false, 0))
 }
 
 // scannerGen is one scan query worker: it walks its partition of the

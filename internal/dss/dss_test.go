@@ -31,7 +31,7 @@ func TestScanStreamShape(t *testing.T) {
 		r, st, wake := h.Next(0, now)
 		switch st {
 		case kernel.StatusRef:
-			switch r.Kind {
+			switch r.Kind() {
 			case memref.IFetch:
 				ifetch++
 			case memref.Load:
@@ -39,7 +39,7 @@ func TestScanStreamShape(t *testing.T) {
 			case memref.Store:
 				stores++
 			}
-			now += uint64(r.Instrs) + 1
+			now += uint64(r.Instrs()) + 1
 		case kernel.StatusIdle:
 			now = wake
 		default:

@@ -337,3 +337,74 @@ func TestResumeRefusesDuplicateLine(t *testing.T) {
 		t.Fatalf("resume error %v, want the duplicate line named", err)
 	}
 }
+
+// withSwitchRef returns machine, a saved 1-CPU machine stream, with the
+// first reference in CPU 0's context-switch buffer rewritten by patch and
+// the stream's CRC recomputed. The scheduler closes the workload section,
+// the stream's last, so the buffer sits at a fixed distance from the end:
+//
+//	... | count n | n refs of 15 bytes | switch position | 2 counters | crc
+//
+// and n is the first count at or above the switch position that, read from
+// where it would sit, equals itself.
+func withSwitchRef(t *testing.T, machine []byte, patch func(ref []byte)) []byte {
+	t.Helper()
+	const refBytes, tail = 8 + 1 + 1 + 1 + 4, 8 + 8 + 8 + 4
+	out := append([]byte(nil), machine...)
+	end := len(out) - tail
+	swPos := int(binary.LittleEndian.Uint64(out[end:]))
+	for n := max(swPos, 1); end-refBytes*n-8 >= 0; n++ {
+		at := end - refBytes*n
+		if int(binary.LittleEndian.Uint64(out[at-8:])) != n {
+			continue
+		}
+		if kind := out[at+8]; kind > 2 {
+			t.Fatalf("reference at offset %d has kind %d: switch buffer mislocated", at, kind)
+		}
+		patch(out[at : at+refBytes])
+		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+		return out
+	}
+	t.Fatal("no context-switch references in the saved machine")
+	return nil
+}
+
+// TestResumeRefusesImpossibleRef: a checkpoint whose scheduler holds a
+// reference no generator can produce (an unknown kind, an address beyond 48
+// bits, an instruction count a reference cannot hold) is refused on resume
+// with an error naming the reference, rather than run as a load no counter
+// sees or with a truncated instruction count.
+func TestResumeRefusesImpossibleRef(t *testing.T) {
+	cfg := core.BaseConfig(1, 1*core.MB, 1)
+	o := checkpointRunOptions()
+	_, cks := checkpointsOf(t, o, cfg, 0)
+	warmed, err := decodeCheckpoint(cks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		patch func(ref []byte)
+		want  string
+	}{
+		{"unknown kind", func(ref []byte) { ref[8] = 3 }, "kernel: reference 0 has unknown kind 3"},
+		{"address beyond 48 bits", func(ref []byte) { binary.LittleEndian.PutUint64(ref, 1<<48) },
+			"kernel: reference 0 address 0x1000000000000 exceeds"},
+		{"instruction count beyond 16 bits", func(ref []byte) { binary.LittleEndian.PutUint32(ref[11:], 1<<16+5) },
+			"kernel: reference 0 instruction count 65541 exceeds"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ck := warmed
+			ck.system = withSwitchRef(t, warmed.system, c.patch)
+			_, _, err := o.Execute(cfg, CheckpointRun{Resume: encodedCheckpoint(t, ck)})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("resume error %v, want %q", err, c.want)
+			}
+		})
+	}
+	// The untouched checkpoint resumes.
+	if _, _, err := o.Execute(cfg, CheckpointRun{Resume: encodedCheckpoint(t, warmed)}); err != nil {
+		t.Fatalf("unpatched checkpoint: %v", err)
+	}
+}

@@ -25,7 +25,7 @@ func (g *scriptGen) NextSegment(now uint64, out *RefBuffer) Directive {
 	seg := g.segments[g.pos]
 	g.pos++
 	for i := 0; i < seg.refs; i++ {
-		out.Append(memref.Ref{Addr: uint64(i) * 64, Kind: memref.Load})
+		out.Append(memref.New(uint64(i)*64, memref.Load, false, false, 0))
 	}
 	d := seg.dir
 	prev := d.OnDrain
@@ -160,12 +160,12 @@ func TestContextSwitchOverheadInjected(t *testing.T) {
 	switches := 0
 	s := NewScheduler(1, 1000, func(cpu int, out *RefBuffer) {
 		switches++
-		out.Append(memref.Ref{Addr: 0xdead0000, Kind: memref.IFetch, Instrs: 16, Kernel: true})
+		out.Append(memref.New(0xdead0000, memref.IFetch, true, false, 16))
 	})
 	g := &scriptGen{segments: []scriptSeg{{refs: 2, dir: Directive{Kind: Exit}}}}
 	s.Spawn(0, "p", g)
 	r, st, _ := s.Next(0, 0)
-	if st != StatusRef || r.Addr != 0xdead0000 || !r.Kernel {
+	if st != StatusRef || r.Addr() != 0xdead0000 || !r.Kernel() {
 		t.Fatalf("first ref not switch overhead: %+v (%v)", r, st)
 	}
 	if switches != 1 {

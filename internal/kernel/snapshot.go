@@ -11,17 +11,23 @@ import (
 // allocation a hostile length prefix could force.
 const refBytes = 8 + 1 + 1 + 1 + 4
 
+// encodeRefs writes each reference as its five fields (address, kind,
+// kernel, dep-prev, instruction count), not as the packed word, so the
+// checkpoint format does not depend on memref's bit layout.
 func encodeRefs(e *snapshot.Encoder, refs []memref.Ref) {
 	e.Int(len(refs))
 	for _, r := range refs {
-		e.U64(r.Addr)
-		e.U8(uint8(r.Kind))
-		e.Bool(r.Kernel)
-		e.Bool(r.DepPrev)
-		e.U32(uint32(r.Instrs))
+		e.U64(r.Addr())
+		e.U8(uint8(r.Kind()))
+		e.Bool(r.Kernel())
+		e.Bool(r.DepPrev())
+		e.U32(uint32(r.Instrs()))
 	}
 }
 
+// decodeRefs reads what encodeRefs wrote and refuses a reference no
+// generator can produce: an unknown kind, or an address or instruction
+// count beyond what memref.Ref holds.
 func decodeRefs(d *snapshot.Decoder) ([]memref.Ref, error) {
 	n := d.Int()
 	if d.Err() != nil {
@@ -32,15 +38,25 @@ func decodeRefs(d *snapshot.Decoder) ([]memref.Ref, error) {
 	}
 	refs := make([]memref.Ref, n)
 	for i := range refs {
-		refs[i] = memref.Ref{
-			Addr:    d.U64(),
-			Kind:    memref.Kind(d.U8()),
-			Kernel:  d.Bool(),
-			DepPrev: d.Bool(),
-			Instrs:  uint16(d.U32()),
+		addr := d.U64()
+		kind := memref.Kind(d.U8())
+		kernel := d.Bool()
+		depPrev := d.Bool()
+		instrs := d.U32()
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
+		switch {
+		case kind > memref.Store:
+			return nil, fmt.Errorf("kernel: reference %d has unknown kind %d", i, kind)
+		case addr > memref.MaxAddr:
+			return nil, fmt.Errorf("kernel: reference %d address %#x exceeds %#x", i, addr, uint64(memref.MaxAddr))
+		case instrs > memref.MaxInstrs:
+			return nil, fmt.Errorf("kernel: reference %d instruction count %d exceeds %d", i, instrs, memref.MaxInstrs)
+		}
+		refs[i] = memref.New(addr, kind, kernel, depPrev, int(instrs))
 	}
-	return refs, d.Err()
+	return refs, nil
 }
 
 // SaveState writes every process's execution position and the per-CPU run

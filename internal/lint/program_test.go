@@ -231,7 +231,7 @@ func TestContractAnalyzersPinned(t *testing.T) {
 	}
 
 	wantDerived := []string{
-		"oltpsim/internal/core System.heap",
+		"oltpsim/internal/core System.tree",
 		"oltpsim/internal/kernel Scheduler.nextID",
 		"oltpsim/internal/tpcb BufferPool.blockToFrame",
 	}

@@ -63,12 +63,7 @@ func (e *Emitter) Code(fn *tpcb.CodeFn) {
 	}
 	out := e.out
 	fn.Lines(func(addr uint64, instrs int) {
-		out.Append(memref.Ref{
-			Addr:   addr + rebase,
-			Kind:   memref.IFetch,
-			Kernel: kern,
-			Instrs: uint16(instrs),
-		})
+		out.Append(memref.New(addr+rebase, memref.IFetch, kern, false, instrs))
 	})
 }
 
@@ -78,7 +73,7 @@ func (e *Emitter) Load(addr uint64, dep bool) {
 	if e.lastValid && line == e.lastLine {
 		return // guaranteed L1 hit; skip for simulation speed
 	}
-	e.out.Append(memref.Ref{Addr: addr, Kind: memref.Load, Kernel: e.kernelMode, DepPrev: dep})
+	e.out.Append(memref.New(addr, memref.Load, e.kernelMode, dep, 0))
 	e.lastLine, e.lastStore, e.lastValid = line, false, true
 }
 
@@ -88,6 +83,6 @@ func (e *Emitter) Store(addr uint64, dep bool) {
 	if e.lastValid && line == e.lastLine && e.lastStore {
 		return // consecutive store to the same line: guaranteed hit with rights
 	}
-	e.out.Append(memref.Ref{Addr: addr, Kind: memref.Store, Kernel: e.kernelMode, DepPrev: dep})
+	e.out.Append(memref.New(addr, memref.Store, e.kernelMode, dep, 0))
 	e.lastLine, e.lastStore, e.lastValid = line, true, true
 }

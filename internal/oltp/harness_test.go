@@ -34,7 +34,7 @@ func pull(h *Harness, cpu int, n int) []memref.Ref {
 			if c == cpu {
 				out = append(out, r)
 			}
-			clocks[c] += uint64(r.Instrs) + 1
+			clocks[c] += uint64(r.Instrs()) + 1
 		case kernel.StatusIdle:
 			clocks[c] = wake
 		default:
@@ -52,18 +52,18 @@ func TestHarnessStreams(t *testing.T) {
 	}
 	var ifetch, loads, stores, kern int
 	for _, r := range refs {
-		switch r.Kind {
+		switch r.Kind() {
 		case memref.IFetch:
 			ifetch++
-			if r.Instrs == 0 || r.Instrs > 16 {
-				t.Fatalf("ifetch with %d instrs", r.Instrs)
+			if r.Instrs() == 0 || r.Instrs() > 16 {
+				t.Fatalf("ifetch with %d instrs", r.Instrs())
 			}
 		case memref.Load:
 			loads++
 		case memref.Store:
 			stores++
 		}
-		if r.Kernel {
+		if r.Kernel() {
 			kern++
 		}
 	}
@@ -82,7 +82,7 @@ func TestHarnessCommits(t *testing.T) {
 		r, st, wake := h.Next(0, now)
 		switch st {
 		case kernel.StatusRef:
-			now += uint64(r.Instrs) + 1
+			now += uint64(r.Instrs()) + 1
 		case kernel.StatusIdle:
 			now = wake
 		default:
@@ -99,10 +99,10 @@ func TestKernelFraction(t *testing.T) {
 	refs := pull(h, 0, 100_000)
 	var kernInstr, instr uint64
 	for _, r := range refs {
-		if r.Kind == memref.IFetch {
-			instr += uint64(r.Instrs)
-			if r.Kernel {
-				kernInstr += uint64(r.Instrs)
+		if r.Kind() == memref.IFetch {
+			instr += uint64(r.Instrs())
+			if r.Kernel() {
+				kernInstr += uint64(r.Instrs())
 			}
 		}
 	}
@@ -120,7 +120,7 @@ func TestHomeOfDistribution(t *testing.T) {
 	counts := make([]int, 8)
 	data := 0
 	for _, r := range refs {
-		if r.Kind == memref.IFetch {
+		if r.Kind() == memref.IFetch {
 			continue
 		}
 		counts[h.HomeOf(r.Line())]++
@@ -147,11 +147,11 @@ func TestCodeReplicationMakesIFetchLocal(t *testing.T) {
 	h := MustNewHarness(p)
 	refs := pull(h, 2, 30_000)
 	for _, r := range refs {
-		if r.Kind != memref.IFetch {
+		if r.Kind() != memref.IFetch {
 			continue
 		}
 		if home := h.HomeOf(r.Line()); home != 2 {
-			t.Fatalf("replicated ifetch %#x homed at node %d", r.Addr, home)
+			t.Fatalf("replicated ifetch %#x homed at node %d", r.Addr(), home)
 		}
 	}
 }
@@ -161,7 +161,7 @@ func TestNoReplicationSpreadsCode(t *testing.T) {
 	refs := pull(h, 2, 30_000)
 	counts := make([]int, 4)
 	for _, r := range refs {
-		if r.Kind == memref.IFetch {
+		if r.Kind() == memref.IFetch {
 			counts[h.HomeOf(r.Line())]++
 		}
 	}
@@ -209,15 +209,15 @@ func TestEmitterReplicationOffset(t *testing.T) {
 	fn := testCodeFn()
 	e.Code(fn)
 	want := fn.Base + 3*codeArenaSize
-	if buf.Refs[0].Addr != want {
-		t.Fatalf("replicated code at %#x, want %#x", buf.Refs[0].Addr, want)
+	if buf.Refs[0].Addr() != want {
+		t.Fatalf("replicated code at %#x, want %#x", buf.Refs[0].Addr(), want)
 	}
 	// Node 0 keeps the original address.
 	var buf0 kernel.RefBuffer
 	e.SetOutput(&buf0, 0)
 	e.Code(fn)
-	if buf0.Refs[0].Addr != fn.Base {
-		t.Fatalf("node 0 code at %#x", buf0.Refs[0].Addr)
+	if buf0.Refs[0].Addr() != fn.Base {
+		t.Fatalf("node 0 code at %#x", buf0.Refs[0].Addr())
 	}
 }
 
@@ -245,7 +245,7 @@ func TestGroupCommitBatches(t *testing.T) {
 		r, st, wake := h.Next(0, now)
 		switch st {
 		case kernel.StatusRef:
-			now += uint64(r.Instrs) + 1
+			now += uint64(r.Instrs()) + 1
 		case kernel.StatusIdle:
 			now = wake
 		}
