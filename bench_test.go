@@ -10,7 +10,6 @@ import (
 
 	"oltpsim/internal/cache"
 	"oltpsim/internal/coherence"
-	"oltpsim/internal/dss"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/lint"
 	"oltpsim/internal/memref"
@@ -298,36 +297,26 @@ func BenchmarkExtensionCMP(b *testing.B) {
 
 // BenchmarkExtensionDSS measures the paper's framing contrast: decision
 // support is "relatively insensitive to memory system performance" while
-// OLTP is not. Same machine ladder, scan queries instead of transactions.
+// OLTP is not. Same machine ladder, same engine, under the scan-only
+// profile examples/scenarios/dss.json instead of the TPC-B mix.
 func BenchmarkExtensionDSS(b *testing.B) {
-	mkParams := func(cfg Config) dss.Params {
-		var p dss.Params
-		if testing.Short() {
-			p = dss.TestParams(cfg.Processors)
-		} else {
-			p = dss.DefaultParams(cfg.Processors)
-		}
-		p.CoresPerChip = cfg.CoresPerChip
-		return p
+	o := benchOptions(b)
+	sched, err := LoadSchedule("examples/scenarios/dss.json")
+	if err != nil {
+		b.Fatal(err)
 	}
-	run := func(cfg Config) Result {
-		sys := MustNewSystem(cfg, dss.MustNewHarness(mkParams(cfg)))
-		units := uint64(400)
-		if testing.Short() {
-			units = 150
-		}
-		return sys.Run(units/4, units)
-	}
-	var base, full Result
+	o.Scenario = sched
+	cfgs := []Config{BaseConfig(8, 8*MB, 1), FullIntegrationConfig(8, 2*MB, 8)}
+	var res []Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base = run(BaseConfig(8, 8*MB, 1))
-		full = run(FullIntegrationConfig(8, 2*MB, 8))
+		res = o.RunMany(cfgs)
 	}
 	b.StopTimer()
+	base, full := &res[0], &res[1]
 	gain := base.CyclesPerTxn() / full.CyclesPerTxn()
-	b.Logf("\nDSS scan workload, 8 CPUs: Base %.0f -> Full %.0f cycles/unit (%.2fx; OLTP gets ~1.35x)\n"+
-		"DSS 3-hop misses: %d of %d total (OLTP: the majority)",
+	b.Logf("\nDSS scan workload, 8 CPUs: Base %.0f -> Full %.0f cycles/scan (%.2fx; OLTP gets ~1.35x)\n"+
+		"DSS 3-hop misses: %d of %d total (OLTP: about half)",
 		base.CyclesPerTxn(), full.CyclesPerTxn(), gain,
 		full.Miss.RemoteDirty(), full.Miss.Total())
 	b.ReportMetric(gain, "dss-integration-speedup")

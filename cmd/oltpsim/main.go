@@ -8,7 +8,8 @@
 //	oltpsim -procs 8 -level full -l2 2M -assoc 8 -ooo
 //	oltpsim -procs 8 -level full -l2 1M -assoc 4 -rac 8M -repl
 //	oltpsim -procs 8 -level full -l2 2M -assoc 8 -cores 2   # CMP
-//	oltpsim -procs 8 -level full -l2 2M -assoc 8 -scenario examples/burst.json -timeline out.csv
+//	oltpsim -procs 8 -level full -l2 2M -assoc 8 -scenario examples/scenarios/burst.json -timeline out.csv
+//	oltpsim -procs 8 -level full -l2 2M -assoc 8 -scenario examples/scenarios/dss.json   # DSS scans
 package main
 
 import (

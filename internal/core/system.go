@@ -662,7 +662,7 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 			} else {
 				n.racHitD++
 			}
-			return s.contended(s.lat.RACHit, n.id, line, true), cpu.CatLocal
+			return s.contended(s.lat.RACHit, co, line, true), cpu.CatLocal
 		}
 	}
 
@@ -679,7 +679,7 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 	s.insertL2(n, line, res.Grant)
 	s.fillL1(n, l1, line, l1FillState(res.Grant, ifetch))
 	n.miss.Count(ifetch, res.Cat)
-	return s.contended(s.latFor(res.Cat), n.id, line, false), s.stallFor(res.Cat)
+	return s.contended(s.latFor(res.Cat), co, line, false), s.stallFor(res.Cat)
 }
 
 // siblingShare demotes other cores' exclusive L1 copies of line when a core
@@ -725,21 +725,23 @@ func (s *System) siblingInvalidate(n *node, co *coreCtx, line uint64) {
 }
 
 // contended adds queuing delay from the contention layer, when enabled: at
-// the memory controller of the line's home node, or of the requester's own
-// node when local (a RAC hit is served from the requester's memory), plus
-// the network when that node is remote. The home is looked up only past
-// the early return, so a run without contention never pays for it.
-func (s *System) contended(base uint32, requester int, line uint64, local bool) uint32 {
+// the memory controller of the line's home node, or of the requesting
+// core's own node when local (a RAC hit is served from the requester's
+// memory), plus the network when that node is remote. The request leaves
+// at the requesting core's clock. The home is looked up only past the
+// early return, so a run without contention never pays for it.
+func (s *System) contended(base uint32, co *coreCtx, line uint64, local bool) uint32 {
 	if s.mcs == nil {
 		return base
 	}
+	requester := co.chip.id
 	home := requester
 	if !local {
 		home = s.dir.Home(line)
 	}
 	// Read the model, not the clock mirror: the mirror holds the done
 	// sentinel once a core's workload is exhausted.
-	at := s.nodes[requester].cores[0].model.Now()
+	at := co.model.Now()
 	extra := s.mcs[home].Access(line, at)
 	if s.net != nil && requester != home {
 		_, q := s.net.Send(requester, home, at)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -186,5 +188,37 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	b := decode(t, `{"phases":[{"txns":10,"mix":{"update":0.75,"read":0.25}}]}`)
 	if a.MustCompile().Fingerprint() != b.MustCompile().Fingerprint() {
 		t.Fatal("equivalent mixes fingerprint differently")
+	}
+}
+
+// TestCommittedProfiles: every profile committed under examples/scenarios
+// decodes and compiles, so the files the README and the examples point at
+// stay runnable.
+func TestCommittedProfiles(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	for _, path := range paths {
+		found[filepath.Base(path)] = true
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := DecodeProfile(f)
+		f.Close()
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if _, err := p.Compile(); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	for _, name := range []string{"burst.json", "diurnal.json", "dss.json"} {
+		if !found[name] {
+			t.Errorf("examples/scenarios/%s is missing", name)
+		}
 	}
 }

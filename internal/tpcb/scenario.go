@@ -86,15 +86,17 @@ func (e *Engine) readRow(sess *Session, block int32, slot, rowBytes int) {
 	e.em.Load(e.rowAddr(block, slot, rowBytes), true)
 }
 
-// scanRowLines is how many row lines one scanned block touches, matching
-// the DSS table layout's rows-per-block density.
+// scanRowLines is how many row lines one scanned block touches: predicate
+// evaluation reads a strided sample of the block's rows.
 const scanRowLines = 16
 
 // ExecScan runs a DSS-style sequential scan: blocks account blocks from the
 // session's persistent scan cursor (wrapping over the account table), each
 // pinned, row-sampled with scanRowLines strided loads, and unpinned
 // immediately — the no-reuse streaming pattern that flushes capacity out of
-// small caches.
+// small caches. A scan stores nothing to the blocks it reads; the
+// scan-only profile examples/scenarios/dss.json is the paper's
+// decision-support contrast.
 func (e *Engine) ExecScan(sess *Session, blocks int) {
 	e.Stats.ScanTxns++
 	sess.pinned = sess.pinned[:0]

@@ -31,8 +31,8 @@
 package oltpsim
 
 import (
+	"oltpsim/internal/cli"
 	"oltpsim/internal/core"
-	"oltpsim/internal/dss"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/oltp"
 	"oltpsim/internal/stats"
@@ -131,22 +131,18 @@ var (
 	DefaultCrossingModel = core.DefaultCrossingModel
 )
 
-// Measurement protocols.
+// Measurement protocols. LoadSchedule decodes and compiles a scenario
+// profile for Options.Scenario: a time-varying transaction mix such as
+// examples/scenarios/dss.json, the scan-only decision-support contrast of
+// the paper's introduction.
 var (
 	DefaultOptions = experiments.DefaultOptions
 	QuickOptions   = experiments.QuickOptions
+	LoadSchedule   = cli.LoadSchedule
 )
 
-// DSSParams configures the decision-support contrast workload (the paper's
-// introduction: DSS is "relatively insensitive to memory system
-// performance"; the extension benchmarks quantify the contrast).
-type DSSParams = dss.Params
-
-// DSS workload constructors.
+// Scoring against the paper's published values.
 var (
-	NewDSSWorkload        = dss.NewHarness
-	MustNewDSSWorkload    = dss.MustNewHarness
-	DefaultDSSParams      = dss.DefaultParams
 	CompareWithPaper      = experiments.Compare
 	RenderPaperComparison = experiments.RenderComparison
 )
