@@ -83,10 +83,6 @@ func (s *System) Snapshot() (*snapshot.Writer, error) {
 		}
 		n.miss.SaveState(e)
 		e.U64(n.stores)
-		e.U64(n.loads)
-		e.U64(n.ifetches)
-		e.U64(n.racHitI)
-		e.U64(n.racHitD)
 	}
 
 	s.dir.SaveState(w.Section("directory"))
@@ -179,10 +175,6 @@ func (s *System) Load(in io.Reader) error {
 			return err
 		}
 		n.stores = d.U64()
-		n.loads = d.U64()
-		n.ifetches = d.U64()
-		n.racHitI = d.U64()
-		n.racHitD = d.U64()
 	}
 	if err := d.Finish(); err != nil {
 		return err

@@ -78,11 +78,7 @@ type node struct {
 	rc    *rac.RAC
 	miss  stats.MissTable
 
-	stores   uint64
-	loads    uint64
-	ifetches uint64
-	racHitI  uint64
-	racHitD  uint64
+	stores uint64
 }
 
 // System is the assembled machine: chips with cache hierarchies, a
@@ -477,8 +473,7 @@ func (s *System) ResetStats() {
 			n.rc.ResetStats()
 		}
 		n.miss = stats.MissTable{}
-		n.stores, n.loads, n.ifetches = 0, 0, 0
-		n.racHitI, n.racHitD = 0, 0
+		n.stores = 0
 	}
 	s.dir.ResetStats()
 	s.writeInvalOps = 0
@@ -545,12 +540,7 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 	ifetch := kind == memref.IFetch
 	write := kind == memref.Store
 
-	switch kind {
-	case memref.IFetch:
-		n.ifetches++
-	case memref.Load:
-		n.loads++
-	case memref.Store:
+	if write {
 		n.stores++
 	}
 
@@ -657,11 +647,6 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 			// these as local misses).
 			n.miss.Count(ifetch, coherence.CatLocal)
 			n.miss.CountRACHit(ifetch)
-			if ifetch {
-				n.racHitI++
-			} else {
-				n.racHitD++
-			}
 			return s.contended(s.lat.RACHit, co, line, true), cpu.CatLocal
 		}
 	}

@@ -103,6 +103,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add(withVersion(steady, 1))
 	f.Add(withVersion(steady, 2))
+	f.Add(withVersion(steady, 3))
 	f.Add(encodedCheckpoint(f, checkpoint{
 		pos:    posWarmed,
 		proto:  protocol{warmup: 90, measure: 180, quick: true},

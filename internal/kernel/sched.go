@@ -45,12 +45,13 @@ type Directive struct {
 	Kind  DirectiveKind
 	Until uint64 // absolute wake time for Sleep
 	Dur   uint64 // duration for IOWait
-	// OnDrain, when non-nil, runs at the moment the CPU has consumed the
-	// segment's last reference (with the CPU clock at that instant), before
-	// Kind is applied. Generators use it for actions that must be ordered
-	// after the segment's memory references — signalling the log writer,
-	// counting a committed transaction.
-	OnDrain func(now uint64)
+	// Drain asks for the generator's Drained call at the moment the CPU has
+	// consumed the segment's last reference, before Kind is applied.
+	// Generators use it for actions that must be ordered after the segment's
+	// memory references — signalling the log writer, counting a committed
+	// transaction. The generator's own state says which action is due, so
+	// the directive stays plain data that a checkpoint saves as one byte.
+	Drain bool
 }
 
 // RefBuffer collects the references of one segment. Generators append to it;
@@ -73,6 +74,9 @@ type Generator interface {
 	// the directive to apply once they have been consumed. now is the
 	// process's CPU-local clock at the call.
 	NextSegment(now uint64, out *RefBuffer) Directive
+	// Drained runs when a segment whose directive set Drain has been
+	// consumed; now is the CPU clock at that instant.
+	Drained(now uint64)
 }
 
 type procState uint8
@@ -88,7 +92,6 @@ const (
 // Proc is one simulated process, pinned to a CPU (the paper uses Oracle in
 // dedicated mode with servers distributed evenly; we pin for determinism).
 type Proc struct {
-	ID   int
 	Name string
 	CPU  int
 
@@ -144,9 +147,6 @@ type Scheduler struct {
 	ContextSwitches uint64
 	// Preemptions counts slice-expiry switches (subset of ContextSwitches).
 	Preemptions uint64
-	// nextID feeds Spawn's process IDs.
-	//oltpvet:derived not saved: LoadState requires the identical process topology, so resume replays the same Spawn sequence and re-derives the counter
-	nextID int
 }
 
 // idleRecheck is how long a CPU with no known wake time naps before
@@ -176,8 +176,7 @@ func (s *Scheduler) Spawn(cpu int, name string, g Generator) *Proc {
 	if cpu < 0 || cpu >= len(s.cpus) {
 		panic(fmt.Sprintf("kernel: spawn %q on CPU %d of %d", name, cpu, len(s.cpus)))
 	}
-	p := &Proc{ID: s.nextID, Name: name, CPU: cpu, gen: g, state: stateReady}
-	s.nextID++
+	p := &Proc{Name: name, CPU: cpu, gen: g, state: stateReady}
 	s.cpus[cpu].procs = append(s.cpus[cpu].procs, p)
 	return p
 }
@@ -241,8 +240,8 @@ func (s *Scheduler) Next(cpu int, now uint64) (r memref.Ref, st Status, wake uin
 		// Segment drained: apply the pending directive, if any.
 		if p.hasPending {
 			p.hasPending = false
-			if p.pending.OnDrain != nil {
-				p.pending.OnDrain(now)
+			if p.pending.Drain {
+				p.gen.Drained(now)
 			}
 			switch p.pending.Kind {
 			case Run:

@@ -28,15 +28,13 @@ func (g *scriptGen) NextSegment(now uint64, out *RefBuffer) Directive {
 		out.Append(memref.New(uint64(i)*64, memref.Load, false, false, 0))
 	}
 	d := seg.dir
-	prev := d.OnDrain
-	d.OnDrain = func(t uint64) {
-		g.drains = append(g.drains, t)
-		if prev != nil {
-			prev(t)
-		}
-	}
+	d.Drain = true
 	return d
 }
+
+// Drained records the drain time of every scripted segment: NextSegment
+// arms the drain on each of them.
+func (g *scriptGen) Drained(now uint64) { g.drains = append(g.drains, now) }
 
 // drain pulls refs from the scheduler, advancing a fake clock one cycle per
 // reference, and returns the refs seen and the final status.
@@ -69,10 +67,10 @@ func TestOnDrainFiresAfterRefs(t *testing.T) {
 	s.Spawn(0, "p", g)
 	_, _, _, now := drain(s, 0, 10, 100)
 	if len(g.drains) != 1 {
-		t.Fatalf("OnDrain fired %d times", len(g.drains))
+		t.Fatalf("Drained ran %d times", len(g.drains))
 	}
 	if g.drains[0] != now {
-		t.Fatalf("OnDrain at %d, want drain time %d", g.drains[0], now)
+		t.Fatalf("Drained at %d, want drain time %d", g.drains[0], now)
 	}
 }
 

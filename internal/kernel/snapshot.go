@@ -60,10 +60,9 @@ func decodeRefs(d *snapshot.Decoder) ([]memref.Ref, error) {
 }
 
 // SaveState writes every process's execution position and the per-CPU run
-// queues. A pending directive's OnDrain closure cannot be serialized
-// directly; drainTag maps it to a small integer the workload layer knows how
-// to rebind on load (0 is reserved for "no closure").
-func (s *Scheduler) SaveState(e *snapshot.Encoder, drainTag func(p *Proc) uint8) {
+// queues. A directive keeps its Drain flag after it is consumed, so the flag
+// is saved only while the directive is still pending.
+func (s *Scheduler) SaveState(e *snapshot.Encoder) {
 	e.Int(len(s.cpus))
 	for ci := range s.cpus {
 		c := &s.cpus[ci]
@@ -77,14 +76,7 @@ func (s *Scheduler) SaveState(e *snapshot.Encoder, drainTag func(p *Proc) uint8)
 			e.U8(uint8(p.pending.Kind))
 			e.U64(p.pending.Until)
 			e.U64(p.pending.Dur)
-			tag := uint8(0)
-			if p.hasPending && p.pending.OnDrain != nil {
-				tag = drainTag(p)
-				if tag == 0 {
-					panic(fmt.Sprintf("kernel: process %q has an untaggable drain action", p.Name))
-				}
-			}
-			e.U8(tag)
+			e.Bool(p.hasPending && p.pending.Drain)
 			e.Int(p.sliceUsed)
 		}
 		cur := -1
@@ -102,8 +94,7 @@ func (s *Scheduler) SaveState(e *snapshot.Encoder, drainTag func(p *Proc) uint8)
 }
 
 // LoadState restores a scheduler with the identical process topology.
-// rebind resolves a nonzero drain tag back to the closure it stood for.
-func (s *Scheduler) LoadState(d *snapshot.Decoder, rebind func(p *Proc, tag uint8) (func(uint64), error)) error {
+func (s *Scheduler) LoadState(d *snapshot.Decoder) error {
 	if n := d.Int(); d.Err() == nil && n != len(s.cpus) {
 		return fmt.Errorf("kernel: snapshot has %d CPUs, want %d", n, len(s.cpus))
 	}
@@ -124,8 +115,7 @@ func (s *Scheduler) LoadState(d *snapshot.Decoder, rebind func(p *Proc, tag uint
 			}
 			pos := d.Int()
 			hasPending := d.Bool()
-			pending := Directive{Kind: DirectiveKind(d.U8()), Until: d.U64(), Dur: d.U64()}
-			tag := d.U8()
+			pending := Directive{Kind: DirectiveKind(d.U8()), Until: d.U64(), Dur: d.U64(), Drain: d.Bool()}
 			sliceUsed := d.Int()
 			if err := d.Err(); err != nil {
 				return err
@@ -139,15 +129,8 @@ func (s *Scheduler) LoadState(d *snapshot.Decoder, rebind func(p *Proc, tag uint
 			if pos < 0 || pos > len(refs) {
 				return fmt.Errorf("kernel: process %q position %d outside %d refs", p.Name, pos, len(refs))
 			}
-			if tag != 0 {
-				if !hasPending {
-					return fmt.Errorf("kernel: process %q has a drain tag without a pending directive", p.Name)
-				}
-				fn, err := rebind(p, tag)
-				if err != nil {
-					return err
-				}
-				pending.OnDrain = fn
+			if pending.Drain && !hasPending {
+				return fmt.Errorf("kernel: process %q has a drain flag without a pending directive", p.Name)
 			}
 			p.state = state
 			p.wakeAt = wakeAt

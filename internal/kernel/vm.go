@@ -25,10 +25,6 @@ const (
 	// NodeLocal places the whole region on one node (process-private memory:
 	// stacks, PGA, kernel per-process structures).
 	NodeLocal
-	// Interleaved stripes at line granularity rather than page granularity;
-	// available for ablations (fine-grain interleave was a real design knob
-	// of the era).
-	Interleaved
 )
 
 // String implements fmt.Stringer.
@@ -38,8 +34,6 @@ func (p Placement) String() string {
 		return "round-robin"
 	case NodeLocal:
 		return "node-local"
-	case Interleaved:
-		return "interleaved"
 	default:
 		return "?"
 	}
@@ -148,14 +142,10 @@ func (as *AddressSpace) HomeOf(addr uint64) int {
 	if r == nil {
 		return int(memref.PageOf(addr)) % as.nodes
 	}
-	switch r.Placement {
-	case NodeLocal:
+	if r.Placement == NodeLocal {
 		return r.Node
-	case Interleaved:
-		return int((addr-r.Base)>>memref.LineShift) % as.nodes
-	default:
-		return int((addr-r.Base)>>memref.PageShift) % as.nodes
 	}
+	return int((addr-r.Base)>>memref.PageShift) % as.nodes
 }
 
 // Nodes returns the machine size the space was built for.

@@ -10,7 +10,6 @@ func TestRegionPlacement(t *testing.T) {
 	as := NewAddressSpace(8)
 	as.AddRegion(Region{Name: "rr", Base: 0, Size: 64 * memref.PageBytes, Placement: RoundRobinPages})
 	as.AddRegion(Region{Name: "local3", Base: 1 << 30, Size: memref.PageBytes, Placement: NodeLocal, Node: 3})
-	as.AddRegion(Region{Name: "il", Base: 2 << 30, Size: memref.PageBytes, Placement: Interleaved})
 
 	// Round-robin: page i of the region lives on node i%8.
 	for p := 0; p < 16; p++ {
@@ -21,13 +20,6 @@ func TestRegionPlacement(t *testing.T) {
 	}
 	if as.HomeOf(1<<30+100) != 3 {
 		t.Fatal("node-local region not on node 3")
-	}
-	// Interleaved: successive lines rotate nodes.
-	for l := 0; l < 16; l++ {
-		addr := uint64(2<<30 + l*64)
-		if got := as.HomeOf(addr); got != l%8 {
-			t.Fatalf("interleaved line %d home %d", l, got)
-		}
 	}
 }
 
@@ -102,7 +94,7 @@ func TestTotalSizeAndRegions(t *testing.T) {
 }
 
 func TestPlacementString(t *testing.T) {
-	if RoundRobinPages.String() != "round-robin" || NodeLocal.String() != "node-local" || Interleaved.String() != "interleaved" {
+	if RoundRobinPages.String() != "round-robin" || NodeLocal.String() != "node-local" {
 		t.Fatal("placement strings wrong")
 	}
 }

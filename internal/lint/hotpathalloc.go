@@ -43,7 +43,13 @@ const hotPathAllocName = "hotpathalloc"
 //   - implicit conversions to interface types that box the value: call
 //     arguments, assignments, and returns where a non-pointer-shaped
 //     non-constant value meets an interface. Pointer-shaped values
-//     (pointers, maps, channels, funcs) fit in the interface word.
+//     (pointers, maps, channels, funcs) fit in the interface word;
+//   - func literals that capture a variable of an enclosing function and
+//     are stored: as a composite-literal element, on the right of an =
+//     assignment, or as a return value. The stored closure outlives the
+//     call, so each evaluation allocates it. A literal passed as a call
+//     argument or bound with := stays quiet: escape analysis keeps such
+//     a closure on the stack when its callee does not retain it.
 //
 // Escape hatches are explicit: a function annotated
 // `//oltpvet:coldpath <reason>` is excluded from the hot set and not
@@ -152,8 +158,12 @@ func (h *hotPathAlloc) checkNode(pass *Pass, n *Node) {
 			return false
 		case *ast.AssignStmt:
 			h.checkAssign(pass, info, e, fresh, quiet)
+			if e.Tok == token.ASSIGN {
+				h.checkStoredClosures(pass, info, e.Rhs)
+			}
 		case *ast.ReturnStmt:
 			h.checkReturn(pass, info, sig, e)
+			h.checkStoredClosures(pass, info, e.Results)
 		case *ast.UnaryExpr:
 			if e.Op == token.AND {
 				if lit, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok {
@@ -163,6 +173,7 @@ func (h *hotPathAlloc) checkNode(pass *Pass, n *Node) {
 				}
 			}
 		case *ast.CompositeLit:
+			h.checkStoredClosures(pass, info, e.Elts)
 			if quiet[e] {
 				return true
 			}
@@ -188,6 +199,46 @@ func (h *hotPathAlloc) checkNode(pass *Pass, n *Node) {
 		}
 		return visit(x)
 	})
+}
+
+// checkStoredClosures reports each func literal among exprs (or among the
+// values of key: value elements) that captures a variable of an enclosing
+// function.
+func (h *hotPathAlloc) checkStoredClosures(pass *Pass, info *types.Info, exprs []ast.Expr) {
+	for _, x := range exprs {
+		if kv, ok := x.(*ast.KeyValueExpr); ok {
+			x = kv.Value
+		}
+		lit, ok := ast.Unparen(x).(*ast.FuncLit)
+		if !ok {
+			continue
+		}
+		if v := capturedVar(info, lit); v != nil {
+			pass.Reportf(lit.Pos(), "func literal capturing %s is stored, so it allocates a closure each time in the hot path; keep the action's data in long-lived state",
+				v.Name())
+		}
+	}
+}
+
+// capturedVar returns the first variable lit's body uses that an enclosing
+// function declares (a receiver, parameter or local), or nil when the
+// literal captures nothing and so needs no closure.
+func capturedVar(info *types.Info, lit *ast.FuncLit) *types.Var {
+	var found *types.Var
+	ast.Inspect(lit.Body, func(x ast.Node) bool {
+		if found != nil {
+			return false
+		}
+		if id, ok := x.(*ast.Ident); ok {
+			v, ok := info.Uses[id].(*types.Var)
+			if ok && !v.IsField() && v.Parent() != nil && v.Parent() != v.Pkg().Scope() &&
+				(v.Pos() < lit.Pos() || v.Pos() >= lit.End()) {
+				found = v
+			}
+		}
+		return true
+	})
+	return found
 }
 
 func nodeSignature(info *types.Info, n *Node) *types.Signature {

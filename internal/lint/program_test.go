@@ -232,7 +232,6 @@ func TestContractAnalyzersPinned(t *testing.T) {
 
 	wantDerived := []string{
 		"oltpsim/internal/core System.tree",
-		"oltpsim/internal/kernel Scheduler.nextID",
 		"oltpsim/internal/tpcb BufferPool.blockToFrame",
 	}
 	if !reflect.DeepEqual(derived, wantDerived) {

@@ -16,6 +16,7 @@ type point struct{ x, y int }
 type System struct {
 	q     []int
 	count uint64
+	hook  func() int
 }
 
 // Step is the hot root: everything it reaches is on the allocation-free
@@ -32,6 +33,11 @@ func (s *System) Step(v int) {
 	s.assignBox(v)
 	s.literal(v)
 	s.closure(v)
+	s.storeElement(v)
+	s.storeAssign(v)
+	_ = s.storeReturn()
+	s.storeStatic()
+	s.passArg(v)
 	s.guard(v)
 	s.debug(v)
 }
@@ -95,11 +101,56 @@ func (s *System) literal(v int) {
 }
 
 // closure shows that a literal created on the hot path is itself hot.
+// Binding it with := stays quiet although it captures v: the closure
+// does not outlive the call.
 func (s *System) closure(v int) int {
 	f := func() string {
 		return fmt.Sprint(v) // want "fmt.Sprint formats and allocates"
 	}
 	return len(f())
+}
+
+// action carries a callback to run later.
+type action struct{ run func() int }
+
+// storeElement stores a capturing literal as a composite-literal element:
+// each call allocates the closure.
+func (s *System) storeElement(v int) int {
+	a := action{run: func() int { return v }} // want "func literal capturing v is stored"
+	return a.run()
+}
+
+// storeAssign stores a capturing literal in long-lived state.
+func (s *System) storeAssign(v int) {
+	s.hook = func() int { return v + 1 } // want "func literal capturing v is stored"
+}
+
+// storeReturn hands a capturing literal to its caller.
+func (s *System) storeReturn() func() int {
+	return func() int { return int(s.count) } // want "func literal capturing s is stored"
+}
+
+// limit is package state: a literal that reads it captures nothing.
+var limit = 4
+
+// storeStatic stores literals that capture no variable of an enclosing
+// function, so they are static function values and need no closure.
+func (s *System) storeStatic() {
+	s.hook = func() int { return limit }
+	s.hook = func() int { n := 2; return n }
+}
+
+// each calls fn n times, the way the emitter walks a code region.
+func each(n int, fn func(int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
+// passArg passes a capturing literal as a call argument: the callee does
+// not keep it, so it stays quiet.
+func (s *System) passArg(v int) {
+	each(v, func(i int) { s.count += uint64(i) })
 }
 
 // guard shows the panic exemption: by the time the arguments evaluate, the

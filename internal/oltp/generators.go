@@ -44,23 +44,26 @@ func (g *serverGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Direct
 		g.waitLSN = g.h.eng.ExecTxn(g.sess, in)
 		g.h.kernelSemWait(g)
 		g.phase = serverPhaseCommitted
-		return kernel.Directive{
-			Kind: kernel.Block,
-			OnDrain: func(drain uint64) {
-				g.h.lgwr.requestFlush(g, g.waitLSN, drain)
-			},
-		}
+		return kernel.Directive{Kind: kernel.Block, Drain: true}
 	default:
 		// Commit is durable: cleanup, reply to the client, next transaction.
 		g.h.eng.PostCommit(g.sess)
 		g.h.kernelPipeWrite(g)
 		g.phase = serverPhaseTxn
-		return kernel.Directive{
-			Kind: kernel.Run,
-			OnDrain: func(uint64) {
-				g.h.committed++
-			},
-		}
+		return kernel.Directive{Kind: kernel.Run, Drain: true}
+	}
+}
+
+// Drained implements kernel.Generator. NextSegment has already moved
+// g.phase on, so the phase names the segment that just drained: entering
+// the committed phase, the update's redo is visible and the log writer is
+// signalled; back in the transaction phase, the reply has gone out and the
+// transaction counts as committed.
+func (g *serverGen) Drained(now uint64) {
+	if g.phase == serverPhaseCommitted {
+		g.h.lgwr.requestFlush(g, g.waitLSN, now)
+	} else {
+		g.h.committed++
 	}
 }
 
@@ -136,6 +139,9 @@ func (l *lgwrGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Directiv
 	}
 }
 
+// Drained implements kernel.Generator; the log writer arms no drain action.
+func (l *lgwrGen) Drained(uint64) {}
+
 // dbwrGen is the database writer daemon: it periodically takes a batch of
 // dirty buffers, cleans their headers (touching metadata dirtied by every
 // processor), and writes them out.
@@ -174,3 +180,7 @@ func (d *dbwrGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Directiv
 		return kernel.Directive{Kind: kernel.Sleep, Until: now + d.h.p.DBWRSleepCycles}
 	}
 }
+
+// Drained implements kernel.Generator; the database writer arms no drain
+// action.
+func (d *dbwrGen) Drained(uint64) {}

@@ -160,7 +160,7 @@ func NewHarness(p Params) (*Harness, error) {
 
 	h.sched = kernel.NewScheduler(p.CPUs, p.SchedQuantum, h.emitContextSwitch)
 
-	// Daemons first (IDs before servers, like a real instance): the log
+	// Daemons first (spawned before servers, like a real instance): the log
 	// writer on CPU 0, the database writer on the last CPU.
 	h.lgwr = &lgwrGen{h: h}
 	h.lgwr.proc = h.sched.Spawn(0, "lgwr", h.lgwr)

@@ -75,8 +75,7 @@ func (h *Harness) scenarioDraw(g *serverGen) (kind int, in tpcb.TxnInput, scanBl
 // Updates follow the exact steady-state sequence (body, semaphore wait,
 // block on the group-commit flush). Read-only and scan transactions have no
 // redo to wait on: they finish their body and proceed straight to the
-// committed phase with a plain run directive — its nil OnDrain keeps the
-// commit-ordering snapshot contract untouched.
+// committed phase with a plain run directive that arms no drain action.
 func (g *serverGen) scenarioTxn() kernel.Directive {
 	kind, in, blocks := g.h.scenarioDraw(g)
 	switch kind {
@@ -92,11 +91,6 @@ func (g *serverGen) scenarioTxn() kernel.Directive {
 		g.waitLSN = g.h.eng.ExecTxn(g.sess, in)
 		g.h.kernelSemWait(g)
 		g.phase = serverPhaseCommitted
-		return kernel.Directive{
-			Kind: kernel.Block,
-			OnDrain: func(drain uint64) {
-				g.h.lgwr.requestFlush(g, g.waitLSN, drain)
-			},
-		}
+		return kernel.Directive{Kind: kernel.Block, Drain: true}
 	}
 }

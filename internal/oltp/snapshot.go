@@ -3,65 +3,8 @@ package oltp
 import (
 	"fmt"
 
-	"oltpsim/internal/kernel"
 	"oltpsim/internal/snapshot"
 )
-
-// Drain tags name the two OnDrain closures a server process can hold when a
-// snapshot is taken; the closures themselves cannot be serialized, so the tag
-// is saved and the closure rebuilt against the restored harness on load.
-const (
-	drainTagCommitWait = 1 // commit wait: signal the log writer at drain time
-	drainTagCommitted  = 2 // transaction durable: count it committed
-)
-
-// serverOf maps a process back to its server generator. The spawn order is
-// fixed (log writer ID 0, database writer ID 1, servers from ID 2 in CPU
-// order), so a server's slot is its process ID minus the two daemons.
-func (h *Harness) serverOf(p *kernel.Proc) *serverGen {
-	idx := p.ID - 2
-	if idx < 0 || idx >= len(h.servers) || h.servers[idx].proc != p {
-		return nil
-	}
-	return h.servers[idx]
-}
-
-// drainTag implements the kernel.Scheduler save hook. Only servers arm
-// OnDrain closures, and the server's phase says which of the two it was: the
-// transaction phase ends by arming the commit wait, the committed phase ends
-// by arming the commit count.
-func (h *Harness) drainTag(p *kernel.Proc) uint8 {
-	g := h.serverOf(p)
-	if g == nil {
-		return 0
-	}
-	if g.phase == serverPhaseCommitted {
-		return drainTagCommitWait
-	}
-	return drainTagCommitted
-}
-
-// rebindDrain implements the kernel.Scheduler load hook: it rebuilds the
-// closure a drain tag stood for, closing over the restored generator exactly
-// as NextSegment would have.
-func (h *Harness) rebindDrain(p *kernel.Proc, tag uint8) (func(uint64), error) {
-	g := h.serverOf(p)
-	if g == nil {
-		return nil, fmt.Errorf("oltp: drain tag %d on non-server process %q", tag, p.Name)
-	}
-	switch tag {
-	case drainTagCommitWait:
-		return func(drain uint64) {
-			g.h.lgwr.requestFlush(g, g.waitLSN, drain)
-		}, nil
-	case drainTagCommitted:
-		return func(uint64) {
-			g.h.committed++
-		}, nil
-	default:
-		return nil, fmt.Errorf("oltp: unknown drain tag %d on %q", tag, p.Name)
-	}
-}
 
 // SaveState writes the complete workload state: the commit count, every
 // server's RNG and transaction position, the daemon state machines, the
@@ -93,7 +36,7 @@ func (h *Harness) SaveState(e *snapshot.Encoder) {
 		f.SaveState(e)
 	}
 	h.eng.SaveState(e)
-	h.sched.SaveState(e, h.drainTag)
+	h.sched.SaveState(e)
 }
 
 // LoadState restores a harness built from the identical parameters.
@@ -173,5 +116,5 @@ func (h *Harness) LoadState(d *snapshot.Decoder) error {
 	h.lgwr.GroupedCommits = lgwrGrouped
 	h.dbwr.phase = dbwrPhase
 	h.dbwr.Writes = dbwrWrites
-	return h.sched.LoadState(d, h.rebindDrain)
+	return h.sched.LoadState(d)
 }

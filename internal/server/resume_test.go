@@ -498,7 +498,7 @@ func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
 // TestRecoveryFailsOutdatedCheckpoint pins what a restart does with an
 // in-flight job whose checkpoint.bin was written by an older server: in the
 // format-1 layout ("protocol" and "system" sections), or in the current
-// layout under snapshot version 1 or 2. The resume is refused, and the job
+// layout under snapshot version 1, 2 or 3. The resume is refused, and the job
 // ends failed with the outdated format or version named — no panic, and no
 // silent restart from scratch.
 func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
@@ -541,6 +541,7 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 		{"format 1", "outdated checkpoint format 1", format1.Bytes()},
 		{"snapshot version 1", "outdated checkpoint (snapshot version 1", stamped(1)},
 		{"snapshot version 2", "outdated checkpoint (snapshot version 2", stamped(2)},
+		{"snapshot version 3", "outdated checkpoint (snapshot version 3", stamped(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
