@@ -10,6 +10,7 @@ import (
 
 	"oltpsim/internal/cache"
 	"oltpsim/internal/coherence"
+	"oltpsim/internal/core"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/lint"
 	"oltpsim/internal/memref"
@@ -78,7 +79,7 @@ func BenchmarkFig02BaseParams(b *testing.B) {
 	b.Logf("\nFigure 2 — Base system parameters:\n"+
 		"  processor speed: 1 GHz (cycles == ns)\n"+
 		"  line size: %d B\n  L1 I/D: %d KB %d-way each\n  L2: %d MB %d-way\n  processors: %d\n",
-		memref.LineBytes, cfg.L1SizeBytes/KB, cfg.L1Assoc, cfg.L2SizeBytes/MB, cfg.L2Assoc, cfg.Processors)
+		memref.LineBytes, core.L1Bytes/KB, core.L1Ways, cfg.L2SizeBytes/MB, cfg.L2Assoc, cfg.Processors)
 }
 
 // BenchmarkFig03LatencyTable regenerates the latency table (paper Figure 3).
@@ -358,7 +359,7 @@ func BenchmarkExtensionScaling(b *testing.B) {
 // BenchmarkCacheAccess measures the raw tag-store throughput that bounds
 // simulation speed.
 func BenchmarkCacheAccess(b *testing.B) {
-	c := cache.New(cache.Config{Name: "b", SizeBytes: 2 * MB, Assoc: 8, LineBytes: 64})
+	c := cache.New(cache.Config{Name: "b", SizeBytes: 2 * MB, Assoc: 8})
 	r := sim.NewRNG(1)
 	addrs := make([]uint64, 4096)
 	for i := range addrs {

@@ -19,7 +19,6 @@ func main() {
 
 	ooo := func(cfg oltpsim.Config, name string) oltpsim.Config {
 		cfg.OutOfOrder = true
-		cfg.OOO = oltpsim.DefaultOOO()
 		cfg.Name = name
 		return cfg
 	}

@@ -16,7 +16,7 @@ import (
 func run(opt oltpsim.Options, l2 int64, assoc int, withRAC, repl bool, name string) oltpsim.Result {
 	cfg := oltpsim.FullIntegrationConfig(8, l2, assoc)
 	if withRAC {
-		cfg.RAC = &oltpsim.RACConfig{SizeBytes: 8 * oltpsim.MB, Assoc: 8}
+		cfg.RACBytes = 8 * oltpsim.MB
 	}
 	cfg.CodeReplication = repl
 	cfg.Name = name

@@ -9,7 +9,11 @@
 // Replacement is true LRU within a set, kept as the order of the set's ways.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"oltpsim/internal/memref"
+)
 
 // State is the coherence state of a line in a cache. The same enum serves the
 // private L1s (which only use Invalid/Exclusive/Modified relative to their
@@ -49,30 +53,25 @@ type Config struct {
 	// Name appears in statistics output (e.g. "L1I", "L2").
 	Name string
 	// SizeBytes is the total capacity. It must be a multiple of
-	// LineBytes*Assoc.
+	// memref.LineBytes*Assoc.
 	SizeBytes int64
 	// Assoc is the number of ways per set (1 = direct mapped).
 	Assoc int
-	// LineBytes is the line size; all caches in the study use 64.
-	LineBytes int
 }
 
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int {
-	return int(c.SizeBytes) / (c.LineBytes * c.Assoc)
+	return int(c.SizeBytes) / (memref.LineBytes * c.Assoc)
 }
 
 // Validate reports a descriptive error for impossible configurations.
 func (c Config) Validate() error {
-	if c.LineBytes < 8 || c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache %s: line size %d is not a power of two of at least 8 bytes", c.Name, c.LineBytes)
-	}
 	if c.Assoc <= 0 {
 		return fmt.Errorf("cache %s: associativity %d must be positive", c.Name, c.Assoc)
 	}
-	if c.SizeBytes <= 0 || c.SizeBytes%int64(c.LineBytes*c.Assoc) != 0 {
+	if c.SizeBytes <= 0 || c.SizeBytes%int64(memref.LineBytes*c.Assoc) != 0 {
 		return fmt.Errorf("cache %s: size %d is not a multiple of line*assoc = %d",
-			c.Name, c.SizeBytes, c.LineBytes*c.Assoc)
+			c.Name, c.SizeBytes, memref.LineBytes*c.Assoc)
 	}
 	if c.Sets() < 1 {
 		return fmt.Errorf("cache %s: zero sets", c.Name)
@@ -81,9 +80,10 @@ func (c Config) Validate() error {
 }
 
 // A way holds one word: a resident line's address, which is line-aligned,
-// with the valid bit in bit 0 and the State in bits 1-2 (hence the 8-byte
-// minimum line). An empty way is 0; the valid bit keeps line 0 distinct
-// from it, so a lookup is one masked compare per way.
+// with the valid bit in bit 0 and the State in bits 1-2, inside the low
+// bits a memref.LineBytes line leaves clear. An empty way is 0; the valid
+// bit keeps line 0 distinct from it, so a lookup is one masked compare per
+// way.
 const (
 	validBit  uint64 = 1
 	stateBits uint64 = 3 << 1
@@ -94,12 +94,11 @@ func stateOf(w uint64) State { return State(w >> 1 & 3) }
 
 // Cache is a set-associative tag store with per-set LRU replacement.
 type Cache struct {
-	cfg       Config
-	nsets     uint64
-	assoc     uint64 // cfg.Assoc hoisted out of the nested struct
-	setMask   uint64 // nsets-1 when nsets is a power of two
-	pow2      bool
-	lineShift uint
+	cfg     Config
+	nsets   uint64
+	assoc   uint64 // cfg.Assoc hoisted out of the nested struct
+	setMask uint64 // nsets-1 when nsets is a power of two
+	pow2    bool
 
 	// ways holds set s's words at [s*assoc, (s+1)*assoc), most recently
 	// used first and empty ways last. An Access hit or an Insert moves its
@@ -128,9 +127,6 @@ func New(cfg Config) *Cache {
 		ways:  make([]uint64, nsets*uint64(cfg.Assoc)),
 	}
 	c.setMask = nsets - 1
-	for s := cfg.LineBytes; s > 1; s >>= 1 {
-		c.lineShift++
-	}
 	return c
 }
 
@@ -138,7 +134,7 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) setOf(line uint64) uint64 {
-	idx := line >> c.lineShift
+	idx := line >> memref.LineShift
 	if c.pow2 {
 		return idx & c.setMask
 	}
@@ -201,7 +197,7 @@ func (c *Cache) Insert(line uint64, st State) (victim uint64, vstate State) {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	if line>>c.lineShift<<c.lineShift != line {
+	if memref.LineOf(line) != line {
 		panic("cache: Insert of an unaligned line")
 	}
 	ways := c.set(line)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"oltpsim/internal/memref"
 	"oltpsim/internal/sim"
 	"oltpsim/internal/snapshot"
 )
@@ -16,24 +17,22 @@ func mk(t *testing.T, size int64, assoc int) *Cache {
 	if t != nil {
 		t.Helper()
 	}
-	return New(Config{Name: "T", SizeBytes: size, Assoc: assoc, LineBytes: 64})
+	return New(Config{Name: "T", SizeBytes: size, Assoc: assoc})
 }
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{Name: "a", SizeBytes: 1024, Assoc: 1, LineBytes: 60},  // non-pow2 line
-		{Name: "b", SizeBytes: 1000, Assoc: 1, LineBytes: 64},  // size not multiple
-		{Name: "c", SizeBytes: 1024, Assoc: 0, LineBytes: 64},  // zero assoc
-		{Name: "d", SizeBytes: -64, Assoc: 1, LineBytes: 64},   // negative
-		{Name: "e", SizeBytes: 4096, Assoc: -2, LineBytes: 64}, // negative assoc
-		{Name: "f", SizeBytes: 1024, Assoc: 1, LineBytes: 4},   // no room for the state bits
+		{Name: "b", SizeBytes: 1000, Assoc: 1},  // size not multiple
+		{Name: "c", SizeBytes: 1024, Assoc: 0},  // zero assoc
+		{Name: "d", SizeBytes: -64, Assoc: 1},   // negative
+		{Name: "e", SizeBytes: 4096, Assoc: -2}, // negative assoc
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v validated but should not", c)
 		}
 	}
-	good := Config{Name: "g", SizeBytes: 2 << 20, Assoc: 8, LineBytes: 64}
+	good := Config{Name: "g", SizeBytes: 2 << 20, Assoc: 8}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
@@ -295,7 +294,7 @@ func TestMatchesStampLRU(t *testing.T) {
 		{16 * 64 * 8, 8},
 	} {
 		t.Run(fmt.Sprintf("%dB_%dway", g.size, g.assoc), func(t *testing.T) {
-			cfg := Config{Name: "T", SizeBytes: g.size, Assoc: g.assoc, LineBytes: 64}
+			cfg := Config{Name: "T", SizeBytes: g.size, Assoc: g.assoc}
 			c, ref := New(cfg), newStampCache(cfg)
 			nsets := uint64(cfg.Sets())
 			r := sim.NewRNG(uint64(g.size) + uint64(g.assoc))
@@ -415,12 +414,11 @@ func TestLoadStateRefusesBadWords(t *testing.T) {
 // three way arrays and an LRU timestamp per way. It is the reference the
 // packed Cache must match decision for decision.
 type stampCache struct {
-	cfg       Config
-	nsets     uint64
-	assoc     uint64 // cfg.Assoc hoisted out of the nested struct
-	setMask   uint64 // nsets-1 when nsets is a power of two
-	pow2      bool
-	lineShift uint
+	cfg     Config
+	nsets   uint64
+	assoc   uint64 // cfg.Assoc hoisted out of the nested struct
+	setMask uint64 // nsets-1 when nsets is a power of two
+	pow2    bool
 
 	// Flat way arrays, indexed by set*assoc + way. A tag encodes the line
 	// address and a validity bit as line<<1|1 (0 when the way is invalid),
@@ -456,9 +454,6 @@ func newStampCache(cfg Config) *stampCache {
 		stamps: make([]uint64, nsets*uint64(cfg.Assoc)),
 	}
 	c.setMask = nsets - 1
-	for s := cfg.LineBytes; s > 1; s >>= 1 {
-		c.lineShift++
-	}
 	return c
 }
 
@@ -466,7 +461,7 @@ func newStampCache(cfg Config) *stampCache {
 func (c *stampCache) Config() Config { return c.cfg }
 
 func (c *stampCache) setOf(line uint64) uint64 {
-	idx := line >> c.lineShift
+	idx := line >> memref.LineShift
 	if c.pow2 {
 		return idx & c.setMask
 	}

@@ -14,7 +14,7 @@ type classified struct {
 }
 
 func newClassified(size int64, assoc int) *classified {
-	c := New(Config{Name: "T", SizeBytes: size, Assoc: assoc, LineBytes: 64})
+	c := New(Config{Name: "T", SizeBytes: size, Assoc: assoc})
 	return &classified{c: c, cl: NewClassifier(int(size / 64))}
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"oltpsim/internal/memref"
 	"oltpsim/internal/snapshot"
 )
 
@@ -30,7 +31,7 @@ func (c *Cache) LoadState(d *snapshot.Decoder) error {
 	if len(ways) != len(c.ways) {
 		return fmt.Errorf("cache %s: snapshot has %d ways, want %d", c.cfg.Name, len(ways), len(c.ways))
 	}
-	low := uint64(c.cfg.LineBytes) - 1
+	low := uint64(memref.LineBytes) - 1
 	for i, w := range ways {
 		first := uint64(i) - uint64(i)%c.assoc
 		switch line := w &^ flagBits; {

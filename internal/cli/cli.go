@@ -24,7 +24,7 @@ func ParseSize(s string) (int64, error) {
 		s = strings.TrimSuffix(s, "K")
 	}
 	var v float64
-	if _, err := fmt.Sscanf(s, "%g", &v); err != nil || v <= 0 {
+	if _, err := fmt.Sscanf(s, "%g", &v); err != nil || !(v*float64(mult) >= 1) {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return int64(v * float64(mult)), nil
@@ -42,7 +42,7 @@ type MachineSpec struct {
 	OOO     bool   `json:"ooo,omitempty"`
 	RACSize string `json:"rac,omitempty"` // empty = no RAC
 	Repl    bool   `json:"repl,omitempty"`
-	Cores   int    `json:"cores,omitempty"` // cores per chip; 0/1 = paper configuration
+	Cores   int    `json:"cores,omitempty"` // cores per chip; 0 keeps the paper's 1
 	// Name, when non-empty, overrides the derived configuration name (the
 	// bar label in rendered figures).
 	Name string `json:"label,omitempty"`
@@ -74,19 +74,16 @@ func Build(spec MachineSpec) (core.Config, error) {
 	default:
 		return core.Config{}, fmt.Errorf("unknown level %q", spec.Level)
 	}
-	if spec.OOO {
-		cfg.OutOfOrder = true
-		cfg.OOO = core.DefaultOOO()
-	}
+	cfg.OutOfOrder = spec.OOO
 	if spec.RACSize != "" {
-		rs, err := ParseSize(spec.RACSize)
-		if err != nil {
+		if cfg.RACBytes, err = ParseSize(spec.RACSize); err != nil {
 			return core.Config{}, err
 		}
-		cfg.RAC = &core.RACConfig{SizeBytes: rs, Assoc: 8}
 	}
 	cfg.CodeReplication = spec.Repl
-	cfg.CoresPerChip = spec.Cores
+	if spec.Cores != 0 {
+		cfg.CoresPerChip = spec.Cores
+	}
 	if spec.Name != "" {
 		cfg.Name = spec.Name
 	}

@@ -22,6 +22,7 @@ func TestParseSize(t *testing.T) {
 		{"abc", 0, true},
 		{"-2M", 0, true},
 		{"0", 0, true},
+		{"0.5", 0, true}, // rounds to no bytes at all
 	}
 	for _, c := range cases {
 		got, err := ParseSize(c.in)
@@ -69,14 +70,31 @@ func TestBuildOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.OutOfOrder || cfg.OOO.Width != 4 {
+	if !cfg.OutOfOrder {
 		t.Fatal("OOO not configured")
 	}
-	if cfg.RAC == nil || cfg.RAC.SizeBytes != 8*core.MB {
+	if cfg.RACBytes != 8*core.MB {
 		t.Fatal("RAC not configured")
 	}
 	if !cfg.CodeReplication || cfg.CoresPerChip != 2 {
 		t.Fatal("replication/CMP not configured")
+	}
+}
+
+// TestBuildOneCoreSpelling: a one-core-per-chip machine has one spelling.
+// Cores 0 (the job-spec default) and 1 (the oltpsim flag default) both
+// build the constructor's machine, so a checkpoint or a deduplicated sweep
+// sees one fingerprint whichever way it was asked for.
+func TestBuildOneCoreSpelling(t *testing.T) {
+	want := core.FullConfig(8, 2*core.MB, 8).Fingerprint()
+	for _, cores := range []int{0, 1} {
+		cfg, err := Build(MachineSpec{Procs: 8, Level: "full", L2: "2M", Assoc: 8, Cores: cores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cfg.Fingerprint(); got != want {
+			t.Errorf("Cores %d: fingerprint\n%s\nwant the constructor's\n%s", cores, got, want)
+		}
 	}
 }
 
@@ -97,8 +115,10 @@ func TestBuildRejectsInvalid(t *testing.T) {
 	if _, err := Build(MachineSpec{Procs: 8, Level: "base", L2: "xx", Assoc: 1}); err == nil {
 		t.Fatal("bad size accepted")
 	}
-	if _, err := Build(MachineSpec{Procs: 8, Level: "base", L2: "8M", Assoc: 1, RACSize: "zz"}); err == nil {
-		t.Fatal("bad RAC size accepted")
+	for _, rac := range []string{"zz", "0.5"} {
+		if _, err := Build(MachineSpec{Procs: 8, Level: "base", L2: "8M", Assoc: 1, RACSize: rac}); err == nil {
+			t.Fatalf("bad RAC size %q accepted", rac)
+		}
 	}
 	if _, err := Build(MachineSpec{Procs: 8, Level: "base", L2: "8M", Assoc: 1, Cores: 3}); err == nil {
 		t.Fatal("non-dividing cores accepted")

@@ -20,6 +20,9 @@ func TestCMPValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("non-dividing CoresPerChip accepted")
 	}
+	if err := cmpCfg(8, 0).Validate(); err == nil {
+		t.Fatal("CoresPerChip 0 accepted")
+	}
 	if err := cmpCfg(8, 2).Validate(); err != nil {
 		t.Fatal(err)
 	}

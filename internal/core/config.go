@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"oltpsim/internal/cache"
+	"oltpsim/internal/rac"
 )
 
 // KB and MB are sizes in bytes.
@@ -12,35 +13,12 @@ const (
 	MB = int64(1) << 20
 )
 
-// RACConfig describes the optional off-chip remote access cache of paper
-// Section 6: a memory-backed cache of remote lines with on-chip tags.
-type RACConfig struct {
-	SizeBytes int64
-	Assoc     int
-}
-
-// OOOParams describes the out-of-order processor model (paper Section 7:
-// four-wide issue, four integer units, two load/store units, 64-entry
-// window).
-type OOOParams struct {
-	// Width is the issue/retire width.
-	Width int
-	// Window is the instruction window (ROB) size.
-	Window int
-	// MemPorts is the number of load/store units.
-	MemPorts int
-	// EffectiveWidth is the sustained issue rate on OLTP integer code,
-	// accounting for fetch stalls and branch mispredictions the reference
-	// stream abstracts away. OLTP has limited ILP (paper Section 7); the
-	// default is calibrated so that OOO gains ~1.4x uniprocessor over
-	// in-order, as the paper reports.
-	EffectiveWidth float64
-}
-
-// DefaultOOO returns the paper's out-of-order configuration.
-func DefaultOOO() OOOParams {
-	return OOOParams{Width: 4, Window: 64, MemPorts: 2, EffectiveWidth: 1.6}
-}
+// L1Bytes and L1Ways are the geometry of both L1 caches of every core
+// (paper Figure 2: 64 KB 2-way).
+const (
+	L1Bytes = 64 * KB
+	L1Ways  = 2
+)
 
 // Config describes one simulated machine (paper Figure 2 plus the
 // integration level under study).
@@ -51,9 +29,9 @@ type Config struct {
 	// paper, one per chip).
 	Processors int
 	// CoresPerChip groups cores onto chips sharing one L2/RAC/home node
-	// (0 or 1 = the paper's one-core chips). Values above 1 model the chip
-	// multiprocessing the paper's conclusion proposes as the next step; the
-	// CMP extension benchmark uses it.
+	// (1 = the paper's one-core chips, as every constructor sets it). Values
+	// above 1 model the chip multiprocessing the paper's conclusion proposes
+	// as the next step; the CMP extension benchmark uses it.
 	CoresPerChip int
 	// Level is the integration level under study.
 	Level IntegrationLevel
@@ -63,16 +41,12 @@ type Config struct {
 	// L2TechKind is the array technology (constrains what is realizable:
 	// ~2 MB on-chip SRAM, ~8 MB on-chip DRAM in 0.18um).
 	L2TechKind L2Tech
-	// L1SizeBytes and L1Assoc apply to both L1 caches (64 KB 2-way).
-	L1SizeBytes int64
-	L1Assoc     int
-	// RAC, when non-nil, adds a remote access cache (multiprocessor only).
-	RAC *RACConfig
-	// OutOfOrder selects the 4-wide OOO model instead of single-issue
-	// in-order.
+	// RACBytes, when nonzero, adds a remote access cache of that size
+	// (multiprocessor only; its associativity is rac.Ways).
+	RACBytes int64
+	// OutOfOrder selects the paper's 4-wide OOO model (cpu.NewOOO's
+	// defaults) instead of single-issue in-order.
 	OutOfOrder bool
-	// OOO parametrizes the OOO model when OutOfOrder is set.
-	OOO OOOParams
 	// CodeReplication turns on OS-based replication of code pages at every
 	// node (paper Section 6).
 	CodeReplication bool
@@ -104,14 +78,14 @@ func (c Config) Latencies() LatencyTable {
 	return Latencies(c.Level, c.L2Assoc, c.L2TechKind)
 }
 
-// L1CacheConfig returns the cache geometry for an L1.
-func (c Config) L1CacheConfig(name string) cache.Config {
-	return cache.Config{Name: name, SizeBytes: c.L1SizeBytes, Assoc: c.L1Assoc, LineBytes: 64}
+// l1Config returns the cache geometry for an L1.
+func l1Config(name string) cache.Config {
+	return cache.Config{Name: name, SizeBytes: L1Bytes, Assoc: L1Ways}
 }
 
 // L2CacheConfig returns the cache geometry for the L2.
 func (c Config) L2CacheConfig() cache.Config {
-	return cache.Config{Name: "L2", SizeBytes: c.L2SizeBytes, Assoc: c.L2Assoc, LineBytes: 64}
+	return cache.Config{Name: "L2", SizeBytes: c.L2SizeBytes, Assoc: c.L2Assoc}
 }
 
 // Validate reports configuration errors.
@@ -119,97 +93,83 @@ func (c Config) Validate() error {
 	if c.Processors <= 0 || c.Processors > 128 {
 		return fmt.Errorf("core: %d processors out of range", c.Processors)
 	}
-	if c.CoresPerChip < 0 || (c.CoresPerChip > 1 && c.Processors%c.CoresPerChip != 0) {
+	if c.CoresPerChip < 1 || c.Processors%c.CoresPerChip != 0 {
 		return fmt.Errorf("core: %d cores do not divide into chips of %d", c.Processors, c.CoresPerChip)
-	}
-	if err := c.L1CacheConfig("L1").Validate(); err != nil {
-		return err
 	}
 	if err := c.L2CacheConfig().Validate(); err != nil {
 		return err
 	}
-	if c.RAC != nil {
-		rc := cache.Config{Name: "RAC", SizeBytes: c.RAC.SizeBytes, Assoc: c.RAC.Assoc, LineBytes: 64}
-		if err := rc.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.OutOfOrder && (c.OOO.Width <= 0 || c.OOO.Window <= 0 || c.OOO.MemPorts <= 0) {
-		return fmt.Errorf("core: out-of-order parameters not set (use DefaultOOO)")
+	if c.RACBytes != 0 {
+		return rac.Geometry(c.RACBytes).Validate()
 	}
 	return nil
-}
-
-// withDefaults fills the fields shared by every paper configuration.
-func withDefaults(c Config) Config {
-	c.L1SizeBytes = 64 * KB
-	c.L1Assoc = 2
-	if c.OutOfOrder && c.OOO.Width == 0 {
-		c.OOO = DefaultOOO()
-	}
-	return c
 }
 
 // BaseConfig is the paper's "Base": everything off-chip, 8 MB L2 by
 // default, aggressive latencies.
 func BaseConfig(procs int, l2Size int64, l2Assoc int) Config {
-	return withDefaults(Config{
-		Name:        fmt.Sprintf("Base %s%dw", sizeLabel(l2Size), l2Assoc),
-		Processors:  procs,
-		Level:       Base,
-		L2SizeBytes: l2Size,
-		L2Assoc:     l2Assoc,
-		L2TechKind:  OffChipSRAM,
-	})
+	return Config{
+		Name:         fmt.Sprintf("Base %s%dw", sizeLabel(l2Size), l2Assoc),
+		Processors:   procs,
+		CoresPerChip: 1,
+		Level:        Base,
+		L2SizeBytes:  l2Size,
+		L2Assoc:      l2Assoc,
+		L2TechKind:   OffChipSRAM,
+	}
 }
 
 // ConservativeConfig is the paper's "Conservative Base" (8 MB 4-way in the
 // figures).
 func ConservativeConfig(procs int) Config {
-	return withDefaults(Config{
-		Name:        "Cons 8M4w",
-		Processors:  procs,
-		Level:       ConservativeBase,
-		L2SizeBytes: 8 * MB,
-		L2Assoc:     4,
-		L2TechKind:  OffChipSRAM,
-	})
+	return Config{
+		Name:         "Cons 8M4w",
+		Processors:   procs,
+		CoresPerChip: 1,
+		Level:        ConservativeBase,
+		L2SizeBytes:  8 * MB,
+		L2Assoc:      4,
+		L2TechKind:   OffChipSRAM,
+	}
 }
 
 // IntegratedL2Config integrates the L2 on die (SRAM or DRAM array).
 func IntegratedL2Config(procs int, l2Size int64, l2Assoc int, tech L2Tech) Config {
-	return withDefaults(Config{
-		Name:        fmt.Sprintf("L2 %s%dw", sizeLabel(l2Size), l2Assoc),
-		Processors:  procs,
-		Level:       IntegratedL2,
-		L2SizeBytes: l2Size,
-		L2Assoc:     l2Assoc,
-		L2TechKind:  tech,
-	})
+	return Config{
+		Name:         fmt.Sprintf("L2 %s%dw", sizeLabel(l2Size), l2Assoc),
+		Processors:   procs,
+		CoresPerChip: 1,
+		Level:        IntegratedL2,
+		L2SizeBytes:  l2Size,
+		L2Assoc:      l2Assoc,
+		L2TechKind:   tech,
+	}
 }
 
 // L2MCConfig integrates the L2 and memory controller.
 func L2MCConfig(procs int, l2Size int64, l2Assoc int) Config {
-	return withDefaults(Config{
-		Name:        fmt.Sprintf("L2+MC %s%dw", sizeLabel(l2Size), l2Assoc),
-		Processors:  procs,
-		Level:       IntegratedL2MC,
-		L2SizeBytes: l2Size,
-		L2Assoc:     l2Assoc,
-		L2TechKind:  OnChipSRAM,
-	})
+	return Config{
+		Name:         fmt.Sprintf("L2+MC %s%dw", sizeLabel(l2Size), l2Assoc),
+		Processors:   procs,
+		CoresPerChip: 1,
+		Level:        IntegratedL2MC,
+		L2SizeBytes:  l2Size,
+		L2Assoc:      l2Assoc,
+		L2TechKind:   OnChipSRAM,
+	}
 }
 
 // FullConfig integrates everything (Alpha 21364-like).
 func FullConfig(procs int, l2Size int64, l2Assoc int) Config {
-	return withDefaults(Config{
-		Name:        fmt.Sprintf("All %s%dw", sizeLabel(l2Size), l2Assoc),
-		Processors:  procs,
-		Level:       FullIntegration,
-		L2SizeBytes: l2Size,
-		L2Assoc:     l2Assoc,
-		L2TechKind:  OnChipSRAM,
-	})
+	return Config{
+		Name:         fmt.Sprintf("All %s%dw", sizeLabel(l2Size), l2Assoc),
+		Processors:   procs,
+		CoresPerChip: 1,
+		Level:        FullIntegration,
+		L2SizeBytes:  l2Size,
+		L2Assoc:      l2Assoc,
+		L2TechKind:   OnChipSRAM,
+	}
 }
 
 func sizeLabel(b int64) string {

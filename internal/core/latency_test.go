@@ -113,7 +113,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("bad L2 size accepted")
 	}
 	cfg = BaseConfig(8, 8*MB, 1)
-	cfg.RAC = &RACConfig{SizeBytes: 100, Assoc: 3}
+	cfg.RACBytes = 100
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("bad RAC accepted")
 	}

@@ -19,22 +19,17 @@ type SnapshotState interface {
 
 // Fingerprint canonicalizes the configuration minus its display name: two
 // configs with equal fingerprints build machines of identical shape, which is
-// the precondition for restoring a snapshot. Pointer fields are dereferenced
-// so the fingerprint depends on values, never addresses.
+// the precondition for restoring a snapshot. The latency override is
+// dereferenced so the fingerprint depends on values, never addresses.
 func (c Config) Fingerprint() string {
 	flat := c
 	flat.Name = ""
-	flat.RAC = nil
 	flat.LatencyOverride = nil
-	rac := "nil"
-	if c.RAC != nil {
-		rac = fmt.Sprintf("%+v", *c.RAC)
-	}
 	lat := "nil"
 	if c.LatencyOverride != nil {
 		lat = fmt.Sprintf("%+v", *c.LatencyOverride)
 	}
-	return fmt.Sprintf("%+v rac=%s lat=%s", flat, rac, lat)
+	return fmt.Sprintf("%+v lat=%s", flat, lat)
 }
 
 // Save writes the complete machine state — caches, directory, CPU models,

@@ -145,9 +145,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		return nil, err
 	}
 	cores := cfg.CoresPerChip
-	if cores == 0 {
-		cores = 1
-	}
 	chips := cfg.Processors / cores
 	s := &System{cfg: cfg, fingerprint: cfg.Fingerprint(), lat: cfg.Latencies(), w: w, chips: chips, cores: cores}
 	if rs, ok := w.(RefSource); ok {
@@ -164,26 +161,21 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			l2: cache.New(cfg.L2CacheConfig()),
 			vb: cache.NewVictimBuffer(cfg.VictimBuffers),
 		}
-		if cfg.RAC != nil {
+		if cfg.RACBytes != 0 {
 			if chips == 1 {
 				return nil, fmt.Errorf("core: a RAC caches remote lines and needs a multiprocessor")
 			}
-			n.rc = rac.New(cfg.RAC.SizeBytes, cfg.RAC.Assoc)
+			n.rc = rac.New(cfg.RACBytes)
 		}
 		for c := 0; c < cores; c++ {
 			cc := &coreCtx{
 				cpuID: i*cores + c,
-				l1i:   cache.New(cfg.L1CacheConfig("L1I")),
-				l1d:   cache.New(cfg.L1CacheConfig("L1D")),
+				l1i:   cache.New(l1Config("L1I")),
+				l1d:   cache.New(l1Config("L1D")),
 				chip:  n,
 			}
 			if cfg.OutOfOrder {
-				cc.model = cpu.NewOOO(cpu.OOOConfig{
-					Width:          cfg.OOO.Width,
-					Window:         cfg.OOO.Window,
-					MemPorts:       cfg.OOO.MemPorts,
-					EffectiveWidth: cfg.OOO.EffectiveWidth,
-				})
+				cc.model = cpu.NewOOO(cpu.OOOConfig{})
 			} else {
 				cc.inorder = cpu.NewInOrder()
 				cc.model = cc.inorder

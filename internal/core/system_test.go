@@ -217,7 +217,7 @@ func TestCoherenceGlobalInvariant(t *testing.T) {
 
 func TestRACRequiresMultiprocessor(t *testing.T) {
 	cfg := smallCfg(1)
-	cfg.RAC = &RACConfig{SizeBytes: 8 * MB, Assoc: 8}
+	cfg.RACBytes = 8 * MB
 	if _, err := NewSystem(cfg, newScript(1)); err == nil {
 		t.Fatal("uniprocessor RAC accepted")
 	}
@@ -227,7 +227,7 @@ func TestRACCapturesRemoteVictims(t *testing.T) {
 	cfg := smallCfg(2)
 	cfg.L2SizeBytes = 64 * KB // tiny L2, lots of victims
 	cfg.L2Assoc = 1
-	cfg.RAC = &RACConfig{SizeBytes: 1 * MB, Assoc: 8}
+	cfg.RACBytes = 1 * MB
 	src := newScript(2)
 	// CPU0 streams over remote lines twice: the second pass hits the RAC.
 	for pass := 0; pass < 2; pass++ {

@@ -86,7 +86,9 @@ const (
 )
 
 // NewOOO builds the model; zero-valued fields of cfg take the paper's
-// defaults (4-wide, 64-entry, 2 ports, effective width 2.0).
+// defaults (4-wide, 64-entry window, 2 load/store units, effective width
+// 1.6, chain fraction 0.85). This is the one definition of the paper's OOO
+// core: core.Config.OutOfOrder builds NewOOO(OOOConfig{}).
 func NewOOO(cfg OOOConfig) *OOO {
 	if cfg.Width == 0 {
 		cfg.Width = 4

@@ -56,7 +56,7 @@ func badBalanceTables() [][]byte {
 // cache's load refuses it.
 func duplicateLineMachine() []byte {
 	cfg := core.BaseConfig(1, 1*core.MB, 1)
-	l1i := make([]uint64, cfg.L1SizeBytes/64)
+	l1i := make([]uint64, core.L1Bytes/64)
 	l1i[0] = uint64(cache.Modified)<<1 | 1
 	l1i[1] = l1i[0]
 	w := snapshot.NewWriter()
@@ -104,6 +104,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(withVersion(steady, 1))
 	f.Add(withVersion(steady, 2))
 	f.Add(withVersion(steady, 3))
+	f.Add(withVersion(steady, 4))
 	f.Add(encodedCheckpoint(f, checkpoint{
 		pos:    posWarmed,
 		proto:  protocol{warmup: 90, measure: 180, quick: true},

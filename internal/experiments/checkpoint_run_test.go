@@ -294,7 +294,7 @@ func withVersion(data []byte, v uint32) []byte {
 
 // TestOutdatedCheckpointRefused: a container in the format-1 layout, steady
 // or phased, is refused on resume with an error naming the outdated format,
-// and a current container written in snapshot version 1, 2 or 3 with an
+// and a current container written in snapshot version 1, 2, 3 or 4 with an
 // error naming that version, before any machine state is touched.
 func TestOutdatedCheckpointRefused(t *testing.T) {
 	cfg := core.BaseConfig(1, 1*core.MB, 1)
@@ -315,7 +315,7 @@ func TestOutdatedCheckpointRefused(t *testing.T) {
 	}
 
 	_, cks := checkpointsOf(t, o, cfg, 0)
-	for _, v := range []uint32{1, 2, 3} {
+	for _, v := range []uint32{1, 2, 3, 4} {
 		_, _, err := o.Execute(cfg, CheckpointRun{Resume: withVersion(cks[0], v)})
 		if want := fmt.Sprintf("outdated checkpoint (snapshot version %d", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("snapshot version %d: resume error %v, want the outdated version named", v, err)

@@ -135,7 +135,7 @@ func TestRACMissMix(t *testing.T) {
 	mk := func(withRAC, repl bool) core.Config {
 		cfg := core.FullConfig(8, 1*core.MB, 4)
 		if withRAC {
-			cfg.RAC = &core.RACConfig{SizeBytes: 8 * core.MB, Assoc: 8}
+			cfg.RACBytes = 8 * core.MB
 		}
 		cfg.CodeReplication = repl
 		return cfg
@@ -175,7 +175,7 @@ func TestRACUselessWithBigL2(t *testing.T) {
 		cfg := core.FullConfig(8, 2*core.MB, 8)
 		cfg.CodeReplication = true
 		if withRAC {
-			cfg.RAC = &core.RACConfig{SizeBytes: 8 * core.MB, Assoc: 8}
+			cfg.RACBytes = 8 * core.MB
 		}
 		return cfg
 	}
@@ -193,7 +193,6 @@ func TestOOORelativeGains(t *testing.T) {
 	o := testOptions()
 	ooo := func(cfg core.Config) core.Config {
 		cfg.OutOfOrder = true
-		cfg.OOO = core.DefaultOOO()
 		return cfg
 	}
 	baseIO := o.Run(core.BaseConfig(1, 8*core.MB, 1))

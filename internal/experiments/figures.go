@@ -162,7 +162,7 @@ func integrationLadder(procs int, full bool) []core.Config {
 func racConfig(l2Size int64, l2Assoc int, withRAC, repl bool, name string) core.Config {
 	cfg := core.FullConfig(8, l2Size, l2Assoc)
 	if withRAC {
-		cfg.RAC = &core.RACConfig{SizeBytes: 8 * core.MB, Assoc: 8}
+		cfg.RACBytes = 8 * core.MB
 	}
 	cfg.CodeReplication = repl
 	cfg.Name = name
@@ -174,7 +174,6 @@ func racConfig(l2Size int64, l2Assoc int, withRAC, repl bool, name string) core.
 func oooLadder(procs int, full bool) []core.Config {
 	mk := func(cfg core.Config, name string) core.Config {
 		cfg.OutOfOrder = true
-		cfg.OOO = core.DefaultOOO()
 		cfg.Name = name
 		return cfg
 	}

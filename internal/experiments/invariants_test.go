@@ -53,7 +53,6 @@ func invariantConfigs() []core.Config {
 
 	ooo := core.BaseConfig(8, 8*core.MB, 1)
 	ooo.OutOfOrder = true
-	ooo.OOO = core.DefaultOOO()
 	ooo.Name = "Base OOO"
 	cfgs = append(cfgs, ooo)
 	return cfgs
@@ -105,9 +104,6 @@ func checkConservation(t *testing.T, cfg core.Config, sys *core.System, res stat
 	// counted miss left the L2 tags, so table misses <= L2 tag misses
 	// (victim-buffer hits are tag misses the table deliberately skips).
 	cores := cfg.CoresPerChip
-	if cores == 0 {
-		cores = 1
-	}
 	var l1Misses, l2Accesses, l2Misses uint64
 	for cpu := 0; cpu < cfg.Processors; cpu++ {
 		l1Misses += sys.L1I(cpu).Misses() + sys.L1D(cpu).Misses()
@@ -139,7 +135,7 @@ func checkConservation(t *testing.T, cfg core.Config, sys *core.System, res stat
 	if res.RACHits > res.RACProbes {
 		t.Errorf("RAC hits %d exceed probes %d", res.RACHits, res.RACProbes)
 	}
-	if cfg.RAC == nil && res.RACProbes != 0 {
+	if cfg.RACBytes == 0 && res.RACProbes != 0 {
 		t.Errorf("RAC probes %d on a machine without a RAC", res.RACProbes)
 	}
 

@@ -111,7 +111,7 @@ func checkSegment(t *testing.T, cfg core.Config, seg *stats.RunResult) {
 	if seg.RACHits > seg.RACProbes {
 		t.Errorf("phase %q: RAC hits %d exceed probes %d", seg.Name, seg.RACHits, seg.RACProbes)
 	}
-	if cfg.RAC == nil && seg.RACProbes != 0 {
+	if cfg.RACBytes == 0 && seg.RACProbes != 0 {
 		t.Errorf("phase %q: RAC probes %d on a machine without a RAC", seg.Name, seg.RACProbes)
 	}
 	if seg.WriteInvalOps > seg.Stores {

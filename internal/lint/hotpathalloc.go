@@ -78,9 +78,6 @@ type hotPathAlloc struct {
 // collect publishes every //oltpvet:coldpath annotation in the package as a
 // fact, keyed by the annotated function, so exemptions are enumerable.
 func (h *hotPathAlloc) collect(pass *Pass) {
-	if pass.Prog == nil {
-		return
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -129,9 +126,6 @@ func (h *hotPathAlloc) hotFor(prog *Program) map[*Node]bool {
 }
 
 func (h *hotPathAlloc) run(pass *Pass) {
-	if pass.Prog == nil {
-		return
-	}
 	hot := h.hotFor(pass.Prog)
 	for _, n := range pass.Prog.CallGraph().Nodes() {
 		if !hot[n] || n.Pkg == nil || n.Pkg.Path != pass.Path || n.Body() == nil {

@@ -103,9 +103,7 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	Files []*ast.File
-	// Prog is the whole-program context (call graph, facts); nil when the
-	// analyzer runs through the legacy single-package Run entry point, in
-	// which case program-scoped analyzers do nothing.
+	// Prog is the whole-program context (call graph, facts).
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -126,33 +124,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // seed or a wall-clock read there is an explicit user-facing choice.
 func (p *Pass) Internal() bool {
 	return strings.Contains(p.Path, "internal/")
-}
-
-// Run applies the analyzers to one loaded package and returns the surviving
-// diagnostics: suppressed findings are removed, and malformed allow comments
-// are themselves reported.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Path:     pkg.Path,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Files:    pkg.Files,
-			diags:    &diags,
-		}
-		if a.Collect != nil {
-			a.Collect(pass)
-		}
-		if a.Run != nil {
-			a.Run(pass)
-		}
-	}
-	diags = suppress(pkg, diags)
-	sortDiagnostics(diags)
-	return diags
 }
 
 func sortDiagnostics(diags []Diagnostic) {

@@ -24,20 +24,6 @@ func testLoader(t *testing.T) *Loader {
 
 const fixturePrefix = "oltpsim/internal/lint/testdata/"
 
-// loadFixture type-checks one fixture package and fails the test on any
-// type error: a fixture that does not compile proves nothing.
-func loadFixture(t *testing.T, ld *Loader, name string) *Package {
-	t.Helper()
-	pkg, err := ld.Load(fixturePrefix + name)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-	if len(pkg.TypeErrors) > 0 {
-		t.Fatalf("fixture %s does not type-check: %v", name, pkg.TypeErrors)
-	}
-	return pkg
-}
-
 var wantRe = regexp.MustCompile(`"([^"]*)"`)
 
 // wantsOf extracts `// want "substring"` expectations from a fixture,
@@ -62,35 +48,6 @@ func wantsOf(pkg *Package) map[string][]string {
 	return wants
 }
 
-// checkFixture runs the analyzers over the fixture and matches diagnostics
-// against the want comments exactly: every diagnostic must be wanted, every
-// want must fire.
-func checkFixture(t *testing.T, pkg *Package, analyzers []*Analyzer) {
-	t.Helper()
-	wants := wantsOf(pkg)
-	for _, d := range Run(pkg, analyzers) {
-		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
-		matched := false
-		rest := wants[key][:0:0]
-		for _, w := range wants[key] {
-			if !matched && strings.Contains(d.Message, w) {
-				matched = true
-				continue
-			}
-			rest = append(rest, w)
-		}
-		wants[key] = rest
-		if !matched {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for key, ws := range wants {
-		for _, w := range ws {
-			t.Errorf("%s: expected diagnostic matching %q did not fire", key, w)
-		}
-	}
-}
-
 // TestAnalyzersOnFixtures is the table-driven failing-fixture suite: each
 // analyzer must catch its target pattern (including the `Uint64() % n`
 // regression that PR 1 fixed) and stay quiet on the legal variants beside
@@ -109,10 +66,9 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"counterowner/real", []*Analyzer{NewCounterOwner(StatsPkgPath)}},
 		{"goroutine", []*Analyzer{NewGoroutineDiscipline([]string{"testdata/goroutine/approved.go"})}},
 	}
-	ld := testLoader(t)
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.fixture, "/", "_"), func(t *testing.T) {
-			checkFixture(t, loadFixture(t, ld, tc.fixture), tc.analyzers)
+			checkProgFixture(t, tc.fixture, tc.analyzers)
 		})
 	}
 }
@@ -124,9 +80,8 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 // itself reported, and a marker separated from the code by a blank line
 // reaches nothing.
 func TestAllowComments(t *testing.T) {
-	ld := testLoader(t)
-	pkg := loadFixture(t, ld, "allow")
-	diags := Run(pkg, []*Analyzer{NewDeterminism()})
+	prog, path := progFixture(t, "allow")
+	diags := prog.Run([]*Analyzer{NewDeterminism()}, path)
 	if len(diags) != 3 {
 		t.Fatalf("want exactly 3 diagnostics (bare allow + its unsuppressed time.Now + detached time.Now), got %d:\n%v", len(diags), diags)
 	}

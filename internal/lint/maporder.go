@@ -101,9 +101,6 @@ func (mo *mapOrder) scopeFor(prog *Program) map[*Node]bool {
 }
 
 func (mo *mapOrder) run(pass *Pass) {
-	if pass.Prog == nil {
-		return
-	}
 	scope := mo.scopeFor(pass.Prog)
 	for _, n := range pass.Prog.CallGraph().Nodes() {
 		if !scope[n] || n.Pkg == nil || n.Pkg.Path != pass.Path {

@@ -7,7 +7,9 @@ import (
 	"testing"
 )
 
-// progFixture loads one fixture package into a whole-program pass.
+// progFixture loads one fixture package into a whole-program pass, failing
+// the test on any type error: a fixture that does not compile proves
+// nothing.
 func progFixture(t *testing.T, name string) (*Program, string) {
 	t.Helper()
 	ld := testLoader(t)
@@ -26,10 +28,11 @@ func progFixture(t *testing.T, name string) (*Program, string) {
 }
 
 // checkProgFixture runs analyzers over a fixture through the Program driver
-// and matches diagnostics against want comments the same way checkFixture
-// does. extra lists substrings of diagnostics expected on lines a want
-// comment cannot sit on (the annotation scanner reports bare markers on
-// their own comment line); each must fire exactly once.
+// and matches diagnostics against the want comments exactly: every
+// diagnostic must be wanted, every want must fire. extra lists substrings
+// of diagnostics expected on lines a want comment cannot sit on (the
+// annotation scanner reports bare markers on their own comment line); each
+// must fire exactly once.
 func checkProgFixture(t *testing.T, name string, analyzers []*Analyzer, extra ...string) {
 	t.Helper()
 	prog, path := progFixture(t, name)

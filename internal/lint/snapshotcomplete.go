@@ -74,9 +74,6 @@ type pairMethods struct {
 }
 
 func (sc *snapshotComplete) collect(pass *Pass) {
-	if pass.Prog == nil {
-		return
-	}
 	sc.pending[pass.Path] = nil
 	report := func(pos token.Pos, format string, args ...any) {
 		sc.pending[pass.Path] = append(sc.pending[pass.Path], Diagnostic{

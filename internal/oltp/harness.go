@@ -98,11 +98,7 @@ func NewHarness(p Params) (*Harness, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cores := p.CoresPerChip
-	if cores == 0 {
-		cores = 1
-	}
-	h := &Harness{p: p, chips: p.CPUs / cores}
+	h := &Harness{p: p, chips: p.CPUs / p.CoresPerChip}
 	h.as = kernel.NewAddressSpace(h.chips)
 	alloc := &spaceAlloc{
 		as:       h.as,
@@ -227,13 +223,7 @@ func (h *Harness) Scheduler() *kernel.Scheduler { return h.sched }
 func (h *Harness) AddressSpace() *kernel.AddressSpace { return h.as }
 
 // chipOf maps a CPU index to its chip (NUMA node).
-func (h *Harness) chipOf(cpu int) int {
-	cores := h.p.CoresPerChip
-	if cores == 0 {
-		cores = 1
-	}
-	return cpu / cores
-}
+func (h *Harness) chipOf(cpu int) int { return cpu / h.p.CoresPerChip }
 
 // emitContextSwitch is the scheduler's switch-overhead hook: the kernel
 // context-switch path plus the CPU's run-queue and per-CPU data.

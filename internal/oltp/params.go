@@ -12,7 +12,7 @@ type Params struct {
 	// CPUs is the number of cores (matches core.Config.Processors).
 	CPUs int
 	// CoresPerChip groups cores onto chips; the address space then has
-	// CPUs/CoresPerChip NUMA nodes (0 or 1 = one core per chip).
+	// CPUs/CoresPerChip NUMA nodes (1 = one core per chip, the paper's).
 	CoresPerChip int
 	// ServersPerCPU is the dedicated-server multiprogramming level (paper:
 	// 8 per processor, to hide I/O latencies).
@@ -53,6 +53,7 @@ type Params struct {
 func DefaultParams(cpus int) Params {
 	return Params{
 		CPUs:            cpus,
+		CoresPerChip:    1,
 		ServersPerCPU:   8,
 		Seed:            0x5eed_0217_beef_cafe,
 		TPCB:            tpcb.DefaultConfig(),
@@ -82,7 +83,7 @@ func (p Params) Validate() error {
 	if p.CPUs <= 0 {
 		return fmt.Errorf("oltp: CPUs must be positive")
 	}
-	if p.CoresPerChip < 0 || (p.CoresPerChip > 1 && p.CPUs%p.CoresPerChip != 0) {
+	if p.CoresPerChip < 1 || p.CPUs%p.CoresPerChip != 0 {
 		return fmt.Errorf("oltp: %d CPUs do not divide into chips of %d", p.CPUs, p.CoresPerChip)
 	}
 	if p.ServersPerCPU <= 0 {

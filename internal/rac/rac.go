@@ -35,6 +35,15 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Probes)
 }
 
+// Ways is the RAC's associativity: 8-way at every size, as in paper
+// Section 6.
+const Ways = 8
+
+// Geometry returns the tag-array geometry of a RAC of sizeBytes.
+func Geometry(sizeBytes int64) cache.Config {
+	return cache.Config{Name: "RAC", SizeBytes: sizeBytes, Assoc: Ways}
+}
+
 // RAC is one node's remote access cache.
 type RAC struct {
 	c *cache.Cache
@@ -44,9 +53,9 @@ type RAC struct {
 	Stats    Stats
 }
 
-// New builds a RAC of the given geometry.
-func New(sizeBytes int64, assoc int) *RAC {
-	c := cache.New(cache.Config{Name: "RAC", SizeBytes: sizeBytes, Assoc: assoc, LineBytes: memref.LineBytes})
+// New builds a RAC of sizeBytes.
+func New(sizeBytes int64) *RAC {
+	c := cache.New(Geometry(sizeBytes))
 	// Tag cost: ~5 bytes of tag+state per 64-byte line (the paper argues an
 	// 8 MB RAC's tags displace ~0.25 MB of on-chip L2).
 	lines := sizeBytes / memref.LineBytes

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTakeIsExclusive(t *testing.T) {
-	r := New(64*64, 8)
+	r := New(64 * 64)
 	r.Insert(128, cache.Shared)
 	st, ok := r.Take(128)
 	if !ok || st != cache.Shared {
@@ -22,7 +22,7 @@ func TestTakeIsExclusive(t *testing.T) {
 }
 
 func TestInsertEviction(t *testing.T) {
-	r := New(8*64, 8) // one set, 8 ways
+	r := New(8 * 64) // one set, 8 ways
 	for i := uint64(0); i < 8; i++ {
 		if _, vst := r.Insert(i*64, cache.Modified); vst != cache.Invalid {
 			t.Fatal("premature eviction")
@@ -38,7 +38,7 @@ func TestInsertEviction(t *testing.T) {
 }
 
 func TestInvalidateAndDowngrade(t *testing.T) {
-	r := New(64*64, 8)
+	r := New(64 * 64)
 	r.Insert(64, cache.Modified)
 	if !r.Downgrade(64) {
 		t.Fatal("Downgrade failed")
@@ -58,7 +58,7 @@ func TestInvalidateAndDowngrade(t *testing.T) {
 }
 
 func TestHitRate(t *testing.T) {
-	r := New(64*64, 8)
+	r := New(64 * 64)
 	if r.Stats.HitRate() != 0 {
 		t.Fatal("hit rate of fresh RAC not 0")
 	}
@@ -72,14 +72,14 @@ func TestHitRate(t *testing.T) {
 
 func TestTagCost(t *testing.T) {
 	// Paper Section 6: the 8 MB RAC's on-chip tags displace ~0.25 MB of L2.
-	r := New(8<<20, 8)
+	r := New(8 << 20)
 	if r.TagBytes < 256<<10 || r.TagBytes > 1<<20 {
 		t.Fatalf("tag cost %d bytes implausible for an 8 MB RAC", r.TagBytes)
 	}
 }
 
 func TestResetStats(t *testing.T) {
-	r := New(64*64, 8)
+	r := New(64 * 64)
 	r.Insert(0, cache.Shared)
 	r.Take(0)
 	r.ResetStats()

@@ -498,9 +498,9 @@ func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
 // TestRecoveryFailsOutdatedCheckpoint pins what a restart does with an
 // in-flight job whose checkpoint.bin was written by an older server: in the
 // format-1 layout ("protocol" and "system" sections), or in the current
-// layout under snapshot version 1, 2 or 3. The resume is refused, and the job
-// ends failed with the outdated format or version named — no panic, and no
-// silent restart from scratch.
+// layout under snapshot version 1, 2, 3 or 4. The resume is refused, and
+// the job ends failed with the outdated format or version named — no
+// panic, and no silent restart from scratch.
 func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 	spec, cfgs, err := DecodeJobSpec(strings.NewReader(smokeSpec()))
 	if err != nil {
@@ -542,6 +542,7 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 		{"snapshot version 1", "outdated checkpoint (snapshot version 1", stamped(1)},
 		{"snapshot version 2", "outdated checkpoint (snapshot version 2", stamped(2)},
 		{"snapshot version 3", "outdated checkpoint (snapshot version 3", stamped(3)},
+		{"snapshot version 4", "outdated checkpoint (snapshot version 4", stamped(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

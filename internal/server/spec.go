@@ -130,7 +130,7 @@ func (s *JobSpec) Configs() ([]core.Config, error) {
 		if cfg.L2SizeBytes <= 0 || cfg.L2SizeBytes > maxCacheBytes {
 			return nil, fmt.Errorf("job spec: machine %d: L2 size out of range", i)
 		}
-		if cfg.RAC != nil && (cfg.RAC.SizeBytes <= 0 || cfg.RAC.SizeBytes > maxCacheBytes) {
+		if cfg.RACBytes > maxCacheBytes {
 			return nil, fmt.Errorf("job spec: machine %d: RAC size out of range", i)
 		}
 		cfgs[i] = cfg

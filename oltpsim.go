@@ -54,12 +54,6 @@ type LatencyTable = core.LatencyTable
 // CrossingModel derives latency tables from per-component costs.
 type CrossingModel = core.CrossingModel
 
-// RACConfig describes a remote access cache (paper Section 6).
-type RACConfig = core.RACConfig
-
-// OOOParams describes the out-of-order processor (paper Section 7).
-type OOOParams = core.OOOParams
-
 // IntegrationLevel enumerates the integration steps under study.
 type IntegrationLevel = core.IntegrationLevel
 
@@ -121,7 +115,6 @@ var (
 	IntegratedL2Config    = core.IntegratedL2Config
 	L2MCConfig            = core.L2MCConfig
 	FullIntegrationConfig = core.FullConfig
-	DefaultOOO            = core.DefaultOOO
 )
 
 // Latency model entry points.
