@@ -232,7 +232,7 @@ func BenchmarkAblationContention(b *testing.B) {
 		queued = rQueued.CyclesPerTxn()
 	}
 	b.StopTimer()
-	b.Logf("\ncontention layer: flat %.0f, queued %.0f cycles/txn (+%.1f%%)", flat, queued, 100*(queued/flat-1))
+	b.Logf("\ncontention layer: flat %.0f, queued %.0f cycles/txn (%+.1f%%)", flat, queued, 100*(queued/flat-1))
 	b.ReportMetric(queued/flat, "contention-slowdown")
 }
 

@@ -57,8 +57,7 @@ func (c *Cache) LoadState(d *snapshot.Decoder) error {
 	return nil
 }
 
-// SaveState writes the victim buffer contents, replacement cursor, and
-// counters.
+// SaveState writes the victim buffer contents and replacement cursor.
 func (v *VictimBuffer) SaveState(e *snapshot.Encoder) {
 	e.Int(len(v.entries))
 	for _, ent := range v.entries {
@@ -66,8 +65,6 @@ func (v *VictimBuffer) SaveState(e *snapshot.Encoder) {
 		e.U8(uint8(ent.state))
 	}
 	e.Int(v.next)
-	e.U64(v.Hits)
-	e.U64(v.Probes)
 }
 
 // LoadState restores a buffer of identical size.
@@ -84,8 +81,6 @@ func (v *VictimBuffer) LoadState(d *snapshot.Decoder) error {
 		entries[i] = victimEntry{line: d.U64(), state: State(d.U8())}
 	}
 	next := d.Int()
-	hits := d.U64()
-	probes := d.U64()
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -97,12 +92,7 @@ func (v *VictimBuffer) LoadState(d *snapshot.Decoder) error {
 	if (n == 0 && next != 0) || (n > 0 && (next < 0 || next >= n)) {
 		return fmt.Errorf("victim buffer: cursor %d out of range for %d entries", next, n)
 	}
-	if hits > probes {
-		return fmt.Errorf("victim buffer: %d hits exceed %d probes", hits, probes)
-	}
 	copy(v.entries, entries)
 	v.next = next
-	v.Hits = hits
-	v.Probes = probes
 	return nil
 }

@@ -11,9 +11,6 @@ package cache
 type VictimBuffer struct {
 	entries []victimEntry
 	next    int // round-robin (FIFO) replacement
-
-	Hits   uint64
-	Probes uint64
 }
 
 type victimEntry struct {
@@ -46,12 +43,10 @@ func (v *VictimBuffer) Put(line uint64, st State) (displaced uint64, dstate Stat
 
 // Take removes and returns the state of line if buffered.
 func (v *VictimBuffer) Take(line uint64) (State, bool) {
-	v.Probes++
 	for i := range v.entries {
 		if v.entries[i].state != Invalid && v.entries[i].line == line {
 			st := v.entries[i].state
 			v.entries[i].state = Invalid
-			v.Hits++
 			return st, true
 		}
 	}

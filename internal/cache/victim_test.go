@@ -14,9 +14,6 @@ func TestVictimBufferPutTake(t *testing.T) {
 	if _, ok := v.Take(100); ok {
 		t.Fatal("second Take found the removed line")
 	}
-	if v.Hits != 1 || v.Probes != 2 {
-		t.Fatalf("stats: hits %d probes %d", v.Hits, v.Probes)
-	}
 }
 
 func TestVictimBufferDisplacement(t *testing.T) {

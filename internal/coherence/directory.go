@@ -146,14 +146,10 @@ type Result struct {
 // Stats aggregates protocol activity. All counters are monotonically
 // increasing until ResetStats.
 type Stats struct {
-	Reads          [NumCategories]uint64
-	Writes         [NumCategories]uint64
-	Upgrades       uint64
-	Invalidations  uint64
-	Writebacks     uint64 // dirty data returned to home memory
-	ReplHints      uint64 // clean-eviction notifications
-	RACMigrations  uint64 // lines retired from an L2 into a RAC
-	ExclusiveGrant uint64 // reads granted E because the line was uncached
+	Reads         [NumCategories]uint64
+	Writes        [NumCategories]uint64 // write misses; upgrades are not counted
+	Invalidations uint64
+	Writebacks    uint64 // dirty data returned to home memory
 }
 
 // Directory is the full-map directory for the whole machine. Entries are
@@ -281,7 +277,6 @@ func (d *Directory) Read(line uint64, node int) Result {
 		e.dirty = false
 		e.inRAC = false
 		res.Grant = cache.Exclusive
-		d.Stats.ExclusiveGrant++
 	}
 
 	*p = e
@@ -335,9 +330,7 @@ func (d *Directory) Write(line uint64, node int) Result {
 	*p = e
 
 	d.Stats.Invalidations += uint64(res.Invalidations)
-	if res.Upgrade {
-		d.Stats.Upgrades++
-	} else {
+	if !res.Upgrade {
 		d.Stats.Writes[res.Cat]++
 	}
 	res.Grant = cache.Modified
@@ -370,7 +363,6 @@ func (d *Directory) EvictClean(line uint64, node int) {
 	}
 	e.sharers.remove(node)
 	d.storeOrDelete(line, e)
-	d.Stats.ReplHints++
 }
 
 // MoveToRAC records that node's copy of line migrated from its L2 into its
@@ -380,7 +372,6 @@ func (d *Directory) MoveToRAC(line uint64, node int) {
 	if p := d.entries.find(line); p != nil && p.hasOwner() && p.ownerNode() == node {
 		p.inRAC = true
 	}
-	d.Stats.RACMigrations++
 }
 
 // MoveToL2 records the reverse migration (a RAC hit promoted the line back

@@ -35,12 +35,8 @@ func (d *Directory) SaveState(e *snapshot.Encoder) {
 	}
 	e.U64s(d.Stats.Reads[:])
 	e.U64s(d.Stats.Writes[:])
-	e.U64(d.Stats.Upgrades)
 	e.U64(d.Stats.Invalidations)
 	e.U64(d.Stats.Writebacks)
-	e.U64(d.Stats.ReplHints)
-	e.U64(d.Stats.RACMigrations)
-	e.U64(d.Stats.ExclusiveGrant)
 }
 
 // savedEntryBytes is the encoded size of one (key, entry) pair: key,
@@ -104,12 +100,8 @@ func (d *Directory) LoadState(dec *snapshot.Decoder) error {
 	stats := Stats{}
 	reads := dec.U64s()
 	writes := dec.U64s()
-	stats.Upgrades = dec.U64()
 	stats.Invalidations = dec.U64()
 	stats.Writebacks = dec.U64()
-	stats.ReplHints = dec.U64()
-	stats.RACMigrations = dec.U64()
-	stats.ExclusiveGrant = dec.U64()
 	if err := dec.Err(); err != nil {
 		return err
 	}

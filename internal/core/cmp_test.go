@@ -113,25 +113,22 @@ func TestCMPDirtySiblingReadMergesToL2(t *testing.T) {
 // memory controller at the requesting core's clock, not at the clock of
 // its chip's first core. Core 0 runs nothing, so its clock stays at 0.
 // Core 1 misses twice on one bank; the first miss's own latency spaces the
-// second beyond the bank's occupancy in core 1's time, so it must not
-// queue.
+// second beyond the bank's occupancy in core 1's time, so neither queues
+// and core 1 stalls exactly two local latencies.
 func TestCMPContentionUsesRequesterClock(t *testing.T) {
 	src := newScript(2)
 	src.nodes = 1 // every line homed on the one chip
 	src.add(1, memref.New(0, memref.Load, false, false, 0))
-	src.add(1, memref.New(16*memref.LineBytes, memref.Load, false, false, 0)) // same bank of 16
+	src.add(1, memref.New(mem.Banks*memref.LineBytes, memref.Load, false, false, 0)) // same bank
 	cfg := cmpCfg(2, 2)
 	cfg.Contention = true
-	if busy := mem.DefaultConfig().BankBusyCycles; cfg.Latencies().Local <= busy {
-		t.Fatalf("local latency %d does not outlast the %d-cycle bank occupancy", cfg.Latencies().Local, busy)
+	local := uint64(cfg.Latencies().Local)
+	if local <= mem.BankBusyCycles {
+		t.Fatalf("local latency %d does not outlast the %d-cycle bank occupancy", local, mem.BankBusyCycles)
 	}
 	sys := runScript(t, cfg, src)
-	mc := sys.mcs[0]
-	if mc.Stats.Accesses != 2 {
-		t.Fatalf("memory controller saw %d accesses, want 2", mc.Stats.Accesses)
-	}
-	if mc.Stats.QueueCycles != 0 {
-		t.Fatalf("core 1's second miss queued %d cycles behind its first", mc.Stats.QueueCycles)
+	if got := sys.Model(1).Breakdown().Local; got != 2*local {
+		t.Fatalf("core 1's two local misses stalled %d cycles, want %d", got, 2*local)
 	}
 }
 

@@ -199,9 +199,9 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		coherence.CatRemoteDirtyRAC: cpu.CatRemoteDirty,
 	}
 	if cfg.Contention {
-		s.net = noc.New(noc.DefaultConfig(chips))
+		s.net = noc.New(chips)
 		for i := 0; i < chips; i++ {
-			s.mcs = append(s.mcs, mem.NewController(mem.DefaultConfig()))
+			s.mcs = append(s.mcs, mem.NewController())
 		}
 	}
 	if cfg.Classify {
@@ -469,12 +469,6 @@ func (s *System) ResetStats() {
 	}
 	s.dir.ResetStats()
 	s.writeInvalOps = 0
-	if s.net != nil {
-		s.net.ResetStats()
-	}
-	for _, mc := range s.mcs {
-		mc.ResetStats()
-	}
 }
 
 // Collect summarizes the stats accumulated since the last ResetStats.
@@ -721,8 +715,7 @@ func (s *System) contended(base uint32, co *coreCtx, line uint64, local bool) ui
 	at := co.model.Now()
 	extra := s.mcs[home].Access(line, at)
 	if s.net != nil && requester != home {
-		_, q := s.net.Send(requester, home, at)
-		extra += q
+		extra += s.net.Send(requester, home, at)
 	}
 	return base + extra
 }

@@ -62,12 +62,6 @@ const (
 	posMeasuring uint8 = 3
 )
 
-// checkpointFormat is the container format this package writes and reads.
-// Format 1 — a "protocol" section, an optional "scenario" section, then
-// "system" — predates the single driver; a resume refuses it with an error
-// naming the outdated format.
-const checkpointFormat uint32 = 2
-
 // protocol is everything a checkpoint must agree on with the run resuming
 // it, beyond the machine configuration that System.Load verifies itself.
 type protocol struct {
@@ -149,12 +143,11 @@ func (o Options) WarmedCheckpoint(sys *core.System) ([]byte, error) {
 }
 
 // encode writes the container: one "checkpoint" section holding the
-// format, position, protocol, completed segments and the saved machine,
-// which system appends as a length-prefixed byte string.
+// position, protocol, completed segments and the saved machine, which
+// system appends as a length-prefixed byte string.
 func (c *checkpoint) encode(out io.Writer, system func(*snapshot.Encoder)) error {
 	w := snapshot.NewWriter()
 	e := w.Section("checkpoint")
-	e.U32(checkpointFormat)
 	e.U8(c.pos)
 	e.U64(c.measureBase)
 	e.U64(c.proto.warmup)
@@ -184,13 +177,7 @@ func decodeCheckpoint(data []byte) (checkpoint, error) {
 	}
 	d, err := r.Section("checkpoint")
 	if err != nil {
-		if _, perr := r.Section("protocol"); perr == nil {
-			return c, errors.New(`experiments: outdated checkpoint format 1 (a "protocol" container from an older version); it cannot be resumed, run again from the start`)
-		}
 		return c, err
-	}
-	if f := d.U32(); d.Err() == nil && f != checkpointFormat {
-		return c, fmt.Errorf("experiments: checkpoint format %d, want %d", f, checkpointFormat)
 	}
 	c.pos = d.U8()
 	c.measureBase = d.U64()

@@ -257,10 +257,11 @@ func TestRunCheckpointedProgress(t *testing.T) {
 	}
 }
 
-// parentContainer builds a checkpoint in the format-1 layout the single
-// driver replaced: a "protocol" section (position, measure base), for a
-// phased run a "scenario" section (schedule fingerprint, completed
-// segments, previous cumulative collection), then the machine.
+// parentContainer builds a checkpoint in the layout the single driver
+// replaced, stamped with the current snapshot version: a "protocol"
+// section (position, measure base), for a phased run a "scenario" section
+// (schedule fingerprint, completed segments, previous cumulative
+// collection), then the machine. It has no "checkpoint" section.
 func parentContainer(phased bool, system []byte) []byte {
 	w := snapshot.NewWriter()
 	e := w.Section("protocol")
@@ -292,10 +293,11 @@ func withVersion(data []byte, v uint32) []byte {
 	return out
 }
 
-// TestOutdatedCheckpointRefused: a container in the format-1 layout, steady
-// or phased, is refused on resume with an error naming the outdated format,
-// and a current container written in snapshot version 1, 2, 3 or 4 with an
-// error naming that version, before any machine state is touched.
+// TestOutdatedCheckpointRefused: a container in the layout the single
+// driver replaced, steady or phased, is refused on resume with an error
+// naming the missing "checkpoint" section, and a current container written
+// in snapshot version 1 to 5 with an error naming that version, before any
+// machine state is touched.
 func TestOutdatedCheckpointRefused(t *testing.T) {
 	cfg := core.BaseConfig(1, 1*core.MB, 1)
 	o := checkpointRunOptions()
@@ -309,13 +311,13 @@ func TestOutdatedCheckpointRefused(t *testing.T) {
 			ro.Scenario = compileProfile(t, burstProfile())
 		}
 		_, _, err := ro.Execute(cfg, CheckpointRun{Resume: parentContainer(phased, machine.Bytes())})
-		if err == nil || !strings.Contains(err.Error(), "outdated checkpoint format 1") {
-			t.Errorf("phased=%t: resume error %v, want the outdated format named", phased, err)
+		if err == nil || !strings.Contains(err.Error(), `section "checkpoint" missing`) {
+			t.Errorf("phased=%t: resume error %v, want the missing section named", phased, err)
 		}
 	}
 
 	_, cks := checkpointsOf(t, o, cfg, 0)
-	for _, v := range []uint32{1, 2, 3, 4} {
+	for _, v := range []uint32{1, 2, 3, 4, 5} {
 		_, _, err := o.Execute(cfg, CheckpointRun{Resume: withVersion(cks[0], v)})
 		if want := fmt.Sprintf("outdated checkpoint (snapshot version %d", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("snapshot version %d: resume error %v, want the outdated version named", v, err)
@@ -343,13 +345,13 @@ func TestResumeRefusesDuplicateLine(t *testing.T) {
 // the stream's CRC recomputed. The scheduler closes the workload section,
 // the stream's last, so the buffer sits at a fixed distance from the end:
 //
-//	... | count n | n refs of 15 bytes | switch position | 2 counters | crc
+//	... | count n | n refs of 15 bytes | switch position | crc
 //
 // and n is the first count at or above the switch position that, read from
 // where it would sit, equals itself.
 func withSwitchRef(t *testing.T, machine []byte, patch func(ref []byte)) []byte {
 	t.Helper()
-	const refBytes, tail = 8 + 1 + 1 + 1 + 4, 8 + 8 + 8 + 4
+	const refBytes, tail = 8 + 1 + 1 + 1 + 4, 8 + 4
 	out := append([]byte(nil), machine...)
 	end := len(out) - tail
 	swPos := int(binary.LittleEndian.Uint64(out[end:]))

@@ -142,11 +142,6 @@ type Scheduler struct {
 	quantum int // references per time slice
 	// switchRefs, when non-nil, appends the context-switch path to a buffer.
 	switchRefs func(cpu int, out *RefBuffer)
-
-	// ContextSwitches counts scheduler-driven process changes.
-	ContextSwitches uint64
-	// Preemptions counts slice-expiry switches (subset of ContextSwitches).
-	Preemptions uint64
 }
 
 // idleRecheck is how long a CPU with no known wake time naps before
@@ -228,7 +223,6 @@ func (s *Scheduler) Next(cpu int, now uint64) (r memref.Ref, st Status, wake uin
 				p.state = stateReady
 				p.wakeAt = now
 				c.cur = nil
-				s.Preemptions++
 				continue
 			}
 			r = p.buf.Refs[p.pos]
@@ -295,7 +289,6 @@ func (s *Scheduler) dispatch(c *cpuQueue, cpu int, now uint64) bool {
 	best.state = stateRunning
 	best.sliceUsed = 0
 	c.cur = best
-	s.ContextSwitches++
 	if s.switchRefs != nil {
 		c.swBuf.Refs = c.swBuf.Refs[:0]
 		c.swPos = 0

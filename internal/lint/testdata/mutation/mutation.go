@@ -27,9 +27,6 @@ const (
 type VictimBuffer struct {
 	entries []victimEntry
 	next    int // want "VictimBuffer.next is mutated outside constructors but not referenced by SaveState or LoadState"
-
-	Hits   uint64
-	Probes uint64
 }
 
 type victimEntry struct {
@@ -58,12 +55,10 @@ func (v *VictimBuffer) Put(line uint64, st State) (displaced uint64, dstate Stat
 
 // Take removes and returns the state of line if buffered.
 func (v *VictimBuffer) Take(line uint64) (State, bool) {
-	v.Probes++
 	for i := range v.entries {
 		if v.entries[i].state != Invalid && v.entries[i].line == line {
 			st := v.entries[i].state
 			v.entries[i].state = Invalid
-			v.Hits++
 			return st, true
 		}
 	}
@@ -71,15 +66,13 @@ func (v *VictimBuffer) Take(line uint64) (State, bool) {
 }
 
 // SaveState is the mutated copy: the real pair writes the replacement
-// cursor between the entries and the counters; here that line is deleted.
+// cursor after the entries; here that line is deleted.
 func (v *VictimBuffer) SaveState(e *snapshot.Encoder) {
 	e.Int(len(v.entries))
 	for _, ent := range v.entries {
 		e.U64(ent.line)
 		e.U8(uint8(ent.state))
 	}
-	e.U64(v.Hits)
-	e.U64(v.Probes)
 }
 
 // LoadState is the mutated copy: the cursor restore is deleted alongside.
@@ -95,16 +88,9 @@ func (v *VictimBuffer) LoadState(d *snapshot.Decoder) error {
 	for i := range entries {
 		entries[i] = victimEntry{line: d.U64(), state: State(d.U8())}
 	}
-	hits := d.U64()
-	probes := d.U64()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if hits > probes {
-		return fmt.Errorf("victim buffer: %d hits exceed %d probes", hits, probes)
-	}
 	copy(v.entries, entries)
-	v.Hits = hits
-	v.Probes = probes
 	return nil
 }

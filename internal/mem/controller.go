@@ -1,104 +1,44 @@
-// Package mem models each node's main-memory system: a direct-Rambus-style
-// banked memory controller (paper Section 2.3 assumes RDRAM reached over few
-// pins) and the directory-storage arrangement, which is the structural
-// difference between coupling and separating the coherence controller and
-// memory controller (paper Sections 3-4).
+// Package mem models bank occupancy in each node's memory controller: a
+// direct-Rambus-style banked memory (paper Section 2.3 assumes RDRAM
+// reached over few pins) where an access that finds its bank still busy
+// waits for it.
 //
-// In the paper-fidelity configurations the end-to-end latencies of Figure 3
-// already include the controller, so the queuing model here is an optional
-// contention layer: it adds bank-conflict delay on top of the base latency
-// when enabled, and the ablation benchmarks use it to show how much headroom
-// the fixed-latency assumption hides.
+// The end-to-end latencies of Figure 3 already include the controller, so
+// this layer runs only behind core.Config.Contention: it adds bank-conflict
+// delay on top of the base latency, and the ablation benchmarks use it to
+// show how much headroom the fixed-latency assumption hides. The directory
+// storage cost of separating the coherence and memory controllers lives in
+// core.CrossingModel, not here.
 package mem
 
 import "oltpsim/internal/memref"
 
-// DirectoryStorage describes where the coherence directory lives, which
-// depends on whether the coherence controller sits next to the memory
-// controller.
-type DirectoryStorage uint8
-
+// The controller's geometry: 16 independent RDRAM banks, each occupied 40
+// cycles by one access.
 const (
-	// DirInMemoryECC: directory bits computed into spare ECC bits of main
-	// memory — essentially free, but only practical when the coherence
-	// controller has a first-class path to the memory controller (Base and
-	// FullIntegration arrangements; paper cites S3.mp [14] and [19]).
-	DirInMemoryECC DirectoryStorage = iota
-	// DirDedicatedSRAM: a dedicated directory store with its own data path,
-	// required when the MC is integrated but the CC is not (paper Figure 9).
-	DirDedicatedSRAM
+	Banks          = 16
+	BankBusyCycles = 40
 )
-
-// String implements fmt.Stringer.
-func (d DirectoryStorage) String() string {
-	if d == DirDedicatedSRAM {
-		return "dedicated SRAM"
-	}
-	return "in-memory ECC"
-}
-
-// DirectoryOverheadBytes returns the dedicated storage a directory needs for
-// memBytes of main memory: zero for the in-memory ECC scheme, or one entry
-// (sharer vector + state, 8 bytes at <=64 nodes) per line for the dedicated
-// store. This quantifies the paper's cost argument for coupling CC and MC.
-func DirectoryOverheadBytes(memBytes uint64, storage DirectoryStorage) uint64 {
-	if storage == DirInMemoryECC {
-		return 0
-	}
-	return memBytes / memref.LineBytes * 8
-}
-
-// Config sizes one node's memory controller.
-type Config struct {
-	// Banks is the number of independent RDRAM banks.
-	Banks int
-	// BankBusyCycles is how long one access occupies a bank.
-	BankBusyCycles uint32
-	// Storage is the directory arrangement (reporting + overhead).
-	Storage DirectoryStorage
-}
-
-// DefaultConfig returns a plausible direct-Rambus arrangement: 16 banks,
-// 40-cycle bank occupancy.
-func DefaultConfig() Config {
-	return Config{Banks: 16, BankBusyCycles: 40, Storage: DirInMemoryECC}
-}
-
-// Stats counts controller activity.
-type Stats struct {
-	Accesses    uint64
-	QueueCycles uint64 // total bank-conflict delay
-}
 
 // Controller is one node's memory controller.
 type Controller struct {
-	cfg      Config
 	bankBusy []uint64
-	Stats    Stats
 }
 
-// NewController builds a controller.
-func NewController(cfg Config) *Controller {
-	if cfg.Banks <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &Controller{cfg: cfg, bankBusy: make([]uint64, cfg.Banks)}
+// NewController builds a controller with every bank free.
+func NewController() *Controller {
+	return &Controller{bankBusy: make([]uint64, Banks)}
 }
 
 // Access reserves the bank for line at time at and returns the queuing delay
 // beyond the base latency (0 when the bank is free).
 func (c *Controller) Access(line uint64, at uint64) uint32 {
-	c.Stats.Accesses++
-	bank := (line >> memref.LineShift) % uint64(len(c.bankBusy))
+	bank := (line >> memref.LineShift) % Banks
 	delay := uint32(0)
 	if c.bankBusy[bank] > at {
 		delay = uint32(c.bankBusy[bank] - at)
-		c.Stats.QueueCycles += uint64(delay)
 		at = c.bankBusy[bank]
 	}
-	c.bankBusy[bank] = at + uint64(c.cfg.BankBusyCycles)
+	c.bankBusy[bank] = at + BankBusyCycles
 	return delay
 }
-
-// ResetStats zeroes counters.
-func (c *Controller) ResetStats() { c.Stats = Stats{} }

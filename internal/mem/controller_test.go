@@ -1,62 +1,31 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"oltpsim/internal/memref"
+)
 
 func TestBankQueueing(t *testing.T) {
-	c := NewController(Config{Banks: 2, BankBusyCycles: 40, Storage: DirInMemoryECC})
+	c := NewController()
+	const sameBank = Banks * memref.LineBytes
 	// Two accesses to the same bank back to back: second queues.
 	if d := c.Access(0, 100); d != 0 {
 		t.Fatalf("first access delayed %d", d)
 	}
-	if d := c.Access(0, 110); d != 30 {
-		t.Fatalf("second access delayed %d, want 30", d)
+	if d := c.Access(sameBank, 110); d != BankBusyCycles-10 {
+		t.Fatalf("second access delayed %d, want %d", d, BankBusyCycles-10)
 	}
 	// Different bank: no delay.
-	if d := c.Access(64, 110); d != 0 {
+	if d := c.Access(memref.LineBytes, 110); d != 0 {
 		t.Fatalf("other-bank access delayed %d", d)
-	}
-	if c.Stats.Accesses != 3 || c.Stats.QueueCycles != 30 {
-		t.Fatalf("stats %+v", c.Stats)
 	}
 }
 
 func TestBankFreesUp(t *testing.T) {
-	c := NewController(Config{Banks: 1, BankBusyCycles: 40})
+	c := NewController()
 	c.Access(0, 0)
 	if d := c.Access(0, 1000); d != 0 {
 		t.Fatalf("access after bank idle delayed %d", d)
-	}
-}
-
-func TestDefaultConfigOnBadBanks(t *testing.T) {
-	c := NewController(Config{Banks: 0})
-	if d := c.Access(0, 0); d != 0 {
-		t.Fatal("default controller first access delayed")
-	}
-}
-
-func TestDirectoryOverhead(t *testing.T) {
-	const gb = uint64(1) << 30
-	if DirectoryOverheadBytes(gb, DirInMemoryECC) != 0 {
-		t.Fatal("in-memory ECC directory should cost no dedicated storage")
-	}
-	want := gb / 64 * 8 // one 8-byte entry per line
-	if got := DirectoryOverheadBytes(gb, DirDedicatedSRAM); got != want {
-		t.Fatalf("dedicated overhead %d, want %d", got, want)
-	}
-}
-
-func TestStorageString(t *testing.T) {
-	if DirInMemoryECC.String() != "in-memory ECC" || DirDedicatedSRAM.String() != "dedicated SRAM" {
-		t.Fatal("storage strings wrong")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	c := NewController(DefaultConfig())
-	c.Access(0, 0)
-	c.ResetStats()
-	if c.Stats != (Stats{}) {
-		t.Fatal("stats not reset")
 	}
 }

@@ -6,17 +6,14 @@ import (
 	"oltpsim/internal/snapshot"
 )
 
-// SaveState writes the bank reservation horizon and the counters.
+// SaveState writes the bank reservation horizon.
 func (c *Controller) SaveState(e *snapshot.Encoder) {
 	e.U64s(c.bankBusy)
-	e.U64(c.Stats.Accesses)
-	e.U64(c.Stats.QueueCycles)
 }
 
-// LoadState restores a controller of identical bank count.
+// LoadState restores the bank reservation horizon.
 func (c *Controller) LoadState(d *snapshot.Decoder) error {
 	busy := d.U64s()
-	stats := Stats{Accesses: d.U64(), QueueCycles: d.U64()}
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -24,6 +21,5 @@ func (c *Controller) LoadState(d *snapshot.Decoder) error {
 		return fmt.Errorf("mem: snapshot has %d banks, want %d", len(busy), len(c.bankBusy))
 	}
 	copy(c.bankBusy, busy)
-	c.Stats = stats
 	return nil
 }

@@ -1,30 +1,24 @@
-// Package noc models the interconnect of the multiprocessor: a 2D-torus
-// point-to-point network like the one the Alpha 21364 forms by tiling
-// processors (paper Figure 1B), with dimension-order routing, per-hop
-// latency, and optional link occupancy. The paper's Figure 3 latencies are
-// end-to-end, so the base configurations do not consult the network for
-// latency; the detailed/contention mode and the ablation benchmarks use it
-// to expose topology and bandwidth effects the fixed numbers hide.
+// Package noc models link occupancy in the interconnect of the
+// multiprocessor: a 2D torus like the one the Alpha 21364 forms by tiling
+// processors (paper Figure 1B), routed in dimension order, where a message
+// that finds a link on its path still busy waits for it.
+//
+// The paper's Figure 3 latencies are end-to-end and already include the
+// network, so this layer runs only behind core.Config.Contention: it adds
+// link-queuing delay on top of the base latency, and the ablation
+// benchmarks use it to expose the bandwidth effects the fixed numbers hide.
 package noc
 
 import "fmt"
 
-// Config describes the network.
-type Config struct {
-	// Width and Height define the torus (4x2 for the paper's 8 nodes).
-	Width, Height int
-	// HopCycles is the per-hop latency (router + link flight).
-	HopCycles uint32
-	// LinkBusyCycles is how long one message occupies a link (serialization
-	// at >4 GB/s per paper Section 2.3: a 64-byte line plus header in ~16ns).
-	LinkBusyCycles uint32
-}
-
-// DefaultConfig returns the 8-node torus.
-func DefaultConfig(nodes int) Config {
-	w, h := dims(nodes)
-	return Config{Width: w, Height: h, HopCycles: 25, LinkBusyCycles: 16}
-}
+// The link timing: a message advances one hop every HopCycles (router plus
+// link flight) and occupies each link it crosses for LinkBusyCycles
+// (serialization at >4 GB/s per paper Section 2.3: a 64-byte line plus
+// header in ~16 ns).
+const (
+	HopCycles      = 25
+	LinkBusyCycles = 16
+)
 
 // dims picks a near-square factorization.
 func dims(nodes int) (int, int) {
@@ -37,19 +31,11 @@ func dims(nodes int) (int, int) {
 	return bestW, bestH
 }
 
-// Stats counts network activity.
-type Stats struct {
-	Messages    uint64
-	HopsTotal   uint64
-	QueueCycles uint64
-}
-
 // Network is the torus with per-link occupancy. Links are indexed by
 // (node, direction); four directions per node.
 type Network struct {
-	cfg      Config
-	linkBusy []uint64 // [node*4 + dir]
-	Stats    Stats
+	width, height int
+	linkBusy      []uint64 // [node*4 + dir]
 }
 
 const (
@@ -59,19 +45,18 @@ const (
 	dirSouth
 )
 
-// New builds the network.
-func New(cfg Config) *Network {
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		panic(fmt.Sprintf("noc: bad torus %dx%d", cfg.Width, cfg.Height))
+// New builds the network for nodes nodes on the near-square torus dims
+// picks (4x2 for the paper's 8).
+func New(nodes int) *Network {
+	w, h := dims(nodes)
+	if w <= 0 || h <= 0 {
+		panic(fmt.Sprintf("noc: bad torus %dx%d", w, h))
 	}
-	return &Network{cfg: cfg, linkBusy: make([]uint64, cfg.Width*cfg.Height*4)}
+	return &Network{width: w, height: h, linkBusy: make([]uint64, w*h*4)}
 }
 
-// Nodes returns the node count.
-func (n *Network) Nodes() int { return n.cfg.Width * n.cfg.Height }
-
 func (n *Network) coords(node int) (x, y int) {
-	return node % n.cfg.Width, node / n.cfg.Width
+	return node % n.width, node / n.width
 }
 
 // torusDelta returns the signed shortest displacement from a to b on a ring
@@ -87,71 +72,44 @@ func torusDelta(a, b, m int) int {
 	return d
 }
 
-// HopCount returns the dimension-order hop count between two nodes.
-func (n *Network) HopCount(a, b int) int {
-	ax, ay := n.coords(a)
-	bx, by := n.coords(b)
-	dx := torusDelta(ax, bx, n.cfg.Width)
-	dy := torusDelta(ay, by, n.cfg.Height)
-	return abs(dx) + abs(dy)
-}
-
 // Send routes one message from a to b at time at, reserving each link along
-// the dimension-order path, and returns (latency, queueDelay): latency is
-// hops*HopCycles plus any queuing.
-func (n *Network) Send(a, b int, at uint64) (latency, queued uint32) {
-	n.Stats.Messages++
-	if a == b {
-		return 0, 0
-	}
+// the dimension-order path, and returns the cycles it spent queued behind
+// busy links.
+func (n *Network) Send(a, b int, at uint64) (queued uint32) {
 	ax, ay := n.coords(a)
 	bx, by := n.coords(b)
-	dx := torusDelta(ax, bx, n.cfg.Width)
-	dy := torusDelta(ay, by, n.cfg.Height)
+	dx := torusDelta(ax, bx, n.width)
+	dy := torusDelta(ay, by, n.height)
 
 	t := at
 	x, y := ax, ay
 	step := func(node, dir, nx, ny int) {
 		li := node*4 + dir
 		if n.linkBusy[li] > t {
-			q := n.linkBusy[li] - t
-			queued += uint32(q)
-			n.Stats.QueueCycles += q
+			queued += uint32(n.linkBusy[li] - t)
 			t = n.linkBusy[li]
 		}
-		n.linkBusy[li] = t + uint64(n.cfg.LinkBusyCycles)
-		t += uint64(n.cfg.HopCycles)
-		n.Stats.HopsTotal++
+		n.linkBusy[li] = t + LinkBusyCycles
+		t += HopCycles
 		x, y = nx, ny
 	}
 	for dx != 0 {
 		if dx > 0 {
-			step(y*n.cfg.Width+x, dirEast, (x+1)%n.cfg.Width, y)
+			step(y*n.width+x, dirEast, (x+1)%n.width, y)
 			dx--
 		} else {
-			step(y*n.cfg.Width+x, dirWest, (x-1+n.cfg.Width)%n.cfg.Width, y)
+			step(y*n.width+x, dirWest, (x-1+n.width)%n.width, y)
 			dx++
 		}
 	}
 	for dy != 0 {
 		if dy > 0 {
-			step(y*n.cfg.Width+x, dirSouth, x, (y+1)%n.cfg.Height)
+			step(y*n.width+x, dirSouth, x, (y+1)%n.height)
 			dy--
 		} else {
-			step(y*n.cfg.Width+x, dirNorth, x, (y-1+n.cfg.Height)%n.cfg.Height)
+			step(y*n.width+x, dirNorth, x, (y-1+n.height)%n.height)
 			dy++
 		}
 	}
-	latency = uint32(t - at)
-	return latency, queued
-}
-
-// ResetStats zeroes counters.
-func (n *Network) ResetStats() { n.Stats = Stats{} }
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
+	return queued
 }

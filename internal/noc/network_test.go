@@ -14,81 +14,66 @@ func TestDims(t *testing.T) {
 	}
 }
 
+// TestHopCountTorus: the shortest way round a ring wraps. On the 5x1 ring
+// 0 -> 4 is one hop west, so a second such message queues behind the first
+// on that link while 0 -> 1, east, does not; on the 3x3 torus the same
+// holds for 0 -> 6, one hop north, against 0 -> 3, south.
 func TestHopCountTorus(t *testing.T) {
-	n := New(Config{Width: 4, Height: 2, HopCycles: 25, LinkBusyCycles: 16})
-	if n.Nodes() != 8 {
-		t.Fatalf("nodes = %d", n.Nodes())
-	}
-	cases := []struct{ a, b, hops int }{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 3, 1}, // torus wrap in x
-		{0, 4, 1}, // one hop in y
-		{0, 5, 2},
-		{1, 7, 3}, // (1,0) -> (3,1): two x hops (no shorter wrap) plus one y hop
-		{0, 6, 3},
+	cases := []struct{ nodes, wrap, other int }{
+		{5, 4, 1},
+		{9, 6, 3},
 	}
 	for _, c := range cases {
-		if got := n.HopCount(c.a, c.b); got != c.hops {
-			t.Errorf("HopCount(%d,%d) = %d, want %d", c.a, c.b, got, c.hops)
+		n := New(c.nodes)
+		n.Send(0, c.wrap, 0)
+		if q := n.Send(0, c.wrap, 0); q != LinkBusyCycles {
+			t.Errorf("%d nodes: second 0->%d queued %d, want %d", c.nodes, c.wrap, q, LinkBusyCycles)
+		}
+		if q := n.Send(0, c.other, 0); q != 0 {
+			t.Errorf("%d nodes: 0->%d queued %d behind the wrapped 0->%d", c.nodes, c.other, q, c.wrap)
 		}
 	}
 }
 
-func TestHopCountSymmetric(t *testing.T) {
-	n := New(DefaultConfig(8))
-	for a := 0; a < 8; a++ {
-		for b := 0; b < 8; b++ {
-			if n.HopCount(a, b) != n.HopCount(b, a) {
-				t.Fatalf("asymmetric hop count %d<->%d", a, b)
-			}
-		}
-	}
-}
-
+// TestSendLatency: an uncontended message does not queue, and it reaches
+// each link HopCycles after the one before. 0 -> 5 on the 4x2 torus goes
+// east to 1, then south to 5, so it holds 1's south link from HopCycles
+// for LinkBusyCycles.
 func TestSendLatency(t *testing.T) {
-	n := New(Config{Width: 4, Height: 2, HopCycles: 25, LinkBusyCycles: 16})
-	lat, q := n.Send(0, 5, 0)
-	if q != 0 {
-		t.Fatalf("uncontended send queued %d", q)
+	cases := []struct {
+		at   uint64
+		want uint32
+	}{
+		{HopCycles, LinkBusyCycles},
+		{HopCycles + LinkBusyCycles, 0},
 	}
-	if want := uint32(2 * 25); lat != want {
-		t.Fatalf("latency %d, want %d", lat, want)
+	for _, c := range cases {
+		n := New(8)
+		if q := n.Send(0, 5, 0); q != 0 {
+			t.Fatalf("uncontended send queued %d", q)
+		}
+		if q := n.Send(1, 5, c.at); q != c.want {
+			t.Errorf("1->5 at %d queued %d, want %d", c.at, q, c.want)
+		}
 	}
-	if lat, _ := n.Send(3, 3, 0); lat != 0 {
-		t.Fatal("self-send has latency")
+	if q := New(8).Send(3, 3, 0); q != 0 {
+		t.Fatalf("self-send queued %d", q)
 	}
 }
 
 func TestLinkContention(t *testing.T) {
-	n := New(Config{Width: 4, Height: 1, HopCycles: 25, LinkBusyCycles: 16})
+	n := New(4)
 	n.Send(0, 1, 100)
-	_, q := n.Send(0, 1, 100) // same link, same instant
-	if q == 0 {
-		t.Fatal("second message on a busy link was not queued")
-	}
-	if n.Stats.QueueCycles == 0 || n.Stats.Messages != 2 {
-		t.Fatalf("stats %+v", n.Stats)
-	}
-}
-
-func TestSendStatsAndReset(t *testing.T) {
-	n := New(DefaultConfig(8))
-	n.Send(0, 6, 0)
-	if n.Stats.HopsTotal == 0 {
-		t.Fatal("no hops recorded")
-	}
-	n.ResetStats()
-	if n.Stats != (Stats{}) {
-		t.Fatal("stats not reset")
+	if q := n.Send(0, 1, 100); q != LinkBusyCycles { // same link, same instant
+		t.Fatalf("second message on a busy link queued %d, want %d", q, LinkBusyCycles)
 	}
 }
 
 func TestBadTorusPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New with zero dims did not panic")
+			t.Fatal("New with zero nodes did not panic")
 		}
 	}()
-	New(Config{Width: 0, Height: 2})
+	New(0)
 }

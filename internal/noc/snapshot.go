@@ -6,18 +6,14 @@ import (
 	"oltpsim/internal/snapshot"
 )
 
-// SaveState writes the link reservation horizon and the counters.
+// SaveState writes the link reservation horizon.
 func (n *Network) SaveState(e *snapshot.Encoder) {
 	e.U64s(n.linkBusy)
-	e.U64(n.Stats.Messages)
-	e.U64(n.Stats.HopsTotal)
-	e.U64(n.Stats.QueueCycles)
 }
 
 // LoadState restores a network of identical topology.
 func (n *Network) LoadState(d *snapshot.Decoder) error {
 	busy := d.U64s()
-	stats := Stats{Messages: d.U64(), HopsTotal: d.U64(), QueueCycles: d.U64()}
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -25,6 +21,5 @@ func (n *Network) LoadState(d *snapshot.Decoder) error {
 		return fmt.Errorf("noc: snapshot has %d links, want %d", len(busy), len(n.linkBusy))
 	}
 	copy(n.linkBusy, busy)
-	n.Stats = stats
 	return nil
 }

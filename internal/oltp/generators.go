@@ -85,10 +85,6 @@ type lgwrGen struct {
 	pending  bool
 	ioTarget uint64
 	phase    int
-
-	// Flushes and GroupedCommits measure group-commit efficiency.
-	Flushes        uint64
-	GroupedCommits uint64
 }
 
 const (
@@ -116,7 +112,6 @@ func (l *lgwrGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Directiv
 		l.h.kernelIOSubmit(l.h.schedData[l.proc.CPU])
 		l.ioTarget = target
 		l.phase = lgwrPhaseIO
-		l.Flushes++
 		dur := l.h.p.LogIOCycles + l.h.p.LogIOPerKB*uint64(bytes)/1024
 		return kernel.Directive{Kind: kernel.IOWait, Dur: dur}
 	default:
@@ -128,7 +123,6 @@ func (l *lgwrGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Directiv
 			if w.lsn <= l.ioTarget {
 				l.h.kernelSemPost(w.g.sem)
 				l.h.sched.Wake(w.g.proc, now)
-				l.GroupedCommits++
 			} else {
 				kept = append(kept, w)
 			}
@@ -149,8 +143,7 @@ type dbwrGen struct {
 	h    *Harness
 	proc *kernel.Proc
 
-	phase  int
-	Writes uint64
+	phase int
 }
 
 const (
@@ -167,7 +160,6 @@ func (d *dbwrGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Directiv
 		if n == 0 {
 			return kernel.Directive{Kind: kernel.Sleep, Until: now + d.h.p.DBWRSleepCycles}
 		}
-		d.Writes += uint64(n)
 		d.h.kernelIOSubmit(d.h.schedData[d.proc.CPU])
 		d.phase = dbwrPhaseIO
 		return kernel.Directive{Kind: kernel.IOWait, Dur: d.h.p.DBWRIOCycles}

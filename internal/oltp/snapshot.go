@@ -28,10 +28,7 @@ func (h *Harness) SaveState(e *snapshot.Encoder) {
 	e.Bool(h.lgwr.pending)
 	e.U64(h.lgwr.ioTarget)
 	e.Int(h.lgwr.phase)
-	e.U64(h.lgwr.Flushes)
-	e.U64(h.lgwr.GroupedCommits)
 	e.Int(h.dbwr.phase)
-	e.U64(h.dbwr.Writes)
 	for _, f := range h.kc.all {
 		f.SaveState(e)
 	}
@@ -86,10 +83,7 @@ func (h *Harness) LoadState(d *snapshot.Decoder) error {
 	lgwrPending := d.Bool()
 	lgwrIOTarget := d.U64()
 	lgwrPhase := d.Int()
-	lgwrFlushes := d.U64()
-	lgwrGrouped := d.U64()
 	dbwrPhase := d.Int()
-	dbwrWrites := d.U64()
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -112,9 +106,6 @@ func (h *Harness) LoadState(d *snapshot.Decoder) error {
 	h.lgwr.pending = lgwrPending
 	h.lgwr.ioTarget = lgwrIOTarget
 	h.lgwr.phase = lgwrPhase
-	h.lgwr.Flushes = lgwrFlushes
-	h.lgwr.GroupedCommits = lgwrGrouped
 	h.dbwr.phase = dbwrPhase
-	h.dbwr.Writes = dbwrWrites
 	return h.sched.LoadState(d)
 }

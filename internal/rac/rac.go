@@ -13,26 +13,12 @@
 // rates even as it converts 2-hop misses into local ones.
 package rac
 
-import (
-	"oltpsim/internal/cache"
-	"oltpsim/internal/memref"
-)
+import "oltpsim/internal/cache"
 
-// Stats counts RAC activity.
+// Stats counts RAC lookups; stats.RunResult.RACHitRate reports their ratio.
 type Stats struct {
-	Probes    uint64
-	Hits      uint64
-	Inserts   uint64
-	Evictions uint64
-}
-
-// HitRate returns hits/probes (the paper quotes 42%, 30%, <10% across its
-// configurations).
-func (s Stats) HitRate() float64 {
-	if s.Probes == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Probes)
+	Probes uint64
+	Hits   uint64
 }
 
 // Ways is the RAC's associativity: 8-way at every size, as in paper
@@ -46,20 +32,13 @@ func Geometry(sizeBytes int64) cache.Config {
 
 // RAC is one node's remote access cache.
 type RAC struct {
-	c *cache.Cache
-	// TagBytes is the on-chip tag array cost, charged against L2 capacity in
-	// the paper's "1.25 MB L2 instead of a RAC" comparison.
-	TagBytes int64
-	Stats    Stats
+	c     *cache.Cache
+	Stats Stats
 }
 
 // New builds a RAC of sizeBytes.
 func New(sizeBytes int64) *RAC {
-	c := cache.New(Geometry(sizeBytes))
-	// Tag cost: ~5 bytes of tag+state per 64-byte line (the paper argues an
-	// 8 MB RAC's tags displace ~0.25 MB of on-chip L2).
-	lines := sizeBytes / memref.LineBytes
-	return &RAC{c: c, TagBytes: lines * 5}
+	return &RAC{c: cache.New(Geometry(sizeBytes))}
 }
 
 // Take probes for line and removes it on a hit (exclusive with the L2),
@@ -78,12 +57,7 @@ func (r *RAC) Take(line uint64) (cache.State, bool) {
 // Insert places an L2 victim into the RAC, returning the RAC's own victim
 // (vstate Invalid if none).
 func (r *RAC) Insert(line uint64, st cache.State) (victim uint64, vstate cache.State) {
-	r.Stats.Inserts++
-	victim, vstate = r.c.Insert(line, st)
-	if vstate != cache.Invalid {
-		r.Stats.Evictions++
-	}
-	return victim, vstate
+	return r.c.Insert(line, st)
 }
 
 // Invalidate removes line (coherence invalidation), returning its prior

@@ -32,9 +32,6 @@ func TestInsertEviction(t *testing.T) {
 	if vst != cache.Modified || victim != 0 {
 		t.Fatalf("victim (%#x, %v), want LRU line 0", victim, vst)
 	}
-	if r.Stats.Evictions != 1 || r.Stats.Inserts != 9 {
-		t.Fatalf("stats %+v", r.Stats)
-	}
 }
 
 func TestInvalidateAndDowngrade(t *testing.T) {
@@ -54,27 +51,6 @@ func TestInvalidateAndDowngrade(t *testing.T) {
 	}
 	if r.Downgrade(64) {
 		t.Fatal("Downgrade of absent line succeeded")
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	r := New(64 * 64)
-	if r.Stats.HitRate() != 0 {
-		t.Fatal("hit rate of fresh RAC not 0")
-	}
-	r.Insert(0, cache.Shared)
-	r.Take(0)  // hit
-	r.Take(64) // miss
-	if hr := r.Stats.HitRate(); hr != 0.5 {
-		t.Fatalf("hit rate %v, want 0.5", hr)
-	}
-}
-
-func TestTagCost(t *testing.T) {
-	// Paper Section 6: the 8 MB RAC's on-chip tags displace ~0.25 MB of L2.
-	r := New(8 << 20)
-	if r.TagBytes < 256<<10 || r.TagBytes > 1<<20 {
-		t.Fatalf("tag cost %d bytes implausible for an 8 MB RAC", r.TagBytes)
 	}
 }
 

@@ -2,14 +2,11 @@ package rac
 
 import "oltpsim/internal/snapshot"
 
-// SaveState writes the backing tag store and the RAC counters. TagBytes is
-// derived from geometry and is not state.
+// SaveState writes the backing tag store and the RAC counters.
 func (r *RAC) SaveState(e *snapshot.Encoder) {
 	r.c.SaveState(e)
 	e.U64(r.Stats.Probes)
 	e.U64(r.Stats.Hits)
-	e.U64(r.Stats.Inserts)
-	e.U64(r.Stats.Evictions)
 }
 
 // LoadState restores a RAC of identical geometry.
@@ -17,12 +14,7 @@ func (r *RAC) LoadState(d *snapshot.Decoder) error {
 	if err := r.c.LoadState(d); err != nil {
 		return err
 	}
-	stats := Stats{
-		Probes:    d.U64(),
-		Hits:      d.U64(),
-		Inserts:   d.U64(),
-		Evictions: d.U64(),
-	}
+	stats := Stats{Probes: d.U64(), Hits: d.U64()}
 	if err := d.Err(); err != nil {
 		return err
 	}

@@ -497,10 +497,11 @@ func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
 
 // TestRecoveryFailsOutdatedCheckpoint pins what a restart does with an
 // in-flight job whose checkpoint.bin was written by an older server: in the
-// format-1 layout ("protocol" and "system" sections), or in the current
-// layout under snapshot version 1, 2, 3 or 4. The resume is refused, and
-// the job ends failed with the outdated format or version named — no
-// panic, and no silent restart from scratch.
+// layout the single driver replaced ("protocol" and "system" sections, no
+// "checkpoint" section), or in the current layout under snapshot version 1
+// to 5. The resume is refused, and the job ends failed with the missing
+// section or the outdated version named — no panic, and no silent restart
+// from scratch.
 func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 	spec, cfgs, err := DecodeJobSpec(strings.NewReader(smokeSpec()))
 	if err != nil {
@@ -538,11 +539,12 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 		name, named string
 		ck          []byte
 	}{
-		{"format 1", "outdated checkpoint format 1", format1.Bytes()},
+		{"format 1", `section "checkpoint" missing`, format1.Bytes()},
 		{"snapshot version 1", "outdated checkpoint (snapshot version 1", stamped(1)},
 		{"snapshot version 2", "outdated checkpoint (snapshot version 2", stamped(2)},
 		{"snapshot version 3", "outdated checkpoint (snapshot version 3", stamped(3)},
 		{"snapshot version 4", "outdated checkpoint (snapshot version 4", stamped(4)},
+		{"snapshot version 5", "outdated checkpoint (snapshot version 5", stamped(5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

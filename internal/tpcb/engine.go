@@ -19,11 +19,8 @@ const (
 // EngineStats aggregates workload-shape counters beyond the pool/log stats.
 type EngineStats struct {
 	Txns          uint64
-	RemoteBranch  uint64 // transactions whose account came from another branch
 	HistoryBlocks uint64 // history block switches
 	UndoBlocks    uint64 // undo block switches
-	ReadTxns      uint64 // read-only transactions (scenario mixes)
-	ScanTxns      uint64 // scan transactions (scenario mixes)
 }
 
 // Session is the per-server-process execution context: its private PGA, its
@@ -244,9 +241,6 @@ func (e *Engine) DrawTxn(r *sim.RNG) TxnInput {
 // log writer acknowledges the LSN.
 func (e *Engine) ExecTxn(sess *Session, in TxnInput) (commitLSN uint64) {
 	e.Stats.Txns++
-	if in.Acct/e.cfg.AccountsPerBranch != in.Branch {
-		e.Stats.RemoteBranch++
-	}
 	sess.pinned = sess.pinned[:0]
 
 	// Cursor open / soft parse for the transaction's statements.

@@ -4,7 +4,6 @@ import "oltpsim/internal/memref"
 
 // LogStats counts redo-log activity.
 type LogStats struct {
-	Appends      uint64
 	BytesWritten uint64
 	Gathers      uint64
 	Overruns     uint64 // writer caught up with unflushed tail (should stay 0)
@@ -55,7 +54,6 @@ func (l *RedoLog) lineAddr(lsn uint64) uint64 {
 // the stores), and returns the LSN one past the record. commit marks the
 // record as one a session will wait on.
 func (l *RedoLog) Append(n int, commit bool, copyLatch int) uint64 {
-	l.Stats.Appends++
 	l.Stats.BytesWritten += uint64(n)
 
 	// Allocation: the single redo allocation latch serializes LSN claims.

@@ -8,11 +8,10 @@ import (
 
 // PoolStats counts buffer-pool activity.
 type PoolStats struct {
-	Gets        uint64
-	Misses      uint64 // block not resident (disk read required)
-	Evictions   uint64
-	DirtyMarked uint64 // transitions clean -> dirty
-	Cleaned     uint64 // DBWR write-outs
+	Gets      uint64
+	Misses    uint64 // block not resident (disk read required)
+	Evictions uint64
+	Cleaned   uint64 // DBWR write-outs
 }
 
 // BufferPool is the SGA block buffer area: frames holding database blocks,
@@ -128,10 +127,7 @@ func (p *BufferPool) Unpin(f int32) {
 // the clean->dirty transition.
 func (p *BufferPool) MarkDirty(f int32) {
 	fr := &p.frames[f]
-	if !fr.dirty {
-		fr.dirty = true
-		p.Stats.DirtyMarked++
-	}
+	fr.dirty = true
 	if !fr.inDirty {
 		fr.inDirty = true
 		p.dirtyQueue = append(p.dirtyQueue, f)

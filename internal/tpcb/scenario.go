@@ -52,7 +52,6 @@ func (e *Engine) DrawTxnShaped(r *sim.RNG, branchZipf *sim.Zipf, workingSet floa
 // no undo, no redo, no history insert, and no commit record, so the session
 // has nothing to wait on and the balance/history invariants are untouched.
 func (e *Engine) ExecReadTxn(sess *Session, in TxnInput) {
-	e.Stats.ReadTxns++
 	sess.pinned = sess.pinned[:0]
 
 	e.em.Code(e.code.SQLPrep)
@@ -98,7 +97,6 @@ const scanRowLines = 16
 // scan-only profile examples/scenarios/dss.json is the paper's
 // decision-support contrast.
 func (e *Engine) ExecScan(sess *Session, blocks int) {
-	e.Stats.ScanTxns++
 	sess.pinned = sess.pinned[:0]
 
 	e.em.Code(e.code.SQLPrep)

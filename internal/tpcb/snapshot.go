@@ -25,11 +25,8 @@ func (e *Engine) SaveState(enc *snapshot.Encoder) {
 	enc.Int(e.histCursor)
 	e.rng.SaveState(enc)
 	enc.U64(e.Stats.Txns)
-	enc.U64(e.Stats.RemoteBranch)
 	enc.U64(e.Stats.HistoryBlocks)
 	enc.U64(e.Stats.UndoBlocks)
-	enc.U64(e.Stats.ReadTxns)
-	enc.U64(e.Stats.ScanTxns)
 	enc.Int(len(e.code.All))
 	for _, f := range e.code.All {
 		enc.Int(f.pos)
@@ -136,14 +133,7 @@ func (e *Engine) LoadState(d *snapshot.Decoder) error {
 	}
 	histCursor := d.Int()
 	e.rng.LoadState(d)
-	stats := EngineStats{
-		Txns:          d.U64(),
-		RemoteBranch:  d.U64(),
-		HistoryBlocks: d.U64(),
-		UndoBlocks:    d.U64(),
-		ReadTxns:      d.U64(),
-		ScanTxns:      d.U64(),
-	}
+	stats := EngineStats{Txns: d.U64(), HistoryBlocks: d.U64(), UndoBlocks: d.U64()}
 	nFns := d.Int()
 	if d.Err() != nil {
 		return d.Err()
@@ -266,7 +256,6 @@ func (p *BufferPool) SaveState(e *snapshot.Encoder) {
 	e.U64(p.Stats.Gets)
 	e.U64(p.Stats.Misses)
 	e.U64(p.Stats.Evictions)
-	e.U64(p.Stats.DirtyMarked)
 	e.U64(p.Stats.Cleaned)
 }
 
@@ -292,13 +281,7 @@ func (p *BufferPool) LoadState(d *snapshot.Decoder) error {
 	free := d.I64s()
 	clock := d.U64()
 	dirtyQueue := d.I64s()
-	stats := PoolStats{
-		Gets:        d.U64(),
-		Misses:      d.U64(),
-		Evictions:   d.U64(),
-		DirtyMarked: d.U64(),
-		Cleaned:     d.U64(),
-	}
+	stats := PoolStats{Gets: d.U64(), Misses: d.U64(), Evictions: d.U64(), Cleaned: d.U64()}
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -344,7 +327,6 @@ func (l *RedoLog) SaveState(e *snapshot.Encoder) {
 	e.U64(l.nextLSN)
 	e.U64(l.requestedLSN)
 	e.U64(l.flushedLSN)
-	e.U64(l.Stats.Appends)
 	e.U64(l.Stats.BytesWritten)
 	e.U64(l.Stats.Gathers)
 	e.U64(l.Stats.Overruns)
@@ -355,12 +337,7 @@ func (l *RedoLog) LoadState(d *snapshot.Decoder) error {
 	next := d.U64()
 	requested := d.U64()
 	flushed := d.U64()
-	stats := LogStats{
-		Appends:      d.U64(),
-		BytesWritten: d.U64(),
-		Gathers:      d.U64(),
-		Overruns:     d.U64(),
-	}
+	stats := LogStats{BytesWritten: d.U64(), Gathers: d.U64(), Overruns: d.U64()}
 	if err := d.Err(); err != nil {
 		return err
 	}
