@@ -216,27 +216,7 @@ func BenchmarkAblationVictimBuffer(b *testing.B) {
 	b.ReportMetric(without/with, "victim-buffer-speedup")
 }
 
-// BenchmarkAblationContention turns on the queuing layer (banked memory
-// controllers + torus links) that the fixed Figure 3 latencies abstract away.
-func BenchmarkAblationContention(b *testing.B) {
-	o := benchOptions(b)
-	var flat, queued float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := FullIntegrationConfig(8, 2*MB, 8)
-		rFlat := o.Run(cfg)
-		flat = rFlat.CyclesPerTxn()
-		cfg.Contention = true
-		cfg.Name = "All +contention"
-		rQueued := o.Run(cfg)
-		queued = rQueued.CyclesPerTxn()
-	}
-	b.StopTimer()
-	b.Logf("\ncontention layer: flat %.0f, queued %.0f cycles/txn (%+.1f%%)", flat, queued, 100*(queued/flat-1))
-	b.ReportMetric(queued/flat, "contention-slowdown")
-}
-
-// BenchmarkAblationSharedL2Latency sweeps the integrated L2 hit latency to
+// BenchmarkAblationL2HitLatency sweeps the integrated L2 hit latency to
 // show how strongly uniprocessor OLTP depends on it (the paper's Section 3
 // design argument).
 func BenchmarkAblationL2HitLatency(b *testing.B) {

@@ -97,7 +97,7 @@ func main() {
 	}
 	if *checkpoint != "" {
 		cr.Every = *ckptEvery
-		cr.Write = func(data []byte) error { return os.WriteFile(*checkpoint, data, 0o644) }
+		cr.Write = func(data []byte) error { return cli.WriteFileAtomic(*checkpoint, data) }
 	}
 	sr, _, err := opt.Execute(cfg, cr)
 	if err != nil {

@@ -1,10 +1,12 @@
-// Package cli holds the flag-parsing helpers shared by the command-line
-// tools, kept out of package main so they are testable.
+// Package cli holds the helpers shared by the command-line tools and the
+// job server (machine specs, sizes, scenario files and atomic file
+// writes), kept out of package main so they are testable.
 package cli
 
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"oltpsim/internal/core"
@@ -105,4 +107,47 @@ func LoadSchedule(path string) (*scenario.Schedule, error) {
 		return nil, fmt.Errorf("scenario %s: %w", path, err)
 	}
 	return p.Compile()
+}
+
+// WriteFileAtomic replaces the file at path with data through a temp file
+// beside it (path + ".tmp") and a rename, so a process killed mid-write
+// leaves either the old content or the new, never a torn file. The temp
+// file is fsynced before the rename and the directory after it, so the
+// either-old-or-new guarantee covers OS crashes and power loss, not just
+// process kills — rename-before-data-flush could otherwise surface an
+// empty or torn file.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory so a just-renamed entry survives an OS crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,6 +1,9 @@
 package cli
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"oltpsim/internal/core"
@@ -122,5 +125,49 @@ func TestBuildRejectsInvalid(t *testing.T) {
 	}
 	if _, err := Build(MachineSpec{Procs: 8, Level: "base", L2: "8M", Assoc: 1, Cores: 3}); err == nil {
 		t.Fatal("non-dividing cores accepted")
+	}
+	// A RAC on one chip: a uniprocessor, and eight cores on one chip.
+	for _, spec := range []MachineSpec{
+		{Procs: 1, Level: "full", L2: "2M", Assoc: 8, RACSize: "8M"},
+		{Procs: 8, Level: "full", L2: "2M", Assoc: 8, RACSize: "8M", Cores: 8},
+	} {
+		if _, err := Build(spec); err == nil || !strings.Contains(err.Error(), "RAC") {
+			t.Fatalf("RAC on one chip %+v: err = %v, want one naming the RAC", spec, err)
+		}
+	}
+}
+
+// TestWriteFileAtomicReplaces: an overwrite leaves the new bytes and no
+// temp file beside them.
+func TestWriteFileAtomicReplaces(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.ck")
+	for _, data := range []string{"old bytes", "new"} {
+		if err := WriteFileAtomic(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("file holds %q (err %v), want %q", got, err, "new")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind (stat err %v)", err)
+	}
+}
+
+// TestWriteFileAtomicKeepsOldOnFailure: when the temp file cannot be
+// created, the call fails and the previous content survives.
+func TestWriteFileAtomicKeepsOldOnFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.ck")
+	if err := WriteFileAtomic(path, []byte("old bytes")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("new")); err == nil {
+		t.Fatal("write through an uncreatable temp file succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "old bytes" {
+		t.Fatalf("file holds %q (err %v), want the old bytes", got, err)
 	}
 }

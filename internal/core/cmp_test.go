@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"oltpsim/internal/cache"
-	"oltpsim/internal/mem"
 	"oltpsim/internal/memref"
 	"oltpsim/internal/oltp"
 )
@@ -106,29 +105,6 @@ func TestCMPDirtySiblingReadMergesToL2(t *testing.T) {
 	}
 	if st := sys.nodes[0].cores[0].l1d.Probe(4096); st == cache.Modified || st == cache.Exclusive {
 		t.Fatalf("writer core still exclusive (%v) after sibling read", st)
-	}
-}
-
-// TestCMPContentionUsesRequesterClock: a contended request reaches the
-// memory controller at the requesting core's clock, not at the clock of
-// its chip's first core. Core 0 runs nothing, so its clock stays at 0.
-// Core 1 misses twice on one bank; the first miss's own latency spaces the
-// second beyond the bank's occupancy in core 1's time, so neither queues
-// and core 1 stalls exactly two local latencies.
-func TestCMPContentionUsesRequesterClock(t *testing.T) {
-	src := newScript(2)
-	src.nodes = 1 // every line homed on the one chip
-	src.add(1, memref.New(0, memref.Load, false, false, 0))
-	src.add(1, memref.New(mem.Banks*memref.LineBytes, memref.Load, false, false, 0)) // same bank
-	cfg := cmpCfg(2, 2)
-	cfg.Contention = true
-	local := uint64(cfg.Latencies().Local)
-	if local <= mem.BankBusyCycles {
-		t.Fatalf("local latency %d does not outlast the %d-cycle bank occupancy", local, mem.BankBusyCycles)
-	}
-	sys := runScript(t, cfg, src)
-	if got := sys.Model(1).Breakdown().Local; got != 2*local {
-		t.Fatalf("core 1's two local misses stalled %d cycles, want %d", got, 2*local)
 	}
 }
 

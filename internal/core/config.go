@@ -56,11 +56,6 @@ type Config struct {
 	// (ablation: every dirty read miss then downgrades to shared and the
 	// following write pays an upgrade).
 	NoMigratory bool
-	// Contention enables the queuing layer (banked memory controllers and
-	// torus link occupancy) on top of the base latencies. The paper-fidelity
-	// configurations leave it off — Figure 3 is end-to-end — so this is an
-	// ablation knob.
-	Contention bool
 	// VictimBuffers enables the 21364-style L2 victim buffer with the given
 	// entry count (0 = disabled; Figure 3 latencies already assume the
 	// production arrangement, so this is an ablation knob).
@@ -100,6 +95,9 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.RACBytes != 0 {
+		if c.Processors == c.CoresPerChip {
+			return fmt.Errorf("core: a RAC caches remote lines and needs more than one chip")
+		}
 		return rac.Geometry(c.RACBytes).Validate()
 	}
 	return nil

@@ -117,6 +117,17 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("bad RAC accepted")
 	}
+	cfg = BaseConfig(1, 8*MB, 1)
+	cfg.RACBytes = 8 * MB
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("RAC on a uniprocessor accepted")
+	}
+	cfg = BaseConfig(8, 8*MB, 1)
+	cfg.CoresPerChip = 8
+	cfg.RACBytes = 8 * MB
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("RAC on one 8-core chip accepted")
+	}
 }
 
 func TestLatencyOverride(t *testing.T) {

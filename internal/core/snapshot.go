@@ -33,7 +33,7 @@ func (c Config) Fingerprint() string {
 }
 
 // Save writes the complete machine state — caches, directory, CPU models,
-// contention layer, counters, and the workload — as one versioned snapshot.
+// counters, and the workload — as one versioned snapshot.
 // A system with a miss classifier cannot be saved (the classifier's
 // unbounded line-history table is diagnostic, not architectural).
 func (s *System) Save(out io.Writer) error {
@@ -81,14 +81,6 @@ func (s *System) Snapshot() (*snapshot.Writer, error) {
 	}
 
 	s.dir.SaveState(w.Section("directory"))
-
-	if s.net != nil || s.mcs != nil {
-		e := w.Section("contention")
-		s.net.SaveState(e)
-		for _, mc := range s.mcs {
-			mc.SaveState(e)
-		}
-	}
 
 	ws.SaveState(w.Section("workload"))
 	return w, nil
@@ -190,24 +182,6 @@ func (s *System) Load(in io.Reader) error {
 	}
 	if err := d.Finish(); err != nil {
 		return err
-	}
-
-	if s.net != nil || s.mcs != nil {
-		d, err = r.Section("contention")
-		if err != nil {
-			return err
-		}
-		if err := s.net.LoadState(d); err != nil {
-			return err
-		}
-		for _, mc := range s.mcs {
-			if err := mc.LoadState(d); err != nil {
-				return err
-			}
-		}
-		if err := d.Finish(); err != nil {
-			return err
-		}
 	}
 
 	d, err = r.Section("workload")

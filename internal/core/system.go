@@ -7,9 +7,7 @@ import (
 	"oltpsim/internal/coherence"
 	"oltpsim/internal/cpu"
 	"oltpsim/internal/kernel"
-	"oltpsim/internal/mem"
 	"oltpsim/internal/memref"
-	"oltpsim/internal/noc"
 	"oltpsim/internal/rac"
 	"oltpsim/internal/stats"
 )
@@ -82,9 +80,8 @@ type node struct {
 }
 
 // System is the assembled machine: chips with cache hierarchies, a
-// directory protocol, the latency model implied by the integration level,
-// and (optionally) contention models for the memory controllers and
-// network.
+// directory protocol, and the latency model implied by the integration
+// level.
 type System struct {
 	cfg   Config
 	lat   LatencyTable
@@ -129,10 +126,6 @@ type System struct {
 	latByCat   [4]uint32
 	stallByCat [4]cpu.StallCat
 
-	// Contention layer (nil unless cfg.Contention).
-	mcs []*mem.Controller
-	net *noc.Network
-
 	classifier *cache.Classifier // only when cfg.Classify
 
 	writeInvalOps uint64
@@ -162,9 +155,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			vb: cache.NewVictimBuffer(cfg.VictimBuffers),
 		}
 		if cfg.RACBytes != 0 {
-			if chips == 1 {
-				return nil, fmt.Errorf("core: a RAC caches remote lines and needs a multiprocessor")
-			}
 			n.rc = rac.New(cfg.RACBytes)
 		}
 		for c := 0; c < cores; c++ {
@@ -197,12 +187,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		coherence.CatRemoteClean:    cpu.CatRemote,
 		coherence.CatRemoteDirty:    cpu.CatRemoteDirty,
 		coherence.CatRemoteDirtyRAC: cpu.CatRemoteDirty,
-	}
-	if cfg.Contention {
-		s.net = noc.New(chips)
-		for i := 0; i < chips; i++ {
-			s.mcs = append(s.mcs, mem.NewController())
-		}
 	}
 	if cfg.Classify {
 		s.classifier = cache.NewClassifier(int(cfg.L2SizeBytes / 64))
@@ -391,9 +375,8 @@ func (s *System) Step() bool {
 // 830 references across the whole machine, at 1 CPU and at 8 alike (plus
 // idleRecheck-paced naps on waiting cores), so a two-million-step
 // allowance per core is over three orders of magnitude of headroom — far
-// beyond any latency or contention sweep, yet tight enough that a
-// genuinely wedged scheduler dies in milliseconds of wall time instead of
-// minutes.
+// beyond any latency sweep, yet tight enough that a genuinely wedged
+// scheduler dies in milliseconds of wall time instead of minutes.
 const refBudgetPerTxn = 2_000_000
 
 // stepBound derives RunUntil's deadlock bound from the work remaining:
@@ -633,7 +616,7 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 			// these as local misses).
 			n.miss.Count(ifetch, coherence.CatLocal)
 			n.miss.CountRACHit(ifetch)
-			return s.contended(s.lat.RACHit, co, line, true), cpu.CatLocal
+			return s.lat.RACHit, cpu.CatLocal
 		}
 	}
 
@@ -650,7 +633,7 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 	s.insertL2(n, line, res.Grant)
 	s.fillL1(n, l1, line, l1FillState(res.Grant, ifetch))
 	n.miss.Count(ifetch, res.Cat)
-	return s.contended(s.latFor(res.Cat), co, line, false), s.stallFor(res.Cat)
+	return s.latFor(res.Cat), s.stallFor(res.Cat)
 }
 
 // siblingShare demotes other cores' exclusive L1 copies of line when a core
@@ -693,31 +676,6 @@ func (s *System) siblingInvalidate(n *node, co *coreCtx, line uint64) {
 		other.l1d.Invalidate(line)
 		other.l1i.Invalidate(line)
 	}
-}
-
-// contended adds queuing delay from the contention layer, when enabled: at
-// the memory controller of the line's home node, or of the requesting
-// core's own node when local (a RAC hit is served from the requester's
-// memory), plus the network when that node is remote. The request leaves
-// at the requesting core's clock. The home is looked up only past the
-// early return, so a run without contention never pays for it.
-func (s *System) contended(base uint32, co *coreCtx, line uint64, local bool) uint32 {
-	if s.mcs == nil {
-		return base
-	}
-	requester := co.chip.id
-	home := requester
-	if !local {
-		home = s.dir.Home(line)
-	}
-	// Read the model, not the clock mirror: the mirror holds the done
-	// sentinel once a core's workload is exhausted.
-	at := co.model.Now()
-	extra := s.mcs[home].Access(line, at)
-	if s.net != nil && requester != home {
-		extra += s.net.Send(requester, home, at)
-	}
-	return base + extra
 }
 
 // insertL2 installs line in chip n's L2 and unwinds the eviction cascade:

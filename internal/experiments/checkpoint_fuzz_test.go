@@ -106,6 +106,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(withVersion(steady, 3))
 	f.Add(withVersion(steady, 4))
 	f.Add(withVersion(steady, 5))
+	f.Add(withVersion(steady, 6))
 	f.Add(encodedCheckpoint(f, checkpoint{
 		pos:    posWarmed,
 		proto:  protocol{warmup: 90, measure: 180, quick: true},

@@ -21,7 +21,7 @@ func invariantOptions() Options {
 
 // invariantConfigs is the table: one representative of every machine shape
 // the figures sweep — off-chip and integrated L2s, uni- and multiprocessor,
-// victim buffers, RAC, code replication, contention, CMP, and out-of-order
+// victim buffers, RAC, code replication, CMP, and out-of-order
 // cores — so a conservation bug in any path fails here, not in a figure.
 func invariantConfigs() []core.Config {
 	cfgs := []core.Config{
@@ -45,11 +45,6 @@ func invariantConfigs() []core.Config {
 	cmp.CoresPerChip = 4
 	cmp.Name = "All 2x4 CMP"
 	cfgs = append(cfgs, cmp)
-
-	cont := core.FullConfig(8, 2*core.MB, 8)
-	cont.Contention = true
-	cont.Name = "All +contention"
-	cfgs = append(cfgs, cont)
 
 	ooo := core.BaseConfig(8, 8*core.MB, 1)
 	ooo.OutOfOrder = true

@@ -253,8 +253,6 @@ func TestContractAnalyzersPinned(t *testing.T) {
 		"oltpsim/internal/cpu InOrder",
 		"oltpsim/internal/cpu OOO",
 		"oltpsim/internal/kernel Scheduler",
-		"oltpsim/internal/mem Controller",
-		"oltpsim/internal/noc Network",
 		"oltpsim/internal/oltp Harness",
 		"oltpsim/internal/rac RAC",
 		"oltpsim/internal/sim RNG",

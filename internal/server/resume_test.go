@@ -499,7 +499,7 @@ func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
 // in-flight job whose checkpoint.bin was written by an older server: in the
 // layout the single driver replaced ("protocol" and "system" sections, no
 // "checkpoint" section), or in the current layout under snapshot version 1
-// to 5. The resume is refused, and the job ends failed with the missing
+// to 6. The resume is refused, and the job ends failed with the missing
 // section or the outdated version named — no panic, and no silent restart
 // from scratch.
 func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
@@ -545,6 +545,7 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 		{"snapshot version 3", "outdated checkpoint (snapshot version 3", stamped(3)},
 		{"snapshot version 4", "outdated checkpoint (snapshot version 4", stamped(4)},
 		{"snapshot version 5", "outdated checkpoint (snapshot version 5", stamped(5)},
+		{"snapshot version 6", "outdated checkpoint (snapshot version 6", stamped(6)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -72,6 +72,8 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"bad level", `{"machines": [{"procs": 1, "level": "warp", "l2": "1M", "assoc": 1}], "measure_txns": 10}`},
 		{"bad size", `{"machines": [{"procs": 1, "level": "base", "l2": "zero", "assoc": 1}], "measure_txns": 10}`},
 		{"zero procs", `{"machines": [{"procs": 0, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10}`},
+		{"RAC on one chip", `{"machines": [{"procs": 1, "level": "full", "l2": "2M", "assoc": 8, "rac": "8M"}], "measure_txns": 10}`},
+		{"RAC on one CMP chip", `{"machines": [{"procs": 8, "level": "full", "l2": "2M", "assoc": 8, "rac": "8M", "cores": 8}], "measure_txns": 10}`},
 		{"checkpoint quantum too large", fmt.Sprintf(`{"machines": [%s], "measure_txns": 10, "checkpoint_every": %d}`, machine, uint64(MaxTxns)+1)},
 		{"oversized body", `{"name": "` + strings.Repeat("x", MaxSpecBytes) + `"}`},
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"oltpsim/internal/cli"
 	"oltpsim/internal/stats"
 )
 
@@ -53,46 +54,9 @@ func newStore(dataDir string) (*store, error) {
 
 func (st *store) jobDir(id string) string { return filepath.Join(st.dir, id) }
 
-// writeFile atomically replaces <jobdir>/<name> with data. The temp file is
-// fsynced before the rename and the directory after it, so the
-// either-old-or-new guarantee covers OS crashes and power loss, not just
-// process kills — rename-before-data-flush could otherwise surface an
-// empty or torn file.
+// writeFile atomically replaces <jobdir>/<name> with data.
 func (st *store) writeFile(id, name string, data []byte) error {
-	dir := st.jobDir(id)
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives an OS crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return cli.WriteFileAtomic(filepath.Join(st.jobDir(id), name), data)
 }
 
 func (st *store) writeJSON(id, name string, v any) error {
