@@ -34,6 +34,12 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := validate(*txns, *sessions); err != nil {
+		fmt.Fprintln(os.Stderr, "tpcb:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	cfg := tpcb.DefaultConfig()
 	cfg.Branches = *branches
 	cfg.AccountsPerBranch = *accounts
@@ -108,4 +114,15 @@ func main() {
 				float64(counter.Stores)/n)
 		}
 	}
+}
+
+// validate rejects flag values the transaction loop would misinterpret.
+func validate(txns, sessions int) error {
+	if txns < 0 {
+		return fmt.Errorf("-txns must be >= 0 (got %d)", txns)
+	}
+	if sessions < 1 {
+		return fmt.Errorf("-sessions must be >= 1 (got %d)", sessions)
+	}
+	return nil
 }

@@ -2,14 +2,19 @@ package cpu
 
 import "oltpsim/internal/memref"
 
-// OOOConfig parametrizes the out-of-order model.
+// The paper's out-of-order core (Section 7): a 64-entry instruction window
+// and 2 load/store units. Its issue width of 4 is folded into
+// OOOConfig.EffectiveWidth.
+const (
+	// Window is the instruction window size.
+	Window = 64
+	// MemPorts is the number of load/store units. Memory operations take
+	// them round-robin, each holding its unit for 1/MemPorts of a cycle.
+	MemPorts = 2
+)
+
+// OOOConfig holds the out-of-order model's two calibrated rates.
 type OOOConfig struct {
-	// Width is the issue/retire width (4 in the paper).
-	Width int
-	// Window is the instruction window size (64 in the paper).
-	Window int
-	// MemPorts is the number of load/store units (2 in the paper).
-	MemPorts int
 	// EffectiveWidth is the sustained non-stalled issue rate on OLTP code;
 	// it folds in the fetch and branch-prediction losses the abstract
 	// reference stream does not model. The paper observes that OLTP has
@@ -46,15 +51,11 @@ type OOOConfig struct {
 // stall accounting.
 type OOO struct {
 	cfg OOOConfig
-	// portStep is 1/MemPorts, precomputed at construction: it keeps the
-	// per-reference issue path division-free and MemPorts is validated
-	// non-zero exactly once.
-	portStep float64
 
 	seq             uint64  // instruction sequence count
 	now             float64 // retire frontier
 	lastMemComplete float64
-	ports           []float64
+	ports           [MemPorts]float64
 	nextPort        int
 
 	// gates is a ring of (seq, retire-time) checkpoints used to find the
@@ -86,19 +87,10 @@ const (
 )
 
 // NewOOO builds the model; zero-valued fields of cfg take the paper's
-// defaults (4-wide, 64-entry window, 2 load/store units, effective width
-// 1.6, chain fraction 0.85). This is the one definition of the paper's OOO
-// core: core.Config.OutOfOrder builds NewOOO(OOOConfig{}).
+// calibrated defaults (effective width 1.6, chain fraction 0.85). This is
+// the one definition of the paper's OOO core: core.Config.OutOfOrder builds
+// NewOOO(OOOConfig{}).
 func NewOOO(cfg OOOConfig) *OOO {
-	if cfg.Width == 0 {
-		cfg.Width = 4
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 64
-	}
-	if cfg.MemPorts == 0 {
-		cfg.MemPorts = 2
-	}
 	if cfg.EffectiveWidth == 0 {
 		cfg.EffectiveWidth = 1.6
 	}
@@ -106,10 +98,8 @@ func NewOOO(cfg OOOConfig) *OOO {
 		cfg.ChainFraction = 0.85
 	}
 	return &OOO{
-		cfg:      cfg,
-		portStep: 1.0 / float64(cfg.MemPorts),
-		ports:    make([]float64, cfg.MemPorts),
-		gates:    make([]gate, 256),
+		cfg:   cfg,
+		gates: make([]gate, 256),
 	}
 }
 
@@ -180,7 +170,7 @@ func (m *OOO) Account(r memref.Ref, lat uint32, cat StallCat) {
 
 	// The ROB gate: this operation occupies an ROB slot, so instruction
 	// seq-Window must have retired before it can even be in flight.
-	issue := m.gateTime(sub(m.seq, uint64(m.cfg.Window)))
+	issue := m.gateTime(sub(m.seq, Window))
 	chained := r.DepPrev()
 	if !chained && r.Kind() == memref.Load {
 		// Deterministic pseudo-random chain marking by sequence hash.
@@ -198,8 +188,8 @@ func (m *OOO) Account(r memref.Ref, lat uint32, cat StallCat) {
 		// memory transaction begins at the retire frontier.
 		issue = m.now
 	}
-	m.ports[m.nextPort] = issue + m.portStep
-	m.nextPort = (m.nextPort + 1) % m.cfg.MemPorts
+	m.ports[m.nextPort] = issue + 1.0/MemPorts
+	m.nextPort = (m.nextPort + 1) % MemPorts
 
 	eff := float64(lat)
 	if lat == 0 {

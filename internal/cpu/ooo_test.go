@@ -7,7 +7,7 @@ import (
 )
 
 func newTestOOO() *OOO {
-	return NewOOO(OOOConfig{Width: 4, Window: 64, MemPorts: 2, EffectiveWidth: 2, ChainFraction: 1e-12})
+	return NewOOO(OOOConfig{EffectiveWidth: 2, ChainFraction: 1e-12})
 }
 
 func fetch(m *OOO, instrs int) {
@@ -118,9 +118,6 @@ func TestOOOChainFractionForcesSerialization(t *testing.T) {
 
 func TestOOODefaults(t *testing.T) {
 	m := NewOOO(OOOConfig{})
-	if m.cfg.Width != 4 || m.cfg.Window != 64 || m.cfg.MemPorts != 2 {
-		t.Fatalf("defaults %+v", m.cfg)
-	}
 	if m.cfg.EffectiveWidth <= 0 || m.cfg.ChainFraction <= 0 {
 		t.Fatal("calibrated defaults missing")
 	}

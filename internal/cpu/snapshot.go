@@ -51,7 +51,7 @@ func (m *OOO) SaveState(e *snapshot.Encoder) {
 	e.U64(m.seq)
 	e.F64(m.now)
 	e.F64(m.lastMemComplete)
-	e.F64s(m.ports)
+	e.F64s(m.ports[:])
 	e.Int(m.nextPort)
 	e.Int(m.gLen)
 	for i := 0; i < m.gLen; i++ {
@@ -77,10 +77,10 @@ func (m *OOO) LoadState(d *snapshot.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if len(ports) != m.cfg.MemPorts {
-		return fmt.Errorf("cpu: snapshot has %d memory ports, want %d", len(ports), m.cfg.MemPorts)
+	if len(ports) != MemPorts {
+		return fmt.Errorf("cpu: snapshot has %d memory ports, want %d", len(ports), MemPorts)
 	}
-	if nextPort < 0 || nextPort >= m.cfg.MemPorts {
+	if nextPort < 0 || nextPort >= MemPorts {
 		return fmt.Errorf("cpu: port cursor %d out of range", nextPort)
 	}
 	if gLen < 0 {
@@ -113,7 +113,7 @@ func (m *OOO) LoadState(d *snapshot.Decoder) error {
 	m.seq = seq
 	m.now = now
 	m.lastMemComplete = lastMem
-	copy(m.ports, ports)
+	copy(m.ports[:], ports)
 	m.nextPort = nextPort
 	m.gates = gates
 	m.gHead = 0

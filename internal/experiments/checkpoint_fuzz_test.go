@@ -101,12 +101,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped := append([]byte(nil), steady...)
 	flipped[len(flipped)-1] ^= 0x40
 	f.Add(flipped)
-	f.Add(withVersion(steady, 1))
-	f.Add(withVersion(steady, 2))
-	f.Add(withVersion(steady, 3))
-	f.Add(withVersion(steady, 4))
-	f.Add(withVersion(steady, 5))
-	f.Add(withVersion(steady, 6))
+	for v := uint32(1); v < snapshot.Version; v++ {
+		f.Add(withVersion(steady, v))
+	}
 	f.Add(encodedCheckpoint(f, checkpoint{
 		pos:    posWarmed,
 		proto:  protocol{warmup: 90, measure: 180, quick: true},

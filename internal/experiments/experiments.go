@@ -12,6 +12,7 @@ import (
 	"oltpsim/internal/scenario"
 	"oltpsim/internal/sim"
 	"oltpsim/internal/stats"
+	"oltpsim/internal/tpcb"
 )
 
 // Options controls the measurement protocol.
@@ -69,9 +70,7 @@ func QuickOptions() Options {
 func (o Options) Params(cfg core.Config) oltp.Params {
 	p := oltp.DefaultParams(cfg.Processors)
 	if o.Quick {
-		p.TPCB.AccountsPerBranch = 20_000
-		p.TPCB.BufferFrames = 22_000
-		p.TPCB.SharedPoolBytes = 32 << 20
+		p.TPCB = tpcb.QuickConfig()
 	}
 	if o.Seed != 0 {
 		p.Seed = o.Seed

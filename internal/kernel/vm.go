@@ -48,9 +48,6 @@ type Region struct {
 	Placement Placement
 	// Node is the owner for NodeLocal regions.
 	Node int
-	// Code marks instruction regions; the replication experiment only
-	// affects these.
-	Code bool
 }
 
 // End returns one past the last byte of the region.

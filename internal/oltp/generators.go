@@ -82,7 +82,6 @@ type lgwrGen struct {
 	proc *kernel.Proc
 
 	waiters  []commitWaiter
-	pending  bool
 	ioTarget uint64
 	phase    int
 }
@@ -95,7 +94,6 @@ const (
 // requestFlush registers a commit wait and kicks the daemon.
 func (l *lgwrGen) requestFlush(g *serverGen, lsn uint64, now uint64) {
 	l.waiters = append(l.waiters, commitWaiter{g: g, lsn: lsn})
-	l.pending = true
 	l.h.sched.Wake(l.proc, now)
 }
 
@@ -106,13 +104,12 @@ func (l *lgwrGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Directiv
 	case lgwrPhaseIdle:
 		target, bytes := l.h.eng.LogWriterGather()
 		if bytes == 0 {
-			l.pending = false
 			return kernel.Directive{Kind: kernel.Block}
 		}
 		l.h.kernelIOSubmit(l.h.schedData[l.proc.CPU])
 		l.ioTarget = target
 		l.phase = lgwrPhaseIO
-		dur := l.h.p.LogIOCycles + l.h.p.LogIOPerKB*uint64(bytes)/1024
+		dur := l.h.p.LogIOCycles + LogIOPerKB*uint64(bytes)/1024
 		return kernel.Directive{Kind: kernel.IOWait, Dur: dur}
 	default:
 		// The write completed: mark durable and post every covered waiter.
@@ -156,7 +153,7 @@ func (d *dbwrGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Directiv
 	d.h.em.SetOutput(out, d.h.chipOf(d.proc.CPU))
 	switch d.phase {
 	case dbwrPhaseScan:
-		n := d.h.eng.DBWriterScan(d.h.p.DBWRBatch)
+		n := d.h.eng.DBWriterScan(DBWRBatch)
 		if n == 0 {
 			return kernel.Directive{Kind: kernel.Sleep, Until: now + d.h.p.DBWRSleepCycles}
 		}
@@ -166,7 +163,7 @@ func (d *dbwrGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Directiv
 	default:
 		d.h.kernelIOIntr(d.h.schedData[d.proc.CPU])
 		d.phase = dbwrPhaseScan
-		if d.h.eng.Pool().DirtyBacklog() > 4*d.h.p.DBWRBatch {
+		if d.h.eng.Pool().DirtyBacklog() > 4*DBWRBatch {
 			return kernel.Directive{Kind: kernel.Run}
 		}
 		return kernel.Directive{Kind: kernel.Sleep, Until: now + d.h.p.DBWRSleepCycles}

@@ -24,7 +24,6 @@ type spaceAlloc struct {
 	codeNext uint64
 	shrNext  uint64
 	prvNext  uint64
-	nodes    int
 }
 
 func pageAlign(v uint64) uint64 {
@@ -105,7 +104,6 @@ func NewHarness(p Params) (*Harness, error) {
 		codeNext: codeArenaBase,
 		shrNext:  sharedBase,
 		prvNext:  privateBase,
-		nodes:    h.chips,
 	}
 
 	// Register the code arena itself: one copy striped across nodes, or one
@@ -115,13 +113,13 @@ func NewHarness(p Params) (*Harness, error) {
 			h.as.AddRegion(kernel.Region{
 				Name: fmt.Sprintf("text.replica%d", n),
 				Base: codeArenaBase + uint64(n)*codeArenaSize, Size: codeArenaSize,
-				Placement: kernel.NodeLocal, Node: n, Code: true,
+				Placement: kernel.NodeLocal, Node: n,
 			})
 		}
 	} else {
 		h.as.AddRegion(kernel.Region{
 			Name: "text", Base: codeArenaBase, Size: codeArenaSize,
-			Placement: kernel.RoundRobinPages, Code: true,
+			Placement: kernel.RoundRobinPages,
 		})
 	}
 
@@ -145,7 +143,7 @@ func NewHarness(p Params) (*Harness, error) {
 	}
 
 	// Shared semaphore lines (server <-> log writer communication).
-	totalServers := p.CPUs * p.ServersPerCPU
+	totalServers := p.CPUs * ServersPerCPU
 	h.semBase = alloc.Alloc("kern.semaphores", uint64(totalServers)*memref.LineBytes, tpcb.KindShared)
 
 	// Per-CPU kernel scheduler data.
@@ -154,7 +152,7 @@ func NewHarness(p Params) (*Harness, error) {
 		h.schedData[c] = alloc.allocPrivate(fmt.Sprintf("kern.percpu%d", c), memref.PageBytes, h.chipOf(c))
 	}
 
-	h.sched = kernel.NewScheduler(p.CPUs, p.SchedQuantum, h.emitContextSwitch)
+	h.sched = kernel.NewScheduler(p.CPUs, SchedQuantum, h.emitContextSwitch)
 
 	// Daemons first (spawned before servers, like a real instance): the log
 	// writer on CPU 0, the database writer on the last CPU.
@@ -165,9 +163,9 @@ func NewHarness(p Params) (*Harness, error) {
 
 	// Dedicated servers, ServersPerCPU per processor.
 	for c := 0; c < p.CPUs; c++ {
-		for i := 0; i < p.ServersPerCPU; i++ {
-			id := c*p.ServersPerCPU + i
-			pga := alloc.allocPrivate(fmt.Sprintf("pga.s%d", id), uint64(p.TPCB.PGABytes), h.chipOf(c))
+		for i := 0; i < ServersPerCPU; i++ {
+			id := c*ServersPerCPU + i
+			pga := alloc.allocPrivate(fmt.Sprintf("pga.s%d", id), tpcb.PGABytes, h.chipOf(c))
 			pipe := alloc.allocPrivate(fmt.Sprintf("pipe.s%d", id), 4*memref.PageBytes, h.chipOf(c))
 			g := &serverGen{
 				h:    h,

@@ -136,7 +136,7 @@ func TestHomeOfDistribution(t *testing.T) {
 		}
 	}
 	// And the PGA region of a CPU-3 server must be node-local to 3.
-	if home := h.HomeOf(h.servers[3*h.p.ServersPerCPU].sess.PGABase); home != 3 {
+	if home := h.HomeOf(h.servers[3*ServersPerCPU].sess.PGABase); home != 3 {
 		t.Fatalf("cpu 3 server PGA homed at node %d", home)
 	}
 }
@@ -225,16 +225,6 @@ func TestParamsValidate(t *testing.T) {
 	p := TestParams(0)
 	if err := p.Validate(); err == nil {
 		t.Fatal("0 CPUs accepted")
-	}
-	p = TestParams(1)
-	p.ServersPerCPU = 0
-	if err := p.Validate(); err == nil {
-		t.Fatal("0 servers accepted")
-	}
-	p = TestParams(1)
-	p.SchedQuantum = 0
-	if err := p.Validate(); err == nil {
-		t.Fatal("0 quantum accepted")
 	}
 }
 

@@ -7,6 +7,20 @@ import (
 	"oltpsim/internal/tpcb"
 )
 
+// The fixed shape of the paper's Oracle instance (Section 2.1).
+const (
+	// ServersPerCPU is the dedicated-server multiprogramming level: 8 per
+	// processor, to hide I/O latencies.
+	ServersPerCPU = 8
+	// LogIOPerKB is the redo-log write's transfer time per KB of gathered
+	// redo, on top of LogIOCycles.
+	LogIOPerKB = 500
+	// DBWRBatch is how many dirty blocks one database-writer pass writes.
+	DBWRBatch = 64
+	// SchedQuantum is the scheduler time slice in references.
+	SchedQuantum = 40_000
+)
+
 // Params configures the workload harness.
 type Params struct {
 	// CPUs is the number of cores (matches core.Config.Processors).
@@ -14,9 +28,6 @@ type Params struct {
 	// CoresPerChip groups cores onto chips; the address space then has
 	// CPUs/CoresPerChip NUMA nodes (1 = one core per chip, the paper's).
 	CoresPerChip int
-	// ServersPerCPU is the dedicated-server multiprogramming level (paper:
-	// 8 per processor, to hide I/O latencies).
-	ServersPerCPU int
 	// Seed drives every random stream in the workload.
 	Seed uint64
 	// TPCB sizes the database.
@@ -37,16 +48,10 @@ type Params struct {
 	// LogIOCycles is the redo-log disk write latency (battery-backed
 	// controller class device; group commit amortizes it).
 	LogIOCycles uint64
-	// LogIOPerKB adds transfer time per KB of gathered redo.
-	LogIOPerKB uint64
 	// DBWRSleepCycles is the database writer's wakeup period.
 	DBWRSleepCycles uint64
-	// DBWRBatch is how many dirty blocks one DBWR pass writes.
-	DBWRBatch int
 	// DBWRIOCycles is the DBWR write latency.
 	DBWRIOCycles uint64
-	// SchedQuantum is the scheduler time slice in references.
-	SchedQuantum int
 }
 
 // DefaultParams returns the paper-fidelity workload for a machine size.
@@ -54,15 +59,11 @@ func DefaultParams(cpus int) Params {
 	return Params{
 		CPUs:            cpus,
 		CoresPerChip:    1,
-		ServersPerCPU:   8,
 		Seed:            0x5eed_0217_beef_cafe,
 		TPCB:            tpcb.DefaultConfig(),
 		LogIOCycles:     45_000,
-		LogIOPerKB:      500,
 		DBWRSleepCycles: 1_500_000,
-		DBWRBatch:       64,
 		DBWRIOCycles:    150_000,
-		SchedQuantum:    40_000,
 	}
 }
 
@@ -85,12 +86,6 @@ func (p Params) Validate() error {
 	}
 	if p.CoresPerChip < 1 || p.CPUs%p.CoresPerChip != 0 {
 		return fmt.Errorf("oltp: %d CPUs do not divide into chips of %d", p.CPUs, p.CoresPerChip)
-	}
-	if p.ServersPerCPU <= 0 {
-		return fmt.Errorf("oltp: ServersPerCPU must be positive")
-	}
-	if p.SchedQuantum <= 0 {
-		return fmt.Errorf("oltp: SchedQuantum must be positive")
 	}
 	return p.TPCB.Validate()
 }

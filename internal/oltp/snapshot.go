@@ -25,7 +25,6 @@ func (h *Harness) SaveState(e *snapshot.Encoder) {
 		e.Int(w.g.id)
 		e.U64(w.lsn)
 	}
-	e.Bool(h.lgwr.pending)
 	e.U64(h.lgwr.ioTarget)
 	e.Int(h.lgwr.phase)
 	e.Int(h.dbwr.phase)
@@ -80,7 +79,6 @@ func (h *Harness) LoadState(d *snapshot.Decoder) error {
 		}
 		waiters[i] = commitWaiter{g: h.servers[id], lsn: lsn}
 	}
-	lgwrPending := d.Bool()
 	lgwrIOTarget := d.U64()
 	lgwrPhase := d.Int()
 	dbwrPhase := d.Int()
@@ -103,7 +101,6 @@ func (h *Harness) LoadState(d *snapshot.Decoder) error {
 	}
 	h.committed = committed
 	h.lgwr.waiters = append(h.lgwr.waiters[:0], waiters...)
-	h.lgwr.pending = lgwrPending
 	h.lgwr.ioTarget = lgwrIOTarget
 	h.lgwr.phase = lgwrPhase
 	h.dbwr.phase = dbwrPhase

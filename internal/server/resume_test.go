@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"os"
@@ -498,8 +499,8 @@ func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
 // TestRecoveryFailsOutdatedCheckpoint pins what a restart does with an
 // in-flight job whose checkpoint.bin was written by an older server: in the
 // layout the single driver replaced ("protocol" and "system" sections, no
-// "checkpoint" section), or in the current layout under snapshot version 1
-// to 6. The resume is refused, and the job ends failed with the missing
+// "checkpoint" section), or in the current layout under any earlier snapshot
+// version. The resume is refused, and the job ends failed with the missing
 // section or the outdated version named — no panic, and no silent restart
 // from scratch.
 func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
@@ -535,18 +536,15 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 		return out
 	}
 
-	for _, tc := range []struct {
+	type outdated struct {
 		name, named string
 		ck          []byte
-	}{
-		{"format 1", `section "checkpoint" missing`, format1.Bytes()},
-		{"snapshot version 1", "outdated checkpoint (snapshot version 1", stamped(1)},
-		{"snapshot version 2", "outdated checkpoint (snapshot version 2", stamped(2)},
-		{"snapshot version 3", "outdated checkpoint (snapshot version 3", stamped(3)},
-		{"snapshot version 4", "outdated checkpoint (snapshot version 4", stamped(4)},
-		{"snapshot version 5", "outdated checkpoint (snapshot version 5", stamped(5)},
-		{"snapshot version 6", "outdated checkpoint (snapshot version 6", stamped(6)},
-	} {
+	}
+	cases := []outdated{{"format 1", `section "checkpoint" missing`, format1.Bytes()}}
+	for v := uint32(1); v < snapshot.Version; v++ {
+		cases = append(cases, outdated{fmt.Sprintf("snapshot version %d", v), fmt.Sprintf("outdated checkpoint (snapshot version %d", v), stamped(v)})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			st, err := newStore(dir)

@@ -93,7 +93,6 @@ func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 // synthesis and allocation-free.
 type Zipf struct {
 	n      int
-	theta  float64
 	alpha  float64
 	zetan  float64
 	eta    float64
@@ -115,7 +114,7 @@ func NewZipfCached(n int, theta float64, cache *ZetaCache) *Zipf {
 	if n <= 0 {
 		panic("sim: NewZipf with non-positive n")
 	}
-	z := &Zipf{n: n, theta: theta}
+	z := &Zipf{n: n}
 	z.zetan = cache.zetan(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)

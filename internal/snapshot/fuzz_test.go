@@ -47,6 +47,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add(wrappingSliceLen())
 	f.Add(hugeDirectoryHeader())
+	f.Add(hugeSliceClaim())
+	f.Add(oversizedLength())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := parse(data)
 		if err != nil {

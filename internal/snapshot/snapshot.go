@@ -32,7 +32,7 @@ const Magic = "OLTPSNAP"
 
 // Version is the current format version. Load refuses any other version
 // with a *VersionError: state layout changes must bump it.
-const Version uint32 = 7
+const Version uint32 = 8
 
 // VersionError reports a stream written in another format version, so a
 // caller can tell an outdated stream from a corrupt one.

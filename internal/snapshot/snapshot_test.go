@@ -2,7 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +38,45 @@ func hugeDirectoryHeader() []byte {
 		e.Int(1 << 44)
 		e.Int(0)
 	})
+}
+
+// hugeSliceClaim is a U64s length of 2^40 elements with no bytes behind
+// it: the fuzz target's drainSection reads the leading 5 as a U64s read.
+func hugeSliceClaim() []byte {
+	return hostileStream("huge", func(e *Encoder) {
+		e.U8(5)
+		e.U64(1 << 40)
+	})
+}
+
+// oversizedLength is a section header claiming 2^40 payload bytes with 8
+// behind it, its CRC recomputed so the claim reaches the section walk.
+func oversizedLength() []byte {
+	data := hostileStream("s", func(e *Encoder) { e.U64(7) })
+	binary.LittleEndian.PutUint64(data[len(Magic)+4+2+len("s"):], 1<<40)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	return data
+}
+
+// TestHostileSeedsReachTheirChecks: the fuzz target's current-version
+// hostile seeds get past the version and CRC checks, and each is refused
+// by the length check it was written for.
+func TestHostileSeedsReachTheirChecks(t *testing.T) {
+	if _, err := parse(oversizedLength()); err == nil || !strings.Contains(err.Error(), "claims 1099511627776 bytes") {
+		t.Errorf("oversized section length: parse error %v, want the claimed length refused", err)
+	}
+	r, err := parse(hugeSliceClaim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("huge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainSection(d)
+	if d.Err() == nil {
+		t.Error("a U64s length of 2^40 backed by no bytes was accepted")
+	}
 }
 
 // TestSliceLengthWrapRefused: a length prefix whose byte count overflows

@@ -25,30 +25,48 @@ import (
 	"oltpsim/internal/sim"
 )
 
-// Config sizes the database and its engine structures. Defaults reproduce
-// the paper's setup: a TPC-B database with 40 branches and an SGA over
-// 900 MB of which >100 MB is metadata.
+// The fixed geometry of the paper's database and engine. The paper runs one
+// workload shape (TPC-B under Oracle 7.3.2, Section 2.1), so these never
+// vary between the database scales below.
+const (
+	// TellersPerBranch is 10 per the TPC-B specification.
+	TellersPerBranch = 10
+	// BlockBytes is the database block size (8 KB, Oracle's typical size
+	// and the Alpha page size).
+	BlockBytes = 8192
+	// AccountsPerBlock packs ~100-byte account rows 80 to an 8 KB block.
+	AccountsPerBlock = 80
+	// TellersPerBlock packs teller rows 20 to a block.
+	TellersPerBlock = 20
+	// BranchesPerBlock is 1: the classic TPC-B tuning that gives each
+	// branch row a private block to reduce (but not eliminate) contention.
+	BranchesPerBlock = 1
+	// LogBufferBytes is the circular redo log buffer size.
+	LogBufferBytes = 384 << 10
+	// RedoPerUpdate is the redo payload bytes generated per row update.
+	RedoPerUpdate = 144
+	// UndoBlocksPerSegment is the recycled window of blocks per rollback
+	// segment.
+	UndoBlocksPerSegment = 4
+	// HistoryInsertSlots is the number of free-list insert points for the
+	// history table; concurrent inserters rotate among them.
+	HistoryInsertSlots = 4
+	// CursorHotLines is the per-statement hot cursor footprint in lines.
+	CursorHotLines = 24
+	// PGABytes is the per-process private memory (session heap, redo
+	// scratch, sort area slices).
+	PGABytes = 1 << 20
+)
+
+// Config sizes the database and its engine structures: the values that
+// differ between the paper-scale, quick and unit-test databases. Defaults
+// reproduce the paper's setup: a TPC-B database with 40 branches and an SGA
+// over 900 MB of which >100 MB is metadata.
 type Config struct {
 	// Branches is the TPC-B scale factor (paper: 40).
 	Branches int
-	// TellersPerBranch is 10 per the TPC-B specification.
-	TellersPerBranch int
 	// AccountsPerBranch is 100,000 per the TPC-B specification.
 	AccountsPerBranch int
-
-	// BlockBytes is the database block size (8 KB, Oracle's typical size and
-	// the Alpha page size).
-	BlockBytes int
-	// AccountsPerBlock controls row packing for the account table
-	// (~100-byte rows => 80 rows per 8 KB block).
-	AccountsPerBlock int
-	// TellersPerBlock packs teller rows (20 per block).
-	TellersPerBlock int
-	// BranchesPerBlock is 1: the classic TPC-B tuning that gives each
-	// branch row a private block to reduce (but not eliminate) contention.
-	BranchesPerBlock int
-	// HistoryRowsPerBlock packs ~160-byte history rows (48 per block).
-	HistoryRowsPerBlock int
 
 	// BufferFrames is the number of block buffers in the SGA block buffer
 	// area. The default gives ~790 MB of cached blocks, comfortably holding
@@ -61,20 +79,10 @@ type Config struct {
 	// those buckets.
 	CBCLatches int
 
-	// LogBufferBytes is the circular redo log buffer size (1 MB).
-	LogBufferBytes int
-	// RedoPerUpdate is the redo payload bytes generated per row update.
-	RedoPerUpdate int
-
 	// UndoSegments is the number of rollback segments; sessions are assigned
 	// round-robin, so concurrent transactions write different undo blocks.
 	UndoSegments int
-	// UndoBlocksPerSegment is the recycled window of blocks per segment.
-	UndoBlocksPerSegment int
 
-	// HistoryInsertSlots is the number of free-list insert points for the
-	// history table; concurrent inserters rotate among them.
-	HistoryInsertSlots int
 	// HistoryWindowBlocks is the recycled window of history blocks (the
 	// simulated steady state where old history has been checkpointed out).
 	HistoryWindowBlocks int
@@ -82,12 +90,6 @@ type Config struct {
 	// SharedPoolBytes sizes the library-cache / cursor region of the SGA
 	// metadata area; executions read skewed portions of it.
 	SharedPoolBytes int
-	// CursorHotLines is the per-statement hot cursor footprint in lines.
-	CursorHotLines int
-
-	// PGABytes is the per-process private memory (session heap, redo
-	// scratch, sort area slices).
-	PGABytes int
 
 	// Zeta, when non-nil, memoizes the O(n) Zipf harmonic-sum constants
 	// across engine constructions (one engine per experiment bar or server
@@ -101,27 +103,26 @@ type Config struct {
 // DefaultConfig returns the paper-scale configuration.
 func DefaultConfig() Config {
 	return Config{
-		Branches:             40,
-		TellersPerBranch:     10,
-		AccountsPerBranch:    100_000,
-		BlockBytes:           8192,
-		AccountsPerBlock:     80,
-		TellersPerBlock:      20,
-		BranchesPerBlock:     1,
-		HistoryRowsPerBlock:  48,
-		BufferFrames:         101_000,
-		HashBuckets:          8192,
-		CBCLatches:           512,
-		LogBufferBytes:       384 << 10,
-		RedoPerUpdate:        144,
-		UndoSegments:         8,
-		UndoBlocksPerSegment: 4,
-		HistoryInsertSlots:   4,
-		HistoryWindowBlocks:  1024,
-		SharedPoolBytes:      96 << 20,
-		CursorHotLines:       24,
-		PGABytes:             1 << 20,
+		Branches:            40,
+		AccountsPerBranch:   100_000,
+		BufferFrames:        101_000,
+		HashBuckets:         8192,
+		CBCLatches:          512,
+		UndoSegments:        8,
+		HistoryWindowBlocks: 1024,
+		SharedPoolBytes:     96 << 20,
 	}
+}
+
+// QuickConfig returns the scaled-down database of quick runs (oltpsim
+// -quick, figures -quick, and quick server jobs): a fifth of the accounts,
+// a buffer pool sized to hold them, and a third of the shared pool.
+func QuickConfig() Config {
+	c := DefaultConfig()
+	c.AccountsPerBranch = 20_000
+	c.BufferFrames = 22_000
+	c.SharedPoolBytes = 32 << 20
+	return c
 }
 
 // SmallConfig returns a scaled-down database for fast unit tests. The engine
@@ -140,28 +141,28 @@ func SmallConfig() Config {
 }
 
 // Tellers returns the total teller count.
-func (c Config) Tellers() int { return c.Branches * c.TellersPerBranch }
+func (c Config) Tellers() int { return c.Branches * TellersPerBranch }
 
 // Accounts returns the total account count.
 func (c Config) Accounts() int { return c.Branches * c.AccountsPerBranch }
 
 // BranchBlocks returns the number of blocks holding branch rows.
 func (c Config) BranchBlocks() int {
-	return (c.Branches + c.BranchesPerBlock - 1) / c.BranchesPerBlock
+	return (c.Branches + BranchesPerBlock - 1) / BranchesPerBlock
 }
 
 // TellerBlocks returns the number of blocks holding teller rows.
 func (c Config) TellerBlocks() int {
-	return (c.Tellers() + c.TellersPerBlock - 1) / c.TellersPerBlock
+	return (c.Tellers() + TellersPerBlock - 1) / TellersPerBlock
 }
 
 // AccountBlocks returns the number of blocks holding account rows.
 func (c Config) AccountBlocks() int {
-	return (c.Accounts() + c.AccountsPerBlock - 1) / c.AccountsPerBlock
+	return (c.Accounts() + AccountsPerBlock - 1) / AccountsPerBlock
 }
 
 // UndoBlocks returns the total undo block count.
-func (c Config) UndoBlocks() int { return c.UndoSegments * c.UndoBlocksPerSegment }
+func (c Config) UndoBlocks() int { return c.UndoSegments * UndoBlocksPerSegment }
 
 // TotalBlocks returns the number of distinct database blocks the engine can
 // reference (branch + teller + account + history window + undo).
@@ -175,22 +176,16 @@ func (c Config) Validate() error {
 	switch {
 	case c.Branches <= 0:
 		return fmt.Errorf("tpcb: Branches must be positive, got %d", c.Branches)
-	case c.TellersPerBranch <= 0 || c.AccountsPerBranch <= 0:
-		return fmt.Errorf("tpcb: tellers/accounts per branch must be positive")
-	case c.BlockBytes <= 0 || c.BlockBytes%64 != 0:
-		return fmt.Errorf("tpcb: BlockBytes %d must be a positive multiple of the line size", c.BlockBytes)
-	case c.AccountsPerBlock <= 0 || c.TellersPerBlock <= 0 || c.BranchesPerBlock <= 0 || c.HistoryRowsPerBlock <= 0:
-		return fmt.Errorf("tpcb: row packing factors must be positive")
+	case c.AccountsPerBranch <= 0:
+		return fmt.Errorf("tpcb: AccountsPerBranch must be positive, got %d", c.AccountsPerBranch)
 	case c.BufferFrames < c.TotalBlocks():
 		return fmt.Errorf("tpcb: BufferFrames %d cannot hold the %d database blocks (the paper's SGA holds the whole database in steady state)",
 			c.BufferFrames, c.TotalBlocks())
 	case c.HashBuckets <= 0 || c.CBCLatches <= 0:
 		return fmt.Errorf("tpcb: hash buckets and latches must be positive")
-	case c.LogBufferBytes < 4096:
-		return fmt.Errorf("tpcb: LogBufferBytes %d too small", c.LogBufferBytes)
-	case c.UndoSegments <= 0 || c.UndoBlocksPerSegment <= 0:
-		return fmt.Errorf("tpcb: undo configuration must be positive")
-	case c.HistoryInsertSlots <= 0 || c.HistoryWindowBlocks < c.HistoryInsertSlots:
+	case c.UndoSegments <= 0:
+		return fmt.Errorf("tpcb: UndoSegments must be positive, got %d", c.UndoSegments)
+	case c.HistoryWindowBlocks < HistoryInsertSlots:
 		return fmt.Errorf("tpcb: history window must cover the insert slots")
 	}
 	return nil

@@ -33,8 +33,7 @@ type Session struct {
 	undoBlockIdx int // cursor within the segment's block window
 	undoOff      int
 	pinned       []int32 // frames pinned by the current transaction
-	lastLSN      uint64
-	scanBlock    int32 // persistent scan cursor over account blocks
+	scanBlock    int32   // persistent scan cursor over account blocks
 }
 
 // Engine is the instrumented TPC-B database engine. All methods must be
@@ -110,7 +109,7 @@ func NewEngine(cfg Config, alloc Allocator, em Emitter, seed uint64) (*Engine, e
 		rng:  sim.NewRNG(seed),
 	}
 	e.pool = newBufferPool(&cfg, alloc, em, code, lt)
-	e.log = newRedoLog(&cfg, alloc, em, code, lt)
+	e.log = newRedoLog(alloc, em, code, lt)
 
 	e.accountBal = make([]int64, cfg.Accounts())
 	e.tellerBal = make([]int64, cfg.Tellers())
@@ -122,11 +121,11 @@ func NewEngine(cfg Config, alloc Allocator, em Emitter, seed uint64) (*Engine, e
 	e.historyBlock0 = e.accountBlock0 + int32(cfg.AccountBlocks())
 	e.undoBlock0 = e.historyBlock0 + int32(cfg.HistoryWindowBlocks)
 
-	e.histSlot = make([]histSlot, cfg.HistoryInsertSlots)
+	e.histSlot = make([]histSlot, HistoryInsertSlots)
 	for i := range e.histSlot {
 		e.histSlot[i].block = e.historyBlock0 + int32(i)
 	}
-	e.histCursor = cfg.HistoryInsertSlots
+	e.histCursor = HistoryInsertSlots
 
 	e.sharedPoolBase = alloc.Alloc("sga.shared_pool", uint64(cfg.SharedPoolBytes), KindShared)
 	e.sharedPoolLines = cfg.SharedPoolBytes / memref.LineBytes
@@ -139,7 +138,7 @@ func NewEngine(cfg Config, alloc Allocator, em Emitter, seed uint64) (*Engine, e
 	// as they would inside a real library cache.
 	for s := 0; s < numStatements; s++ {
 		e.cursorBase[s] = e.sharedPoolBase + uint64(s)*(17*memref.PageBytes+3*memref.LineBytes)
-		e.cursorStats[s] = e.cursorBase[s] + uint64(e.cfg.CursorHotLines+2)*memref.LineBytes
+		e.cursorStats[s] = e.cursorBase[s] + (CursorHotLines+2)*memref.LineBytes
 	}
 	e.dictBase = alloc.Alloc("sga.dictionary", 64*(memref.PageBytes+memref.LineBytes), KindShared)
 
@@ -200,15 +199,15 @@ func (e *Engine) dictAddr(i int) uint64 {
 // Block-number helpers.
 
 func (e *Engine) branchBlock(branch int) int32 {
-	return e.branchBlock0 + int32(branch/e.cfg.BranchesPerBlock)
+	return e.branchBlock0 + int32(branch/BranchesPerBlock)
 }
 
 func (e *Engine) tellerBlock(teller int) int32 {
-	return e.tellerBlock0 + int32(teller/e.cfg.TellersPerBlock)
+	return e.tellerBlock0 + int32(teller/TellersPerBlock)
 }
 
 func (e *Engine) accountBlock(acct int) int32 {
-	return e.accountBlock0 + int32(acct/e.cfg.AccountsPerBlock)
+	return e.accountBlock0 + int32(acct/AccountsPerBlock)
 }
 
 // rowAddr returns the address of a row's first line within its block. Row 0
@@ -253,7 +252,7 @@ func (e *Engine) ExecTxn(sess *Session, in TxnInput) (commitLSN uint64) {
 	e.execCursor(stmtUpdateAccount)
 	ablock := e.accountBlock(in.Acct)
 	e.indexLookup(in.Acct)
-	af := e.updateRow(sess, ablock, in.Acct%e.cfg.AccountsPerBlock, 96)
+	af := e.updateRow(sess, ablock, in.Acct%AccountsPerBlock, 96)
 	e.accountBal[in.Acct] += in.Delta
 	_ = af
 
@@ -261,7 +260,7 @@ func (e *Engine) ExecTxn(sess *Session, in TxnInput) (commitLSN uint64) {
 	e.execCursor(stmtUpdateTeller)
 	e.em.Load(e.dictAddr(in.Teller%32), false)
 	tblock := e.tellerBlock(in.Teller)
-	e.updateRow(sess, tblock, in.Teller%e.cfg.TellersPerBlock, 128)
+	e.updateRow(sess, tblock, in.Teller%TellersPerBlock, 128)
 	e.tellerBal[in.Teller] += in.Delta
 
 	// UPDATE branch: the classic TPC-B hot spot — 40 rows shared by every
@@ -269,7 +268,7 @@ func (e *Engine) ExecTxn(sess *Session, in TxnInput) (commitLSN uint64) {
 	e.execCursor(stmtUpdateBranch)
 	e.em.Load(e.dictAddr(32+in.Branch%16), false)
 	bblock := e.branchBlock(in.Branch)
-	e.updateRow(sess, bblock, in.Branch%e.cfg.BranchesPerBlock, 128)
+	e.updateRow(sess, bblock, in.Branch%BranchesPerBlock, 128)
 	e.branchBal[in.Branch] += in.Delta
 
 	// INSERT INTO history.
@@ -280,9 +279,7 @@ func (e *Engine) ExecTxn(sess *Session, in TxnInput) (commitLSN uint64) {
 
 	// Commit: commit record into the redo stream.
 	e.em.Code(e.code.TxnCommit)
-	commitLSN = e.log.Append(64, true, sess.ID)
-	sess.lastLSN = commitLSN
-	return commitLSN
+	return e.log.Append(64, true, sess.ID)
 }
 
 // PostCommit performs the work after the commit is durable: unpinning
@@ -304,7 +301,7 @@ func (e *Engine) execCursor(stmt int) {
 	e.em.Code(e.code.SQLExec)
 	// The shared cursor is a linked structure (Oracle's library-cache heaps
 	// are pointer-chased), so the walk is a dependence chain.
-	for i := 0; i < e.cfg.CursorHotLines; i++ {
+	for i := 0; i < CursorHotLines; i++ {
 		e.em.Load(e.cursorBase[stmt]+uint64(i)*memref.LineBytes, i > 0)
 	}
 	// Row-cache lookups: object/column/privilege entries, heavily skewed;
@@ -356,14 +353,14 @@ func (e *Engine) updateRow(sess *Session, block int32, slot, rowBytes int) int32
 
 	e.writeUndo(sess)
 	e.em.Code(e.code.RedoGen)
-	e.log.Append(e.cfg.RedoPerUpdate, false, sess.ID)
+	e.log.Append(RedoPerUpdate, false, sess.ID)
 	return f
 }
 
 // writeUndo appends the before-image to the session's rollback segment.
 func (e *Engine) writeUndo(sess *Session) {
 	e.em.Code(e.code.UndoWrite)
-	block := e.undoBlock0 + int32(sess.UndoSeg*e.cfg.UndoBlocksPerSegment+sess.undoBlockIdx)
+	block := e.undoBlock0 + int32(sess.UndoSeg*UndoBlocksPerSegment+sess.undoBlockIdx)
 	f, _ := e.pool.Get(block)
 	addr := e.pool.BlockAddr(block, memref.LineBytes+sess.undoOff)
 	e.em.Store(addr, false)
@@ -371,9 +368,9 @@ func (e *Engine) writeUndo(sess *Session) {
 	e.pool.Unpin(f)
 
 	sess.undoOff += 160
-	if sess.undoOff+160 > e.cfg.BlockBytes-memref.LineBytes {
+	if sess.undoOff+160 > BlockBytes-memref.LineBytes {
 		sess.undoOff = 0
-		sess.undoBlockIdx = (sess.undoBlockIdx + 1) % e.cfg.UndoBlocksPerSegment
+		sess.undoBlockIdx = (sess.undoBlockIdx + 1) % UndoBlocksPerSegment
 		e.Stats.UndoBlocks++
 	}
 	return
@@ -394,10 +391,10 @@ func (e *Engine) insertHistory(sess *Session, in TxnInput) {
 
 	e.writeUndo(sess)
 	e.em.Code(e.code.RedoGen)
-	e.log.Append(e.cfg.RedoPerUpdate+32, false, sess.ID)
+	e.log.Append(RedoPerUpdate+32, false, sess.ID)
 
 	slot.rows++
-	if (slot.rows+1)*histRowBytes > e.cfg.BlockBytes-memref.LineBytes {
+	if (slot.rows+1)*histRowBytes > BlockBytes-memref.LineBytes {
 		// Block full: take the next window block (recycled in steady state)
 		// and format it.
 		slot.rows = 0

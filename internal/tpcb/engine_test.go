@@ -69,7 +69,7 @@ func TestDrawTxnDistribution(t *testing.T) {
 		if in.Teller < 0 || in.Teller >= e.cfg.Tellers() {
 			t.Fatal("teller out of range")
 		}
-		if in.Branch != in.Teller/e.cfg.TellersPerBranch {
+		if in.Branch != in.Teller/TellersPerBranch {
 			t.Fatal("branch does not match teller")
 		}
 		if in.Acct < 0 || in.Acct >= e.cfg.Accounts() {
@@ -249,11 +249,6 @@ func TestConfigValidation(t *testing.T) {
 	bad2.Branches = 0
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("zero branches accepted")
-	}
-	bad3 := SmallConfig()
-	bad3.BlockBytes = 100
-	if err := bad3.Validate(); err == nil {
-		t.Fatal("non-line-multiple block accepted")
 	}
 }
 

@@ -17,7 +17,6 @@ type LogStats struct {
 // after which commits waiting on those bytes are acknowledged (group
 // commit).
 type RedoLog struct {
-	cfg  *Config
 	em   Emitter
 	code *ServerCode
 	lt   *LatchTable
@@ -34,14 +33,13 @@ type RedoLog struct {
 	Stats LogStats
 }
 
-func newRedoLog(cfg *Config, alloc Allocator, em Emitter, code *ServerCode, lt *LatchTable) *RedoLog {
+func newRedoLog(alloc Allocator, em Emitter, code *ServerCode, lt *LatchTable) *RedoLog {
 	return &RedoLog{
-		cfg:  cfg,
 		em:   em,
 		code: code,
 		lt:   lt,
-		base: alloc.Alloc("sga.log_buffer", uint64(cfg.LogBufferBytes), KindShared),
-		size: uint64(cfg.LogBufferBytes),
+		base: alloc.Alloc("sga.log_buffer", LogBufferBytes, KindShared),
+		size: LogBufferBytes,
 	}
 }
 

@@ -60,7 +60,7 @@ func newBufferPool(cfg *Config, alloc Allocator, em Emitter, code *ServerCode, l
 		blockToFrame: make(map[int32]int32, cfg.TotalBlocks()),
 		hdrBase:      alloc.Alloc("sga.buffer_headers", uint64(cfg.BufferFrames)*memref.LineBytes, KindShared),
 		bucketBase:   alloc.Alloc("sga.hash_buckets", uint64(cfg.HashBuckets)*memref.LineBytes, KindShared),
-		blockBase:    alloc.Alloc("sga.block_buffer", uint64(cfg.TotalBlocks())*uint64(cfg.BlockBytes), KindShared),
+		blockBase:    alloc.Alloc("sga.block_buffer", uint64(cfg.TotalBlocks())*BlockBytes, KindShared),
 	}
 	for i := range p.frames {
 		p.frames[i].block = -1
@@ -79,7 +79,7 @@ func (p *BufferPool) HeaderAddr(f int32) uint64 {
 // (paper setup: the SGA caches the whole database), so a stable mapping both
 // simplifies the model and matches the measured system.
 func (p *BufferPool) BlockAddr(b int32, off int) uint64 {
-	return p.blockBase + uint64(b)*uint64(p.cfg.BlockBytes) + uint64(off)
+	return p.blockBase + uint64(b)*BlockBytes + uint64(off)
 }
 
 func (p *BufferPool) bucketOf(b int32) int {

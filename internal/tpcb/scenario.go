@@ -23,10 +23,10 @@ func (e *Engine) DrawTxnShaped(r *sim.RNG, branchZipf *sim.Zipf, workingSet floa
 	var teller, branch int
 	if branchZipf != nil {
 		branch = branchZipf.Next(r)
-		teller = branch*e.cfg.TellersPerBranch + r.Intn(e.cfg.TellersPerBranch)
+		teller = branch*TellersPerBranch + r.Intn(TellersPerBranch)
 	} else {
 		teller = r.Intn(e.cfg.Tellers())
-		branch = teller / e.cfg.TellersPerBranch
+		branch = teller / TellersPerBranch
 	}
 	active := e.cfg.AccountsPerBranch
 	if workingSet < 1 {
@@ -61,16 +61,16 @@ func (e *Engine) ExecReadTxn(sess *Session, in TxnInput) {
 	// SELECT balance FROM account WHERE id = :acct
 	e.execCursor(stmtUpdateAccount)
 	e.indexLookup(in.Acct)
-	e.readRow(sess, e.accountBlock(in.Acct), in.Acct%e.cfg.AccountsPerBlock, 96)
+	e.readRow(sess, e.accountBlock(in.Acct), in.Acct%AccountsPerBlock, 96)
 
 	// SELECT from teller and branch (dictionary-resolved blocks).
 	e.execCursor(stmtUpdateTeller)
 	e.em.Load(e.dictAddr(in.Teller%32), false)
-	e.readRow(sess, e.tellerBlock(in.Teller), in.Teller%e.cfg.TellersPerBlock, 128)
+	e.readRow(sess, e.tellerBlock(in.Teller), in.Teller%TellersPerBlock, 128)
 
 	e.execCursor(stmtUpdateBranch)
 	e.em.Load(e.dictAddr(32+in.Branch%16), false)
-	e.readRow(sess, e.branchBlock(in.Branch), in.Branch%e.cfg.BranchesPerBlock, 128)
+	e.readRow(sess, e.branchBlock(in.Branch), in.Branch%BranchesPerBlock, 128)
 
 	e.em.Code(e.code.TxnCommit)
 }
@@ -105,7 +105,7 @@ func (e *Engine) ExecScan(sess *Session, blocks int) {
 	e.em.Code(e.code.SQLExec)
 
 	nblocks := int32(e.cfg.AccountBlocks())
-	lines := e.cfg.BlockBytes / memref.LineBytes
+	lines := BlockBytes / memref.LineBytes
 	stride := (lines - 1) / scanRowLines
 	if stride < 1 {
 		stride = 1

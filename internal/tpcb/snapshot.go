@@ -208,7 +208,6 @@ func (s *Session) SaveState(e *snapshot.Encoder) {
 		pinned[i] = int64(f)
 	}
 	e.I64s(pinned)
-	e.U64(s.lastLSN)
 	e.I64(int64(s.scanBlock))
 }
 
@@ -217,7 +216,6 @@ func (s *Session) LoadState(d *snapshot.Decoder) error {
 	idx := d.Int()
 	off := d.Int()
 	pinned := d.I64s()
-	lastLSN := d.U64()
 	scanBlock := d.I64()
 	if err := d.Err(); err != nil {
 		return err
@@ -234,7 +232,6 @@ func (s *Session) LoadState(d *snapshot.Decoder) error {
 	for _, f := range pinned {
 		s.pinned = append(s.pinned, int32(f))
 	}
-	s.lastLSN = lastLSN
 	s.scanBlock = int32(scanBlock)
 	return nil
 }
