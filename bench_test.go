@@ -393,6 +393,22 @@ func BenchmarkTPCBTransaction(b *testing.B) {
 	}
 }
 
+// BenchmarkHarnessBuild times building the paper-scale workload of an
+// 8-CPU machine: the engine over the 40-branch database, prewarmed to
+// steady state, with its address space and 64 server processes. Every
+// figure bar, oltpsim run and server job configuration pays it once, so
+// cmd/benchdiff guards its allocations, which must not grow with the
+// database's 4,000,000 accounts.
+func BenchmarkHarnessBuild(b *testing.B) {
+	p := experiments.DefaultOptions().Params(BaseConfig(8, 8*MB, 1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := oltp.NewHarness(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // stepRefs advances sys until it has retired n more references. A Step
 // call that only advances an idle core retires no reference, so benchmarks
 // that want ns-per-reference count retired references through Steps()
@@ -456,9 +472,8 @@ func BenchmarkStep64Serial(b *testing.B) {
 // simulation service: HTTP submission, queue admission, worker execution of
 // a quick single-machine run, and the SSE stream closing on completion.
 // The number is the whole trip, not the service layer alone: it includes
-// the job's harness construction and its 90-transaction simulation. It
-// excludes the engine's Zipf sums, which the server's cache holds from the
-// unmeasured first job on. cmd/benchdiff guards it like the rest.
+// the job's harness construction and its 90-transaction simulation.
+// cmd/benchdiff guards it like the rest.
 func BenchmarkJobThroughput(b *testing.B) {
 	srv, err := server.New(server.Config{
 		DataDir:    b.TempDir(),

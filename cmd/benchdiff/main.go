@@ -105,7 +105,9 @@ func main() {
 	// Oltpvet re-analyzes the whole module per iteration (seconds of
 	// type-checking), so like the runner benchmarks it runs at 1x.
 	// CheckpointWrite saves one warmed machine per iteration (milliseconds),
-	// so ten iterations amortize nothing but keep the run short.
+	// so ten iterations amortize nothing but keep the run short, and so
+	// does HarnessBuild, which builds one paper-scale workload per
+	// iteration (a few milliseconds).
 	// JobThroughput runs one server job per iteration (tens of
 	// milliseconds), and one job's allocations vary with goroutine timing
 	// and with garbage collection emptying the fmt and encoding/json
@@ -118,6 +120,7 @@ func main() {
 		{"^BenchmarkStep64Serial$", "1x"},
 		{"^BenchmarkJobThroughput$", "10x"},
 		{"^BenchmarkCheckpointWrite$", "10x"},
+		{"^BenchmarkHarnessBuild$", "10x"},
 		{"^BenchmarkOltpvet$", "1x"},
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

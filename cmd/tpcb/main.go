@@ -34,7 +34,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validate(*txns, *sessions); err != nil {
+	if err := validate(*txns, *branches, *accounts, *sessions); err != nil {
 		fmt.Fprintln(os.Stderr, "tpcb:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -44,10 +44,6 @@ func main() {
 	cfg.Branches = *branches
 	cfg.AccountsPerBranch = *accounts
 	cfg.BufferFrames = cfg.TotalBlocks() + 1000
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "tpcb:", err)
-		os.Exit(2)
-	}
 
 	var em tpcb.Emitter = tpcb.NopEmitter{}
 	var counter *tpcb.CountingEmitter
@@ -58,7 +54,7 @@ func main() {
 
 	eng, err := tpcb.NewEngine(cfg, &tpcb.BumpAllocator{}, em, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tpcb:", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	eng.Prewarm()
@@ -116,10 +112,17 @@ func main() {
 	}
 }
 
-// validate rejects flag values the transaction loop would misinterpret.
-func validate(txns, sessions int) error {
+// validate rejects flag values the engine or the transaction loop would
+// misinterpret.
+func validate(txns, branches, accounts, sessions int) error {
 	if txns < 0 {
 		return fmt.Errorf("-txns must be >= 0 (got %d)", txns)
+	}
+	if branches < 1 {
+		return fmt.Errorf("-branches must be >= 1 (got %d)", branches)
+	}
+	if accounts < 1 {
+		return fmt.Errorf("-accounts must be >= 1 (got %d)", accounts)
 	}
 	if sessions < 1 {
 		return fmt.Errorf("-sessions must be >= 1 (got %d)", sessions)

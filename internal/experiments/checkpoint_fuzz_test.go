@@ -50,6 +50,30 @@ func badBalanceTables() [][]byte {
 	return out
 }
 
+// badFrameBlocks returns machine streams whose workload section holds a
+// saved one-frame buffer pool whose frame holds a block past every
+// database scale: 51,116, one past the paper database's last block, and
+// 2^32 + 5, which narrowed to int32 before the range check would pass as
+// block 5.
+func badFrameBlocks() [][]byte {
+	var out [][]byte
+	for _, block := range []int64{51_116, 1<<32 + 5} {
+		w := snapshot.NewWriter()
+		e := w.Section("workload")
+		e.Int(1) // frames
+		e.I64(block)
+		e.Bool(false) // dirty
+		e.Bool(false) // queued for the database writer
+		e.U64(0)      // last use
+		var buf bytes.Buffer
+		if err := w.Emit(&buf); err != nil {
+			panic(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
 // duplicateLineMachine returns a machine stream for the 1-CPU Base 1M1w
 // whose first cache, CPU 0's 2-way L1I, holds line 0 as Modified in both
 // ways of set 0: a copy that would survive its own invalidation, so the
@@ -109,11 +133,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 		proto:  protocol{warmup: 90, measure: 180, quick: true},
 		system: duplicateLineMachine(),
 	}))
-	for _, table := range badBalanceTables() {
+	for _, machine := range append(badBalanceTables(), badFrameBlocks()...) {
 		f.Add(encodedCheckpoint(f, checkpoint{
 			pos:    posWarmed,
 			proto:  protocol{warmup: 90, measure: 180, quick: true},
-			system: table,
+			system: machine,
 		}))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -10,7 +10,6 @@ import (
 	"oltpsim/internal/core"
 	"oltpsim/internal/oltp"
 	"oltpsim/internal/scenario"
-	"oltpsim/internal/sim"
 	"oltpsim/internal/stats"
 	"oltpsim/internal/tpcb"
 )
@@ -39,17 +38,6 @@ type Options struct {
 	// governs warmup, and RunScenario segments the result per phase. Nil —
 	// every committed figure — keeps steady state, byte for byte.
 	Scenario *scenario.Schedule
-	// Zeta shares the Zipf harmonic-sum constants across harness
-	// constructions. Every bar of a sweep, and every job configuration on
-	// the job server, rebuilds its engine from the same sizing parameters,
-	// so without the cache each redoes an O(database size) math.Pow loop
-	// (524,288 terms quick, 1,572,864 at paper scale) for an identical
-	// result. DefaultOptions and QuickOptions give each sweep one; the
-	// server passes its own server-lifetime cache to every job. The cached
-	// constants are bit-identical to freshly computed ones (and the cache
-	// is internally locked), so sharing it across workers never changes
-	// output. Nil is valid and means compute per harness.
-	Zeta *sim.ZetaCache
 }
 
 // DefaultOptions is the paper-fidelity protocol: measure 2000 transactions
@@ -58,12 +46,12 @@ type Options struct {
 // transactions, which takes a few thousand to populate the large metadata
 // arrays).
 func DefaultOptions() Options {
-	return Options{WarmupTxns: 3000, MeasureTxns: 2000, Seed: 0, Zeta: sim.NewZetaCache()}
+	return Options{WarmupTxns: 3000, MeasureTxns: 2000, Seed: 0}
 }
 
 // QuickOptions is a fast variant for tests and iteration.
 func QuickOptions() Options {
-	return Options{WarmupTxns: 150, MeasureTxns: 400, Seed: 0, Quick: true, Zeta: sim.NewZetaCache()}
+	return Options{WarmupTxns: 150, MeasureTxns: 400, Seed: 0, Quick: true}
 }
 
 // Params builds the workload parameters for a machine configuration.
@@ -77,7 +65,6 @@ func (o Options) Params(cfg core.Config) oltp.Params {
 	}
 	p.CodeReplication = cfg.CodeReplication
 	p.CoresPerChip = cfg.CoresPerChip
-	p.TPCB.Zeta = o.Zeta
 	if o.Scenario != nil {
 		p.Scenario = o.Scenario
 		p.ScenarioBase = o.WarmupTxns

@@ -19,9 +19,8 @@ const (
 // starts from, and one pre-built branch-Zipf sampler per skewed phase.
 // Everything here is derived from Params at construction — the samplers
 // are stateless and the schedule immutable — so scenario runs add no
-// snapshot state to the harness. The samplers bypass cfg.Zeta: their sum
-// has only Branches terms, and keying a long-lived cache on each phase's
-// client-chosen skew would grow it without bound.
+// snapshot state to the harness. Each sampler sums its Zipf constant
+// afresh: the sum has only Branches terms.
 type scenarioCtl struct {
 	sched *scenario.Schedule
 	base  uint64

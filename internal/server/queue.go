@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"oltpsim/internal/experiments"
-	"oltpsim/internal/sim"
 	"oltpsim/internal/stats"
 )
 
@@ -63,16 +62,13 @@ func (s *Server) nextJob() *Job {
 	}
 }
 
-// options builds the measurement protocol for one job. Every job shares
-// the server's Zipf-constant cache, so only the first engine of each
-// database scale pays the harmonic sums.
-func (j *Job) options(zeta *sim.ZetaCache) experiments.Options {
+// options builds the measurement protocol for one job.
+func (j *Job) options() experiments.Options {
 	o := experiments.Options{
 		WarmupTxns:  j.Spec.WarmupTxns,
 		MeasureTxns: j.Spec.MeasureTxns,
 		Seed:        j.Spec.Seed,
 		Quick:       j.Spec.Quick,
-		Zeta:        zeta,
 	}
 	// The spec was validated at submission (and again at restore), so a
 	// present scenario always compiles.
@@ -116,7 +112,7 @@ func (s *Server) runJob(j *Job) {
 	j.publish(j.event("started", -1))
 	s.cfg.Logf("running %s from configuration %d/%d", j.ID, first, len(j.cfgs))
 
-	o := j.options(s.zeta)
+	o := j.options()
 	every := s.quantum(j)
 	for i := first; i < len(j.cfgs); i++ {
 		j.startConfig(i, o.MeasuredTxns())

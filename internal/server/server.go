@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"oltpsim/internal/core"
-	"oltpsim/internal/sim"
 )
 
 // Config configures a Server. The zero value is not usable: Now is
@@ -73,10 +72,6 @@ type Server struct {
 	cfg Config
 	st  *store
 	mux *http.ServeMux
-	// zeta is the Zipf-constant cache every job's engines share for the
-	// server's whole life. Its keys are the engine's own (n, theta) pairs,
-	// two per database scale, so it stays bounded whatever clients submit.
-	zeta *sim.ZetaCache
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -130,7 +125,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:  cfg,
 		st:   st,
-		zeta: sim.NewZetaCache(),
 		jobs: make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"oltpsim/internal/experiments"
-	"oltpsim/internal/sim"
 )
 
 // testClock returns a deterministic injected clock: strictly monotonic,
@@ -73,7 +72,7 @@ func smokeSpec() string {
 
 // smokeOptions mirrors smokeSpec as direct experiments.Options.
 func smokeOptions() experiments.Options {
-	return experiments.Options{WarmupTxns: 60, MeasureTxns: 120, Quick: true, Zeta: sim.NewZetaCache()}
+	return experiments.Options{WarmupTxns: 60, MeasureTxns: 120, Quick: true}
 }
 
 // postJob submits a spec over HTTP and decodes the accepted status.
@@ -380,18 +379,28 @@ func TestServerCancel(t *testing.T) {
 		t.Skip("runs real simulations")
 	}
 	gate := make(chan struct{})
+	parked := make(chan struct{}, 1)
 	var once sync.Once
 	cfg := testServerConfig(t.TempDir())
-	cfg.OnCheckpoint = func(string, int, int) { <-gate }
+	cfg.OnCheckpoint = func(string, int, int) {
+		select {
+		case parked <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
 	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	defer once.Do(func() { close(gate) })
 
 	// Job 1 occupies the single worker, parked at its first checkpoint.
-	// Job 2 stays queued behind it.
+	// Job 2 stays queued behind it. Waiting for the park matters: a job
+	// cancelled before its first checkpoint stops at that boundary at
+	// once, and could be cancelled before the status below is read.
 	running := postJob(t, ts, smokeSpec())
 	queued := postJob(t, ts, smokeSpec())
+	<-parked
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+queued.ID, nil)
 	resp, err := ts.Client().Do(req)

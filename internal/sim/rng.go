@@ -11,7 +11,6 @@ package sim
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // RNG is a splitmix64 pseudo-random generator. It is tiny, fast, and easy to
@@ -102,83 +101,22 @@ type Zipf struct {
 
 // NewZipf precomputes the constants for a Zipf(n, theta) distribution.
 func NewZipf(n int, theta float64) *Zipf {
-	return NewZipfCached(n, theta, nil)
+	return NewZipfSum(n, theta, Zeta(n, theta))
 }
 
-// NewZipfCached is NewZipf with the O(n) harmonic-sum constant served from
-// cache when the cache already holds it. A nil cache always computes. The
-// constants are a pure function of (n, theta), so a cached Zipf draws a
-// bit-identical stream to an uncached one — the cache changes construction
-// cost only, never simulation output.
-func NewZipfCached(n int, theta float64, cache *ZetaCache) *Zipf {
+// NewZipfSum is NewZipf with the O(n) generalized harmonic sum zeta(n,
+// theta) supplied by the caller, who holds it precomputed. Given
+// Zeta(n, theta) bit for bit, it draws NewZipf's stream exactly.
+func NewZipfSum(n int, theta, zetan float64) *Zipf {
 	if n <= 0 {
 		panic("sim: NewZipf with non-positive n")
 	}
-	z := &Zipf{n: n}
-	z.zetan = cache.zetan(n, theta)
-	z.zeta2 = zeta(2, theta)
+	z := &Zipf{n: n, zetan: zetan}
+	z.zeta2 = Zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - powF(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	z.halfPN = 1 + powF(0.5, theta)
 	return z
-}
-
-// ZetaCache memoizes the O(n) generalized harmonic sum zeta(n, theta) that
-// dominates Zipf construction. n is the shared-pool line count: 524,288
-// math.Pow terms per engine on the quick database and 1,572,864 on the
-// paper's. Every engine built from the same sizing parameters needs the
-// same sums, so one cache per owner removes all but the first computation.
-// The owners are a sweep's experiments.Options (DefaultOptions and
-// QuickOptions each create one) and the job server, which keeps one for
-// its whole life and hands it to every job.
-//
-// The cache is deliberately NOT package-level state: it is created by its
-// owner and threaded through the configuration, so independent runs stay
-// pure functions of (config, seed) — the determinism contract oltpvet
-// enforces. Its keys are the engine's own (n, theta) pairs, never client
-// input, so a long-lived cache holds at most two entries per database
-// scale. The mutex makes it safe to share across workers; since the cached
-// value is bit-identical to the recomputed one, hit/miss interleaving
-// cannot affect results.
-type ZetaCache struct {
-	mu sync.Mutex
-	m  map[zetaKey]float64
-}
-
-type zetaKey struct {
-	n     int
-	theta float64
-}
-
-// NewZetaCache returns an empty cache ready for concurrent use.
-func NewZetaCache() *ZetaCache { return &ZetaCache{m: make(map[zetaKey]float64)} }
-
-// Len returns the number of memoized (n, theta) entries.
-func (c *ZetaCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// zetan returns zeta(n, theta), memoized. A nil receiver computes directly.
-func (c *ZetaCache) zetan(n int, theta float64) float64 {
-	if c == nil {
-		return zeta(n, theta)
-	}
-	k := zetaKey{n: n, theta: theta}
-	c.mu.Lock()
-	v, ok := c.m[k]
-	c.mu.Unlock()
-	if ok {
-		return v
-	}
-	// Compute outside the lock: a concurrent first miss does duplicate work
-	// but both goroutines store the identical value.
-	v = zeta(n, theta)
-	c.mu.Lock()
-	c.m[k] = v
-	c.mu.Unlock()
-	return v
 }
 
 // Next draws the next rank in [0, n); rank 0 is the hottest item.
@@ -206,7 +144,10 @@ func (z *Zipf) nextFrom(u float64) int {
 	return k
 }
 
-func zeta(n int, theta float64) float64 {
+// Zeta returns the generalized harmonic sum of 1/i^theta over i in [1, n],
+// the constant that sizes a Zipf(n, theta) sampler. It costs one math.Pow
+// per term.
+func Zeta(n int, theta float64) float64 {
 	sum := 0.0
 	for i := 1; i <= n; i++ {
 		sum += 1 / powF(float64(i), theta)

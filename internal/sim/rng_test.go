@@ -281,20 +281,3 @@ func TestUint64Distribution(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestZetaCacheLen counts one entry per distinct (n, theta) the cache has
-// served, however often each is asked for.
-func TestZetaCacheLen(t *testing.T) {
-	c := NewZetaCache()
-	if n := c.Len(); n != 0 {
-		t.Fatalf("new cache Len = %d, want 0", n)
-	}
-	for i := 0; i < 3; i++ {
-		NewZipfCached(1000, 0.9, c)
-		NewZipfCached(1000, 0.5, c)
-		NewZipfCached(10, 0.9, c)
-	}
-	if n := c.Len(); n != 3 {
-		t.Fatalf("Len = %d after three distinct keys, want 3", n)
-	}
-}

@@ -9,5 +9,5 @@ func (r *RNG) SaveState(e *snapshot.Encoder) { e.U64(r.state) }
 // LoadState restores the generator position.
 func (r *RNG) LoadState(d *snapshot.Decoder) { r.state = d.U64() }
 
-// Zipf and ZetaCache carry no snapshot state: their constants are pure
-// functions of (n, theta) and are rebuilt bit-identically by construction.
+// Zipf carries no snapshot state: its constants are pure functions of
+// (n, theta) and are rebuilt bit-identically by construction.

@@ -19,11 +19,7 @@
 // statistical model.
 package tpcb
 
-import (
-	"fmt"
-
-	"oltpsim/internal/sim"
-)
+import "fmt"
 
 // The fixed geometry of the paper's database and engine. The paper runs one
 // workload shape (TPC-B under Oracle 7.3.2, Section 2.1), so these never
@@ -90,14 +86,6 @@ type Config struct {
 	// SharedPoolBytes sizes the library-cache / cursor region of the SGA
 	// metadata area; executions read skewed portions of it.
 	SharedPoolBytes int
-
-	// Zeta, when non-nil, memoizes the O(n) Zipf harmonic-sum constants
-	// across engine constructions (one engine per experiment bar or server
-	// job configuration; the sums depend only on the sizes above, so each
-	// engine would recompute them identically). The cached constants are
-	// bit-identical to freshly computed ones, so sharing a cache never
-	// changes simulation output. Nil means compute per engine.
-	Zeta *sim.ZetaCache
 }
 
 // DefaultConfig returns the paper-scale configuration.
@@ -138,6 +126,26 @@ func SmallConfig() Config {
 	c.HistoryWindowBlocks = 64
 	c.SharedPoolBytes = 4 << 20
 	return c
+}
+
+// poolTheta is the skew of the shared-pool tail reads.
+const poolTheta = 0.93
+
+// poolZetaSum returns the Zipf sum sim.Zeta(lines, poolTheta) of the
+// shared pool of each scale above. Summing it costs one math.Pow per line,
+// most of a paper-scale engine's construction, for a value that never
+// changes. ok is false for any other pool size, whose sum the engine
+// computes. TestPoolZetaSums pins each constant to sim.Zeta bit for bit.
+func poolZetaSum(lines int) (sum float64, ok bool) {
+	switch lines {
+	case 1_572_864: // DefaultConfig: 96 MB of 64-byte lines
+		return 25.07196613538836, true
+	case 524_288: // QuickConfig: 32 MB
+		return 22.201050889404414, true
+	case 65_536: // SmallConfig: 4 MB
+		return 17.3359647313251, true
+	}
+	return 0, false
 }
 
 // Tellers returns the total teller count.

@@ -48,9 +48,9 @@ type Engine struct {
 	log  *RedoLog
 
 	// Functional table state.
-	accountBal []int64
-	tellerBal  []int64
-	branchBal  []int64
+	accountBal balanceTable
+	tellerBal  balanceTable
+	branchBal  balanceTable
 	historyLen uint64
 	deltaSum   int64
 
@@ -92,6 +92,30 @@ type histSlot struct {
 	rows  int
 }
 
+// balanceTable holds one table's nonzero balances by row; a row it does not
+// hold has balance 0. A run updates a few thousand of the paper's 4,000,000
+// accounts, so the table grows with the transactions executed, not with
+// the database.
+type balanceTable map[int]int64
+
+// add applies delta to row's balance, dropping a row that returns to 0.
+func (t balanceTable) add(row int, delta int64) {
+	if v := t[row] + delta; v != 0 {
+		t[row] = v
+	} else {
+		delete(t, row)
+	}
+}
+
+// sum returns the total of the table's balances.
+func (t balanceTable) sum() int64 {
+	var s int64
+	for _, v := range t {
+		s += v
+	}
+	return s
+}
+
 // NewEngine builds the engine, allocating every SGA structure through alloc
 // and emitting references through em. seed drives structural randomness
 // (shared-pool tail access patterns).
@@ -111,9 +135,9 @@ func NewEngine(cfg Config, alloc Allocator, em Emitter, seed uint64) (*Engine, e
 	e.pool = newBufferPool(&cfg, alloc, em, code, lt)
 	e.log = newRedoLog(alloc, em, code, lt)
 
-	e.accountBal = make([]int64, cfg.Accounts())
-	e.tellerBal = make([]int64, cfg.Tellers())
-	e.branchBal = make([]int64, cfg.Branches)
+	e.accountBal = balanceTable{}
+	e.tellerBal = balanceTable{}
+	e.branchBal = balanceTable{}
 
 	e.branchBlock0 = 0
 	e.tellerBlock0 = e.branchBlock0 + int32(cfg.BranchBlocks())
@@ -129,10 +153,14 @@ func NewEngine(cfg Config, alloc Allocator, em Emitter, seed uint64) (*Engine, e
 
 	e.sharedPoolBase = alloc.Alloc("sga.shared_pool", uint64(cfg.SharedPoolBytes), KindShared)
 	e.sharedPoolLines = cfg.SharedPoolBytes / memref.LineBytes
-	e.poolZipf = sim.NewZipfCached(e.sharedPoolLines, 0.93, cfg.Zeta)
+	zetan, ok := poolZetaSum(e.sharedPoolLines)
+	if !ok {
+		zetan = sim.Zeta(e.sharedPoolLines, poolTheta)
+	}
+	e.poolZipf = sim.NewZipfSum(e.sharedPoolLines, poolTheta, zetan)
 	e.rowCacheBase = alloc.Alloc("sga.row_cache", 512<<10, KindShared)
 	e.rowCacheLines = (512 << 10) / memref.LineBytes
-	e.rcZipf = sim.NewZipfCached(e.rowCacheLines, 0.65, cfg.Zeta)
+	e.rcZipf = sim.NewZipf(e.rowCacheLines, 0.65)
 	// Scatter the per-statement cursors (and their migratory stats lines)
 	// across distinct pages of the shared pool so their NUMA homes spread,
 	// as they would inside a real library cache.
@@ -253,7 +281,7 @@ func (e *Engine) ExecTxn(sess *Session, in TxnInput) (commitLSN uint64) {
 	ablock := e.accountBlock(in.Acct)
 	e.indexLookup(in.Acct)
 	af := e.updateRow(sess, ablock, in.Acct%AccountsPerBlock, 96)
-	e.accountBal[in.Acct] += in.Delta
+	e.accountBal.add(in.Acct, in.Delta)
 	_ = af
 
 	// UPDATE teller (dictionary-resolved block, no index walk).
@@ -261,7 +289,7 @@ func (e *Engine) ExecTxn(sess *Session, in TxnInput) (commitLSN uint64) {
 	e.em.Load(e.dictAddr(in.Teller%32), false)
 	tblock := e.tellerBlock(in.Teller)
 	e.updateRow(sess, tblock, in.Teller%TellersPerBlock, 128)
-	e.tellerBal[in.Teller] += in.Delta
+	e.tellerBal.add(in.Teller, in.Delta)
 
 	// UPDATE branch: the classic TPC-B hot spot — 40 rows shared by every
 	// processor.
@@ -269,7 +297,7 @@ func (e *Engine) ExecTxn(sess *Session, in TxnInput) (commitLSN uint64) {
 	e.em.Load(e.dictAddr(32+in.Branch%16), false)
 	bblock := e.branchBlock(in.Branch)
 	e.updateRow(sess, bblock, in.Branch%BranchesPerBlock, 128)
-	e.branchBal[in.Branch] += in.Delta
+	e.branchBal.add(in.Branch, in.Delta)
 
 	// INSERT INTO history.
 	e.execCursor(stmtInsertHistory)
@@ -444,16 +472,7 @@ func (e *Engine) DBWriterScan(max int) int {
 // each equal the sum of all applied deltas, and the history length must
 // equal the number of executed transactions.
 func (e *Engine) CheckInvariants() error {
-	var aSum, tSum, bSum int64
-	for _, v := range e.accountBal {
-		aSum += v
-	}
-	for _, v := range e.tellerBal {
-		tSum += v
-	}
-	for _, v := range e.branchBal {
-		bSum += v
-	}
+	aSum, tSum, bSum, _ := e.Balances()
 	if aSum != e.deltaSum || tSum != e.deltaSum || bSum != e.deltaSum {
 		return fmt.Errorf("tpcb: balance invariant violated: accounts=%d tellers=%d branches=%d want %d",
 			aSum, tSum, bSum, e.deltaSum)
@@ -466,17 +485,7 @@ func (e *Engine) CheckInvariants() error {
 
 // Balances returns the totals for external assertions.
 func (e *Engine) Balances() (accounts, tellers, branches, deltas int64) {
-	var aSum, tSum, bSum int64
-	for _, v := range e.accountBal {
-		aSum += v
-	}
-	for _, v := range e.tellerBal {
-		tSum += v
-	}
-	for _, v := range e.branchBal {
-		bSum += v
-	}
-	return aSum, tSum, bSum, e.deltaSum
+	return e.accountBal.sum(), e.tellerBal.sum(), e.branchBal.sum(), e.deltaSum
 }
 
 // AccountBalance returns one account's balance (tests).

@@ -1,9 +1,12 @@
 package tpcb
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"oltpsim/internal/memref"
 	"oltpsim/internal/sim"
 )
 
@@ -332,4 +335,45 @@ func TestBumpAllocatorAlignment(t *testing.T) {
 	if y <= x || y%8192 != 0 {
 		t.Fatalf("allocator alignment wrong: %#x %#x", x, y)
 	}
+}
+
+// TestPoolZetaSums: each database scale's shared pool has a precomputed
+// Zipf sum, and it equals the sum sim.Zeta computes, bit for bit, so an
+// engine built from the constant draws the stream a summed one would.
+func TestPoolZetaSums(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"DefaultConfig", DefaultConfig()},
+		{"QuickConfig", QuickConfig()},
+		{"SmallConfig", SmallConfig()},
+	} {
+		lines := sc.cfg.SharedPoolBytes / memref.LineBytes
+		got, ok := poolZetaSum(lines)
+		if !ok {
+			t.Errorf("%s: no precomputed sum for its %d-line shared pool", sc.name, lines)
+			continue
+		}
+		if want := sim.Zeta(lines, poolTheta); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: precomputed sum %v, sim.Zeta gives %v", sc.name, got, want)
+		}
+	}
+}
+
+// TestEngineBuildAllocation bounds what building and prewarming the
+// paper-scale engine allocates far below the 32 MB that a dense table of
+// its 4,000,000 balances would take: the balance tables grow with the
+// transactions run, and the block index is 4 bytes per block.
+func TestEngineBuildAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := MustNewEngine(DefaultConfig(), &BumpAllocator{}, NopEmitter{}, 1)
+	e.Prewarm()
+	runtime.ReadMemStats(&after)
+	const limit = 8 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+		t.Errorf("building the paper-scale engine allocated %d bytes, want at most %d", grew, limit)
+	}
+	runtime.KeepAlive(e)
 }

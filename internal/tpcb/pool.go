@@ -26,9 +26,10 @@ type BufferPool struct {
 	lt   *LatchTable
 
 	frames []frame
-	// blockToFrame is the hash index over frames.
+	// blockToFrame maps each database block to the frame holding it, -1
+	// when the block is not resident.
 	//oltpvet:derived not saved: LoadState rebuilds the index from each decoded frame's block assignment
-	blockToFrame map[int32]int32
+	blockToFrame []int32
 	free         []int32
 	clock        uint64
 
@@ -57,14 +58,18 @@ func newBufferPool(cfg *Config, alloc Allocator, em Emitter, code *ServerCode, l
 		code:         code,
 		lt:           lt,
 		frames:       make([]frame, cfg.BufferFrames),
-		blockToFrame: make(map[int32]int32, cfg.TotalBlocks()),
+		free:         make([]int32, cfg.BufferFrames),
+		blockToFrame: make([]int32, cfg.TotalBlocks()),
 		hdrBase:      alloc.Alloc("sga.buffer_headers", uint64(cfg.BufferFrames)*memref.LineBytes, KindShared),
 		bucketBase:   alloc.Alloc("sga.hash_buckets", uint64(cfg.HashBuckets)*memref.LineBytes, KindShared),
 		blockBase:    alloc.Alloc("sga.block_buffer", uint64(cfg.TotalBlocks())*BlockBytes, KindShared),
 	}
 	for i := range p.frames {
 		p.frames[i].block = -1
-		p.free = append(p.free, int32(i))
+		p.free[i] = int32(i)
+	}
+	for b := range p.blockToFrame {
+		p.blockToFrame[b] = -1
 	}
 	return p
 }
@@ -101,8 +106,9 @@ func (p *BufferPool) Get(b int32) (f int32, missed bool) {
 	p.lt.Acquire(latch)
 	p.em.Load(p.bucketBase+uint64(bucket)*memref.LineBytes, false)
 
-	f, ok := p.blockToFrame[b]
-	if !ok {
+	f = p.blockToFrame[b]
+	missed = f < 0
+	if missed {
 		p.Stats.Misses++
 		f = p.allocFrame(b)
 	}
@@ -115,7 +121,7 @@ func (p *BufferPool) Get(b int32) (f int32, missed bool) {
 
 	p.clock++
 	p.frames[f].lastUse = p.clock
-	return f, !ok
+	return f, missed
 }
 
 // Unpin emits the pin-release write of the header (post-commit cleanup).
@@ -171,7 +177,7 @@ func (p *BufferPool) evict() int32 {
 		panic("tpcb: buffer pool has no evictable frame")
 	}
 	fr := &p.frames[best]
-	delete(p.blockToFrame, fr.block)
+	p.blockToFrame[fr.block] = -1
 	// A dirty victim is handed to the write queue (asynchronous write).
 	if fr.dirty {
 		p.em.Store(p.HeaderAddr(best), false)
@@ -191,7 +197,7 @@ func (p *BufferPool) Prewarm(totalBlocks int) {
 		panic(fmt.Sprintf("tpcb: prewarm of %d blocks exceeds %d frames", totalBlocks, len(p.frames)))
 	}
 	for b := 0; b < totalBlocks; b++ {
-		if _, ok := p.blockToFrame[int32(b)]; ok {
+		if p.blockToFrame[b] >= 0 {
 			continue
 		}
 		f := p.free[len(p.free)-1]
@@ -232,12 +238,10 @@ func (p *BufferPool) Clean(f int32) {
 func (p *BufferPool) DirtyBacklog() int { return len(p.dirtyQueue) }
 
 // CheckConsistency verifies the pool's structural invariants: the
-// block-to-frame map is a bijection onto occupied frames, and no free frame
-// claims a block. It iterates the frames slice, not the map, so the error
-// it returns (part of restore failures surfaced to output) is deterministic;
-// the counting argument at the end makes the frame walk equivalent to a map
-// walk: every occupied frame must have a matching map entry, and a map with
-// no extra entries (same cardinality, keys unique) can contain nothing else.
+// block-to-frame index is a bijection onto occupied frames, and no free
+// frame claims a block. Every occupied frame must have its block's index
+// entry, and an index with no more resident blocks than there are occupied
+// frames can hold nothing else.
 func (p *BufferPool) CheckConsistency() error {
 	occupied := 0
 	for i := range p.frames {
@@ -246,19 +250,29 @@ func (p *BufferPool) CheckConsistency() error {
 			continue
 		}
 		occupied++
-		f, ok := p.blockToFrame[b]
-		if !ok {
-			return fmt.Errorf("tpcb: frame %d holds block %d without a map entry", i, b)
-		}
-		if f != int32(i) {
-			return fmt.Errorf("tpcb: frame %d holds block %d but the map sends it to frame %d", i, b, f)
+		if f := p.blockToFrame[b]; f != int32(i) {
+			return fmt.Errorf("tpcb: frame %d holds block %d but the index sends it to frame %d", i, b, f)
 		}
 	}
-	if occupied != len(p.blockToFrame) {
-		return fmt.Errorf("tpcb: %d occupied frames but %d map entries", occupied, len(p.blockToFrame))
+	indexed := 0
+	for _, f := range p.blockToFrame {
+		if f >= 0 {
+			indexed++
+		}
+	}
+	if occupied != indexed {
+		return fmt.Errorf("tpcb: %d occupied frames but %d indexed blocks", occupied, indexed)
 	}
 	return nil
 }
 
-// Resident returns the number of blocks currently mapped.
-func (p *BufferPool) Resident() int { return len(p.blockToFrame) }
+// Resident returns the number of occupied frames.
+func (p *BufferPool) Resident() int {
+	n := 0
+	for i := range p.frames {
+		if p.frames[i].block >= 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -2,6 +2,7 @@ package tpcb
 
 import (
 	"fmt"
+	"slices"
 
 	"oltpsim/internal/snapshot"
 )
@@ -12,9 +13,9 @@ import (
 // constants, and layout fields are derived from the configuration at
 // construction and are not state.
 func (e *Engine) SaveState(enc *snapshot.Encoder) {
-	saveBalances(enc, e.accountBal)
-	saveBalances(enc, e.tellerBal)
-	saveBalances(enc, e.branchBal)
+	saveBalances(enc, e.cfg.Accounts(), e.accountBal)
+	saveBalances(enc, e.cfg.Tellers(), e.tellerBal)
+	saveBalances(enc, e.cfg.Branches, e.branchBal)
 	enc.U64(e.historyLen)
 	enc.I64(e.deltaSum)
 	enc.Int(len(e.histSlot))
@@ -36,28 +37,20 @@ func (e *Engine) SaveState(enc *snapshot.Encoder) {
 	e.log.SaveState(enc)
 }
 
-// balance is one nonzero entry of a saved balance table.
-type balance struct {
-	row int
-	val int64
-}
-
-// saveBalances writes a balance table sparsely: its length, its nonzero
-// count, then the (row, balance) pairs in ascending row order. A committed
-// transaction makes at most one account balance nonzero, so the dense
-// account table is almost all zeros.
-func saveBalances(e *snapshot.Encoder, table []int64) {
-	var rows []int
-	for i, v := range table {
-		if v != 0 {
-			rows = append(rows, i)
-		}
+// saveBalances writes a balance table of the given number of rows
+// sparsely: its length, its nonzero count, then the (row, balance) pairs in
+// ascending row order.
+func saveBalances(e *snapshot.Encoder, rows int, t balanceTable) {
+	keys := make([]int, 0, len(t))
+	for row := range t {
+		keys = append(keys, row)
 	}
-	e.Int(len(table))
-	e.Int(len(rows))
-	for _, i := range rows {
-		e.Int(i)
-		e.I64(table[i])
+	slices.Sort(keys)
+	e.Int(rows)
+	e.Int(len(keys))
+	for _, row := range keys {
+		e.Int(row)
+		e.I64(t[row])
 	}
 }
 
@@ -65,7 +58,7 @@ func saveBalances(e *snapshot.Encoder, table []int64) {
 // number of rows. The spelling is canonical: it refuses another length, a
 // row out of range, out of order or repeated, a zero balance, and a
 // nonzero count the remaining input cannot back.
-func loadBalances(d *snapshot.Decoder, name string, rows int) ([]balance, error) {
+func loadBalances(d *snapshot.Decoder, name string, rows int) (balanceTable, error) {
 	n := d.Int()
 	nonzero := d.Int()
 	if err := d.Err(); err != nil {
@@ -77,44 +70,38 @@ func loadBalances(d *snapshot.Decoder, name string, rows int) ([]balance, error)
 	if nonzero < 0 || nonzero > d.Remaining()/16 {
 		return nil, fmt.Errorf("tpcb: snapshot %s table claims %d nonzero balances, the input holds at most %d", name, nonzero, d.Remaining()/16)
 	}
-	bal := make([]balance, nonzero)
-	for k := range bal {
-		b := balance{row: d.Int(), val: d.I64()}
+	t := make(balanceTable, nonzero)
+	prev := -1
+	for k := 0; k < nonzero; k++ {
+		row, val := d.Int(), d.I64()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
 		switch {
-		case b.row < 0 || b.row >= rows:
-			return nil, fmt.Errorf("tpcb: snapshot %s row %d out of range 0..%d", name, b.row, rows-1)
-		case k > 0 && b.row <= bal[k-1].row:
-			return nil, fmt.Errorf("tpcb: snapshot %s row %d is out of order or repeated", name, b.row)
-		case b.val == 0:
-			return nil, fmt.Errorf("tpcb: snapshot %s row %d saved with a zero balance", name, b.row)
+		case row < 0 || row >= rows:
+			return nil, fmt.Errorf("tpcb: snapshot %s row %d out of range 0..%d", name, row, rows-1)
+		case row <= prev:
+			return nil, fmt.Errorf("tpcb: snapshot %s row %d is out of order or repeated", name, row)
+		case val == 0:
+			return nil, fmt.Errorf("tpcb: snapshot %s row %d saved with a zero balance", name, row)
 		}
-		bal[k] = b
+		t[row] = val
+		prev = row
 	}
-	return bal, nil
-}
-
-// restoreBalances zeroes table and fills in the saved nonzero entries.
-func restoreBalances(table []int64, bal []balance) {
-	clear(table)
-	for _, b := range bal {
-		table[b.row] = b.val
-	}
+	return t, nil
 }
 
 // LoadState restores an engine built from the identical configuration.
 func (e *Engine) LoadState(d *snapshot.Decoder) error {
-	accounts, err := loadBalances(d, "account", len(e.accountBal))
+	accounts, err := loadBalances(d, "account", e.cfg.Accounts())
 	if err != nil {
 		return err
 	}
-	tellers, err := loadBalances(d, "teller", len(e.tellerBal))
+	tellers, err := loadBalances(d, "teller", e.cfg.Tellers())
 	if err != nil {
 		return err
 	}
-	branches, err := loadBalances(d, "branch", len(e.branchBal))
+	branches, err := loadBalances(d, "branch", e.cfg.Branches)
 	if err != nil {
 		return err
 	}
@@ -166,9 +153,9 @@ func (e *Engine) LoadState(d *snapshot.Decoder) error {
 	if err := e.log.LoadState(d); err != nil {
 		return err
 	}
-	restoreBalances(e.accountBal, accounts)
-	restoreBalances(e.tellerBal, tellers)
-	restoreBalances(e.branchBal, branches)
+	e.accountBal = accounts
+	e.tellerBal = tellers
+	e.branchBal = branches
 	e.historyLen = historyLen
 	e.deltaSum = deltaSum
 	copy(e.histSlot, slots)
@@ -266,10 +253,15 @@ func (p *BufferPool) LoadState(d *snapshot.Decoder) error {
 	if n != len(p.frames) {
 		return fmt.Errorf("tpcb: snapshot has %d frames, want %d", n, len(p.frames))
 	}
+	blocks := int64(len(p.blockToFrame))
 	frames := make([]frame, n)
 	for i := range frames {
+		b := d.I64()
+		if b < -1 || b >= blocks {
+			return fmt.Errorf("tpcb: frame %d holds block %d, outside -1..%d", i, b, blocks-1)
+		}
 		frames[i] = frame{
-			block:   int32(d.I64()),
+			block:   int32(b),
 			dirty:   d.Bool(),
 			inDirty: d.Bool(),
 			lastUse: d.U64(),
@@ -282,13 +274,13 @@ func (p *BufferPool) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	b2f := make(map[int32]int32, len(p.blockToFrame))
+	b2f := make([]int32, blocks)
+	for b := range b2f {
+		b2f[b] = -1
+	}
 	for i, fr := range frames {
-		if fr.block < -1 {
-			return fmt.Errorf("tpcb: frame %d holds invalid block %d", i, fr.block)
-		}
 		if fr.block >= 0 {
-			if _, dup := b2f[fr.block]; dup {
+			if b2f[fr.block] >= 0 {
 				return fmt.Errorf("tpcb: block %d resident in two frames", fr.block)
 			}
 			b2f[fr.block] = int32(i)

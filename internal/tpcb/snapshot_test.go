@@ -34,7 +34,7 @@ func section(t *testing.T, fill func(*snapshot.Encoder)) *snapshot.Decoder {
 // engine.
 func TestLoadRefusesBadBalanceTable(t *testing.T) {
 	e := newTestEngine(t, NopEmitter{})
-	rows := int64(len(e.accountBal))
+	rows := int64(e.cfg.Accounts())
 	// table writes a saved table: its length, its nonzero count, then the
 	// (row, balance) pairs as given.
 	table := func(n, nonzero int64, pairs ...int64) func(*snapshot.Encoder) {
@@ -79,13 +79,7 @@ func TestLoadRefusesBadBalanceTable(t *testing.T) {
 func TestBalanceTablesRoundTrip(t *testing.T) {
 	e := newTestEngine(t, NopEmitter{})
 	runTxns(e, 500, 7)
-	nonzero := 0
-	for _, v := range e.accountBal {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	if nonzero == 0 {
+	if len(e.accountBal) == 0 {
 		t.Fatal("500 transactions left every account balance zero")
 	}
 	save := func(e *Engine) []byte {
@@ -124,5 +118,63 @@ func TestBalanceTablesRoundTrip(t *testing.T) {
 	}
 	if again := save(loaded); !bytes.Equal(again, first) {
 		t.Errorf("save→load→save changed the bytes (%d vs %d)", len(again), len(first))
+	}
+}
+
+// poolState writes a saved pool of n frames whose frame 0 holds block b
+// and whose other frames are free; free list, dirty queue and counters
+// are empty.
+func poolState(n int, b int64) func(*snapshot.Encoder) {
+	return func(enc *snapshot.Encoder) {
+		enc.Int(n)
+		for i := 0; i < n; i++ {
+			block := int64(-1)
+			if i == 0 {
+				block = b
+			}
+			enc.I64(block)
+			enc.Bool(false)
+			enc.Bool(false)
+			enc.U64(0)
+		}
+		enc.I64s(nil)
+		enc.U64(0)
+		enc.I64s(nil)
+		for i := 0; i < 4; i++ {
+			enc.U64(0)
+		}
+	}
+}
+
+// TestPoolLoadRefusesBlockPastDatabase: a saved frame may hold only -1 or
+// a block of the database, checked on the saved 64-bit value, so a block
+// that would narrow into range is refused too.
+func TestPoolLoadRefusesBlockPastDatabase(t *testing.T) {
+	p, cfg := newTestPool(8)
+	total := int64(cfg.TotalBlocks())
+	for _, tc := range []struct {
+		name  string
+		block int64
+		error string
+	}{
+		{"last block", total - 1, ""},
+		{"free", -1, ""},
+		{"one past the end", total, "outside -1..135"},
+		{"past the end", total + 5, "outside -1..135"},
+		{"narrows into range", 1<<32 + 5, "outside -1..135"},
+		{"below free", -2, "outside -1..135"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := p.LoadState(section(t, poolState(8, tc.block)))
+			if tc.error == "" {
+				if err != nil {
+					t.Fatalf("LoadState refused block %d: %v", tc.block, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.error) {
+				t.Fatalf("LoadState error %v, want one containing %q", err, tc.error)
+			}
+		})
 	}
 }
