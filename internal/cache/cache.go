@@ -79,32 +79,47 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// A way holds one word: a resident line's address, which is line-aligned,
-// with the valid bit in bit 0 and the State in bits 1-2, inside the low
-// bits a memref.LineBytes line leaves clear. An empty way is 0; the valid
-// bit keeps line 0 distinct from it, so a lookup is one masked compare per
-// way.
+// A way holds one uint32 word: the valid bit in bit 0, the State in bits
+// 1-2 and the line's tag in bits 3-31. The tag is the line index divided by
+// the set count, the part of the line the set index does not already say,
+// so a set's words rebuild their lines as (tag*sets + set) << LineShift. An
+// empty way is 0; the valid bit keeps tag 0 distinct from it, so a lookup
+// is one masked compare per way.
+//
+// The bit positions are those of a checkpoint's way word, the 64-bit line
+// address with the same valid and state bits below it, so the constants
+// are untyped and serve both.
 const (
-	validBit  uint64 = 1
-	stateBits uint64 = 3 << 1
-	flagBits         = validBit | stateBits
+	validBit  = 1
+	stateBits = 3 << 1
+	flagBits  = validBit | stateBits
+	tagShift  = 3
+	maxTag    = 1<<(32-tagShift) - 1
 )
 
-func stateOf(w uint64) State { return State(w >> 1 & 3) }
+// MinSets is the fewest sets for which every line up to memref.MaxAddr has
+// a tag that fits a way word: 2^34 line indexes over 2^29 tags. core
+// refuses a machine with a smaller L2 or RAC. A smaller cache, which only
+// tests build, holds the lines whose tags fit, reports any other as a miss
+// and panics on its Insert.
+const MinSets = (memref.MaxAddr>>memref.LineShift + 1) / (maxTag + 1)
+
+func stateOf(w uint32) State { return State(w >> 1 & 3) }
 
 // Cache is a set-associative tag store with per-set LRU replacement.
 type Cache struct {
-	cfg     Config
-	nsets   uint64
-	assoc   uint64 // cfg.Assoc hoisted out of the nested struct
-	setMask uint64 // nsets-1 when nsets is a power of two
-	pow2    bool
+	cfg      Config
+	nsets    uint64
+	assoc    uint64 // cfg.Assoc hoisted out of the nested struct
+	setMask  uint64 // nsets-1 when nsets is a power of two
+	setShift uint   // log2(nsets) when nsets is a power of two
+	pow2     bool
 
 	// ways holds set s's words at [s*assoc, (s+1)*assoc), most recently
 	// used first and empty ways last. An Access hit or an Insert moves its
 	// word to the front, so the set's last word is the LRU victim: the
 	// line whose last Access hit or Insert is oldest.
-	ways []uint64
+	ways []uint32
 
 	// Stats counts accesses and hits; misses are derived.
 	Accesses uint64
@@ -120,38 +135,55 @@ func New(cfg Config) *Cache {
 	}
 	nsets := uint64(cfg.Sets())
 	c := &Cache{
-		cfg:   cfg,
-		nsets: nsets,
-		assoc: uint64(cfg.Assoc),
-		pow2:  nsets&(nsets-1) == 0,
-		ways:  make([]uint64, nsets*uint64(cfg.Assoc)),
+		cfg:     cfg,
+		nsets:   nsets,
+		assoc:   uint64(cfg.Assoc),
+		setMask: nsets - 1,
+		pow2:    nsets&(nsets-1) == 0,
+		ways:    make([]uint32, nsets*uint64(cfg.Assoc)),
 	}
-	c.setMask = nsets - 1
+	for n := nsets; n > 1; n >>= 1 {
+		c.setShift++
+	}
 	return c
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setOf(line uint64) uint64 {
+// index splits line into its set and its tag.
+func (c *Cache) index(line uint64) (set, tag uint64) {
 	idx := line >> memref.LineShift
 	if c.pow2 {
-		return idx & c.setMask
+		return idx & c.setMask, idx >> c.setShift
 	}
-	return idx % c.nsets
+	return idx % c.nsets, idx / c.nsets
 }
 
-// set returns the ways of line's set, in recency order.
-func (c *Cache) set(line uint64) []uint64 {
-	base := c.setOf(line) * c.assoc
+// setWays returns set's words, in recency order.
+func (c *Cache) setWays(set uint64) []uint32 {
+	base := set * c.assoc
 	return c.ways[base : base+c.assoc : base+c.assoc]
 }
 
-// find returns line's rank within ways, or -1.
-func find(ways []uint64, line uint64) int {
-	key := line | validBit
+// lineAt rebuilds the line address a word of set holds.
+func (c *Cache) lineAt(set uint64, w uint32) uint64 {
+	return (uint64(w>>tagShift)*c.nsets + set) << memref.LineShift
+}
+
+// locate returns line's set and the key rank looks line up by: its tag
+// and the valid bit.
+func (c *Cache) locate(line uint64) (ways []uint32, key uint64) {
+	set, tag := c.index(line)
+	return c.setWays(set), tag<<tagShift | validBit
+}
+
+// rank returns the rank of the word whose tag and valid bit equal key, or
+// -1. The compare is 64 bits wide, so the key of a tag that does not fit a
+// word (only a cache under MinSets sets meets one) matches no way.
+func rank(ways []uint32, key uint64) int {
 	for i, w := range ways {
-		if w&^stateBits == key {
+		if uint64(w&^stateBits) == key {
 			return i
 		}
 	}
@@ -159,7 +191,7 @@ func find(ways []uint64, line uint64) int {
 }
 
 // toFront moves ways[i] to rank 0, shifting the more recent words down one.
-func toFront(ways []uint64, i int) {
+func toFront(ways []uint32, i int) {
 	w := ways[i]
 	for ; i > 0; i-- {
 		ways[i] = ways[i-1]
@@ -169,8 +201,8 @@ func toFront(ways []uint64, i int) {
 
 // Probe returns the state of line without updating LRU or statistics.
 func (c *Cache) Probe(line uint64) State {
-	ways := c.set(line)
-	if i := find(ways, line); i >= 0 {
+	ways, key := c.locate(line)
+	if i := rank(ways, key); i >= 0 {
 		return stateOf(ways[i])
 	}
 	return Invalid
@@ -180,8 +212,8 @@ func (c *Cache) Probe(line uint64) State {
 // It returns the line's state; Invalid means miss.
 func (c *Cache) Access(line uint64) State {
 	c.Accesses++
-	ways := c.set(line)
-	if i := find(ways, line); i >= 0 {
+	ways, key := c.locate(line)
+	if i := rank(ways, key); i >= 0 {
 		toFront(ways, i)
 		c.Hits++
 		return stateOf(ways[0])
@@ -192,7 +224,8 @@ func (c *Cache) Access(line uint64) State {
 // Insert places line, a line-aligned address, with the given state,
 // evicting the LRU way if the set is full. It returns the victim line and
 // its prior state; vstate == Invalid means no eviction happened. Inserting
-// a line that is already present just updates its state.
+// a line that is already present just updates its state. A line whose tag
+// does not fit a word (only a cache under MinSets sets has one) panics.
 func (c *Cache) Insert(line uint64, st State) (victim uint64, vstate State) {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
@@ -200,20 +233,25 @@ func (c *Cache) Insert(line uint64, st State) (victim uint64, vstate State) {
 	if memref.LineOf(line) != line {
 		panic("cache: Insert of an unaligned line")
 	}
-	ways := c.set(line)
+	set, tag := c.index(line)
+	if tag > maxTag {
+		panic(fmt.Sprintf("cache %s: Insert of line %#x, beyond the lines %d sets can hold", c.cfg.Name, line, c.nsets))
+	}
+	ways := c.setWays(set)
+	key := uint32(tag)<<tagShift | validBit
 	// The word dropped is line's own if present, else the last: an empty
 	// way if there is one, otherwise the least recently used line.
-	i := find(ways, line)
+	i := rank(ways, uint64(key))
 	if i < 0 {
 		i = len(ways) - 1
 	}
 	old := ways[i]
-	ways[i] = line | uint64(st)<<1 | validBit
+	ways[i] = key | uint32(st)<<1
 	toFront(ways, i)
-	if old == 0 || old&^stateBits == line|validBit {
+	if old == 0 || old&^stateBits == key {
 		return 0, Invalid
 	}
-	return old &^ flagBits, stateOf(old)
+	return c.lineAt(set, old), stateOf(old)
 }
 
 // SetState changes the state of a resident line, returning false if the line
@@ -222,9 +260,9 @@ func (c *Cache) SetState(line uint64, st State) bool {
 	if st == Invalid {
 		panic("cache: SetState to Invalid; use Invalidate")
 	}
-	ways := c.set(line)
-	if i := find(ways, line); i >= 0 {
-		ways[i] = ways[i]&^stateBits | uint64(st)<<1
+	ways, key := c.locate(line)
+	if i := rank(ways, key); i >= 0 {
+		ways[i] = ways[i]&^stateBits | uint32(st)<<1
 		return true
 	}
 	return false
@@ -233,8 +271,8 @@ func (c *Cache) SetState(line uint64, st State) bool {
 // Invalidate removes line and returns its prior state (Invalid if absent).
 // The less recent words close the gap, so empty ways stay last.
 func (c *Cache) Invalidate(line uint64) State {
-	ways := c.set(line)
-	if i := find(ways, line); i >= 0 {
+	ways, key := c.locate(line)
+	if i := rank(ways, key); i >= 0 {
 		st := stateOf(ways[i])
 		copy(ways[i:], ways[i+1:])
 		ways[len(ways)-1] = 0
@@ -257,9 +295,9 @@ func (c *Cache) ResetStats() {
 // (inclusion) checks in tests and by the functional engine's integrity
 // checks; it is not on the hot path.
 func (c *Cache) ForEachResident(fn func(line uint64, st State)) {
-	for _, w := range c.ways {
+	for i, w := range c.ways {
 		if w != 0 {
-			fn(w&^flagBits, stateOf(w))
+			fn(c.lineAt(uint64(i)/c.assoc, w), stateOf(w))
 		}
 	}
 }

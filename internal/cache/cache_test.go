@@ -390,6 +390,9 @@ func TestLoadStateRefusesBadWords(t *testing.T) {
 		{"line outside its set", "outside its set", []uint64{m(64), 0, 0, 0, 0, 0, 0, 0}, 0},
 		{"line twice in one set", "twice", []uint64{m(0), m(0), 0, 0, 0, 0, 0, 0}, 0},
 		{"occupied way after an empty one", "after an empty way", []uint64{0, m(0x100), 0, 0, 0, 0, 0, 0}, 0},
+		{"line above MaxAddr", "beyond the lines", []uint64{m(memref.MaxAddr + 1), 0, 0, 0, 0, 0, 0, 0}, 0},
+		// 4 sets hold 2^29 tags each, so line 2^37 has no tag here.
+		{"line beyond the tags of 4 sets", "beyond the lines", []uint64{m(1 << 37), 0, 0, 0, 0, 0, 0, 0}, 0},
 		{"hits exceed accesses", "hits exceed", make([]uint64, 8), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -408,6 +411,108 @@ func TestLoadStateRefusesBadWords(t *testing.T) {
 	if st := c.Invalidate(0); st != Modified || c.Probe(0) != Invalid || c.Probe(0x100) != Modified {
 		t.Fatalf("Invalidate(0) = %v, then Probe(0) = %v, Probe(0x100) = %v", st, c.Probe(0), c.Probe(0x100))
 	}
+}
+
+// TestTagsReachMaxAddr: at the MinSets floor, at a non-power-of-two set
+// count and at the L1's and the 8 MB RAC's geometry, the highest line a
+// Ref can name and the lowest line of its set share the set's words, keep
+// their states, come back exact from ForEachResident and as an eviction
+// victim, and survive a checkpoint round trip as the same bytes.
+func TestTagsReachMaxAddr(t *testing.T) {
+	top := memref.LineOf(memref.MaxAddr)
+	for _, g := range []struct {
+		sets, assoc int
+	}{
+		{MinSets, 2},
+		{MinSets, 8},
+		{5120, 4},
+		{512, 2},
+		{16384, 8},
+	} {
+		t.Run(fmt.Sprintf("%dsets_%dway", g.sets, g.assoc), func(t *testing.T) {
+			c := mk(t, int64(g.sets*g.assoc*memref.LineBytes), g.assoc)
+			stride := uint64(g.sets * memref.LineBytes)
+			low := top % stride // the lowest line in top's set
+			c.Insert(low, Exclusive)
+			c.Insert(top, Modified)
+			if c.Probe(top) != Modified || c.Probe(low) != Exclusive {
+				t.Fatalf("Probe(top) = %v, Probe(%#x) = %v", c.Probe(top), low, c.Probe(low))
+			}
+			got := map[uint64]State{}
+			c.ForEachResident(func(line uint64, st State) { got[line] = st })
+			if want := (map[uint64]State{top: Modified, low: Exclusive}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("resident %v, want %v", got, want)
+			}
+			var buf bytes.Buffer
+			w := snapshot.NewWriter()
+			c.SaveState(w.Section("cache"))
+			if err := w.Emit(&buf); err != nil {
+				t.Fatal(err)
+			}
+			first := bytes.Clone(buf.Bytes())
+			r, err := snapshot.NewReader(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := r.Section("cache")
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := mk(t, int64(g.sets*g.assoc*memref.LineBytes), g.assoc)
+			if err := loaded.LoadState(d); err != nil {
+				t.Fatal(err)
+			}
+			w = snapshot.NewWriter()
+			loaded.SaveState(w.Section("cache"))
+			buf.Reset()
+			if err := w.Emit(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), first) {
+				t.Fatal("save→load→save changed the bytes")
+			}
+			// Fill the set behind top: with low touched last, top is the
+			// LRU line and leaves as the victim of the next line in.
+			c.Access(low)
+			var victim uint64
+			var vst State
+			for k := uint64(1); vst == Invalid; k++ {
+				victim, vst = c.Insert(low+k*stride, Shared)
+			}
+			if victim != top || vst != Modified {
+				t.Fatalf("victim %#x (%v), want %#x (M)", victim, vst, top)
+			}
+		})
+	}
+}
+
+// TestSmallCacheRefusesUnholdableLines: a cache under MinSets sets (only
+// tests build one) holds the lines whose tags fit, reports a line beyond
+// them as a miss everywhere and panics on its Insert. The first line
+// beyond shares set 0 with line 0, and its tag, cut to 29 bits, is line
+// 0's.
+func TestSmallCacheRefusesUnholdableLines(t *testing.T) {
+	c := mk(t, 2*64, 1) // 2 sets: 2^30 lines have tags
+	last := uint64(2<<29-1) * memref.LineBytes
+	beyond := last + memref.LineBytes
+	c.Insert(last, Modified)
+	c.Insert(0, Exclusive)
+	if c.Probe(last) != Modified {
+		t.Fatalf("the last line 2 sets hold, %#x, is not resident", last)
+	}
+	if c.Access(beyond) != Invalid || c.Probe(beyond) != Invalid || c.SetState(beyond, Shared) ||
+		c.Invalidate(beyond) != Invalid || c.Probe(0) != Exclusive {
+		t.Fatalf("line %#x, beyond 2 sets' tags, was found as line 0", beyond)
+	}
+	if c.Accesses != 1 || c.Hits != 0 {
+		t.Fatalf("the miss counted %d accesses, %d hits", c.Accesses, c.Hits)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Insert(%#x) into 2 sets did not panic", beyond)
+		}
+	}()
+	c.Insert(beyond, Shared)
 }
 
 // stampCache is the tag store as it was before the recency-ordered words:

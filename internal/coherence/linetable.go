@@ -11,12 +11,20 @@ package coherence
 // Behaviour is identical to the map it replaced: only keyed lookups are
 // performed (never iteration, so determinism cannot hinge on ordering), and
 // the zero entry means "uncached, clean at home" exactly as before.
+//
+// Each slot holds its key beside its entry, 32 bytes, so a probe that finds
+// its line reads one host cache line for both.
 type lineTable struct {
-	keys    []uint64 // line<<1|1 when occupied, 0 when empty (no tombstones)
-	entries []entry
-	mask    uint64
-	shift   uint // 64 - log2(len(keys)), for fibonacci hashing
-	live    int
+	slots []slot
+	mask  uint64
+	shift uint // 64 - log2(len(slots)), for fibonacci hashing
+	live  int
+}
+
+// slot is one place in the table.
+type slot struct {
+	key uint64 // line<<1|1 when occupied, 0 when empty (no tombstones)
+	ent entry
 }
 
 // fibMul is 2^64 / phi, the standard fibonacci-hashing multiplier; line
@@ -38,8 +46,7 @@ func newLineTable(sizeHint int) *lineTable {
 }
 
 func (t *lineTable) alloc(size int) {
-	t.keys = make([]uint64, size)
-	t.entries = make([]entry, size)
+	t.slots = make([]slot, size)
 	t.mask = uint64(size - 1)
 	t.shift = 64
 	for s := size; s > 1; s >>= 1 {
@@ -56,9 +63,9 @@ func (t *lineTable) slotOf(key uint64) uint64 {
 func (t *lineTable) find(line uint64) *entry {
 	key := line<<1 | 1
 	for i := t.slotOf(key); ; i = (i + 1) & t.mask {
-		switch t.keys[i] {
+		switch s := &t.slots[i]; s.key {
 		case key:
-			return &t.entries[i]
+			return &s.ent
 		case 0:
 			return nil
 		}
@@ -76,19 +83,18 @@ func (t *lineTable) get(line uint64) entry {
 // ref returns a pointer to line's entry, inserting a zero entry if absent.
 // The pointer is valid only until the next insertion.
 func (t *lineTable) ref(line uint64) *entry {
-	if t.live*4 >= len(t.keys)*3 {
+	if t.live*4 >= len(t.slots)*3 {
 		t.grow()
 	}
 	key := line<<1 | 1
 	for i := t.slotOf(key); ; i = (i + 1) & t.mask {
-		switch t.keys[i] {
+		switch s := &t.slots[i]; s.key {
 		case key:
-			return &t.entries[i]
+			return &s.ent
 		case 0:
-			t.keys[i] = key
-			t.entries[i] = entry{}
+			*s = slot{key: key}
 			t.live++
-			return &t.entries[i]
+			return &s.ent
 		}
 	}
 }
@@ -101,46 +107,48 @@ func (t *lineTable) del(line uint64) {
 	key := line<<1 | 1
 	i := t.slotOf(key)
 	for ; ; i = (i + 1) & t.mask {
-		if t.keys[i] == key {
+		if t.slots[i].key == key {
 			break
 		}
-		if t.keys[i] == 0 {
+		if t.slots[i].key == 0 {
 			return
 		}
 	}
 	t.live--
 	for j := i; ; {
 		j = (j + 1) & t.mask
-		if t.keys[j] == 0 {
+		if t.slots[j].key == 0 {
 			break
 		}
 		// Element at j probed from home h. It may fill slot i only if i lies
 		// on its probe path, i.e. the cyclic distance from h to i does not
 		// exceed the distance from h to j.
-		h := t.slotOf(t.keys[j])
+		h := t.slotOf(t.slots[j].key)
 		if (i-h)&t.mask <= (j-h)&t.mask {
-			t.keys[i] = t.keys[j]
-			t.entries[i] = t.entries[j]
+			t.slots[i] = t.slots[j]
 			i = j
 		}
 	}
-	t.keys[i] = 0
-	t.entries[i] = entry{}
+	t.slots[i] = slot{}
 }
 
 func (t *lineTable) grow() {
-	oldKeys, oldEntries := t.keys, t.entries
-	t.alloc(len(oldKeys) * 2)
-	for i, k := range oldKeys {
-		if k == 0 {
-			continue
+	old := t.slots
+	t.alloc(len(old) * 2)
+	for _, s := range old {
+		if s.key != 0 {
+			t.place(s)
 		}
-		for j := t.slotOf(k); ; j = (j + 1) & t.mask {
-			if t.keys[j] == 0 {
-				t.keys[j] = k
-				t.entries[j] = oldEntries[i]
-				break
-			}
+	}
+}
+
+// place puts s, whose key the table does not hold, in the first empty slot
+// of its probe path.
+func (t *lineTable) place(s slot) {
+	for j := t.slotOf(s.key); ; j = (j + 1) & t.mask {
+		if t.slots[j].key == 0 {
+			t.slots[j] = s
+			return
 		}
 	}
 }

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"testing"
+	"unsafe"
 
 	"oltpsim/internal/sim"
 )
@@ -70,5 +71,14 @@ func TestLineTableZeroLine(t *testing.T) {
 	tab.del(0)
 	if tab.find(0) != nil || tab.live != 0 {
 		t.Fatal("line 0 survived deletion")
+	}
+}
+
+// TestSlotSize: a slot is the 8-byte key beside the 24-byte entry, so two
+// slots share a 64-byte host line and a probe that finds its line reads
+// one of them.
+func TestSlotSize(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size != 32 {
+		t.Fatalf("slot is %d bytes, want 32", size)
 	}
 }

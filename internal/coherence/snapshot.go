@@ -16,9 +16,9 @@ import (
 func (d *Directory) SaveState(e *snapshot.Encoder) {
 	t := d.entries
 	keys := make([]uint64, 0, t.live)
-	for _, k := range t.keys {
-		if k != 0 {
-			keys = append(keys, k)
+	for _, s := range t.slots {
+		if s.key != 0 {
+			keys = append(keys, s.key)
 		}
 	}
 	slices.Sort(keys)
@@ -88,13 +88,7 @@ func (d *Directory) LoadState(dec *snapshot.Decoder) error {
 		if ent.sharers.empty() && !ent.hasOwner() {
 			return fmt.Errorf("coherence: entry %d is the zero entry and should be absent", i)
 		}
-		for j := t.slotOf(key); ; j = (j + 1) & t.mask {
-			if t.keys[j] == 0 {
-				t.keys[j] = key
-				t.entries[j] = ent
-				break
-			}
-		}
+		t.place(slot{key: key, ent: ent})
 	}
 	t.live = live
 	stats := Stats{}

@@ -91,14 +91,27 @@ func (c Config) Validate() error {
 	if c.CoresPerChip < 1 || c.Processors%c.CoresPerChip != 0 {
 		return fmt.Errorf("core: %d cores do not divide into chips of %d", c.Processors, c.CoresPerChip)
 	}
-	if err := c.L2CacheConfig().Validate(); err != nil {
+	if err := validateTagArray(c.L2CacheConfig()); err != nil {
 		return err
 	}
 	if c.RACBytes != 0 {
 		if c.Processors == c.CoresPerChip {
 			return fmt.Errorf("core: a RAC caches remote lines and needs more than one chip")
 		}
-		return rac.Geometry(c.RACBytes).Validate()
+		return validateTagArray(rac.Geometry(c.RACBytes))
+	}
+	return nil
+}
+
+// validateTagArray checks a machine's L2 or RAC geometry, including the
+// cache.MinSets floor below which some line addresses have no tag.
+func validateTagArray(g cache.Config) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if g.Sets() < cache.MinSets {
+		return fmt.Errorf("core: %s of %d bytes, %d-way has %d sets, under the %d a way's tag needs to reach every address",
+			g.Name, g.SizeBytes, g.Assoc, g.Sets(), cache.MinSets)
 	}
 	return nil
 }

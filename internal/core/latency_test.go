@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"oltpsim/internal/cache"
+)
 
 // TestFigureThreeValues pins the latency model to the paper's Figure 3.
 func TestFigureThreeValues(t *testing.T) {
@@ -116,6 +121,22 @@ func TestConfigValidation(t *testing.T) {
 	cfg.RACBytes = 100
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("bad RAC accepted")
+	}
+	// The smallest L2 and RAC a way word's tag covers are cache.MinSets
+	// sets; one fewer set's worth is refused.
+	cfg = BaseConfig(8, cache.MinSets*64*8, 8)
+	cfg.RACBytes = cache.MinSets * 64 * 8
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("L2 and RAC of %d sets refused: %v", cache.MinSets, err)
+	}
+	cfg.L2SizeBytes = (cache.MinSets - 1) * 64 * 8
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "L2 of") {
+		t.Fatalf("L2 under %d sets: error %v", cache.MinSets, err)
+	}
+	cfg.L2SizeBytes = cache.MinSets * 64 * 8
+	cfg.RACBytes = (cache.MinSets - 1) * 64 * 8
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "RAC of") {
+		t.Fatalf("RAC under %d sets: error %v", cache.MinSets, err)
 	}
 	cfg = BaseConfig(1, 8*MB, 1)
 	cfg.RACBytes = 8 * MB

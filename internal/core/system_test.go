@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"oltpsim/internal/cache"
@@ -350,4 +351,21 @@ func TestEndToEndDeterminism(t *testing.T) {
 	if run() != run() {
 		t.Fatal("simulation is not deterministic")
 	}
+}
+
+// TestSystemBuildAllocation bounds what building the 64-node Full 2M8w
+// machine allocates, the harness aside: 64 L2 tag arrays of 32,768 ways
+// and 128 L1 arrays of 1,024 ways, 2.2M ways in all. At 4 bytes a way they
+// come to 8.5 MiB; at 8 bytes they were 17 MiB.
+func TestSystemBuildAllocation(t *testing.T) {
+	h := oltp.MustNewHarness(oltp.TestParams(64))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys := MustNewSystem(FullConfig(64, 2*MB, 8), h)
+	runtime.ReadMemStats(&after)
+	const limit = 10 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+		t.Errorf("building the 64-node Full 2M8w machine allocated %d bytes, want at most %d", grew, limit)
+	}
+	runtime.KeepAlive(sys)
 }

@@ -390,6 +390,8 @@ func TestResumeRefusesImpossibleRef(t *testing.T) {
 		want  string
 	}{
 		{"unknown kind", func(ref []byte) { ref[8] = 3 }, "kernel: reference 0 has unknown kind 3"},
+		{"address beyond 40 bits", func(ref []byte) { binary.LittleEndian.PutUint64(ref, 1<<40) },
+			"kernel: reference 0 address 0x10000000000 exceeds"},
 		{"address beyond 48 bits", func(ref []byte) { binary.LittleEndian.PutUint64(ref, 1<<48) },
 			"kernel: reference 0 address 0x1000000000000 exceeds"},
 		{"instruction count beyond 16 bits", func(ref []byte) { binary.LittleEndian.PutUint32(ref[11:], 1<<16+5) },

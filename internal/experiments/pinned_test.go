@@ -1,0 +1,76 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"path/filepath"
+	"testing"
+
+	"oltpsim/internal/core"
+	"oltpsim/internal/oltp"
+	"oltpsim/internal/snapshot"
+)
+
+// pinnedVersion is the snapshot format the digests below were recorded
+// under. A format change bumps snapshot.Version and re-records the
+// digests beside it; a change that keeps the version must keep the bytes.
+const pinnedVersion = 8
+
+// TestWarmedCheckpointDigests pins the checkpoint bytes of three quick
+// machines, one per shape the machine snapshot serializes: a uniprocessor
+// with a direct-mapped 8 MB L2, an 8-node machine with a RAC, and the
+// 64-node machine. Each is warmed through QuickOptions' warmup and saved as
+// the container Execute writes at the end of warmup. A change to any
+// structure's in-memory layout must leave these bytes as they are.
+func TestWarmedCheckpointDigests(t *testing.T) {
+	if snapshot.Version != pinnedVersion {
+		t.Fatalf("snapshot.Version is %d, the digests were recorded under %d: re-record them with the new format",
+			snapshot.Version, pinnedVersion)
+	}
+	rac := core.FullConfig(8, 1*core.MB, 4)
+	rac.RACBytes = 8 * core.MB
+	for _, tc := range []struct {
+		cfg    core.Config
+		digest string
+	}{
+		{core.BaseConfig(1, 8*core.MB, 1), "a418a0d0bcb846ba6e9b7b77a4ad741e49f46cf4f192e57d147b0d213229e468"},
+		{rac, "a8656a7ba9202047481bb5be5994b25d566351c42a964f8267d253351d82b9c6"},
+		{core.FullConfig(64, 2*core.MB, 8), "90cc7b4592a48d7ada9b374f13450474364245082eb4097ffa05b75a505e2934"},
+	} {
+		name := fmt.Sprintf("%d-CPU %s RAC=%d", tc.cfg.Processors, tc.cfg.Name, tc.cfg.RACBytes)
+		t.Run(name, func(t *testing.T) {
+			o := QuickOptions()
+			sys := core.MustNewSystem(tc.cfg, oltp.MustNewHarness(o.Params(tc.cfg)))
+			sys.RunUntil(o.WarmupTxns)
+			data, err := o.WarmedCheckpoint(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != tc.digest {
+				t.Errorf("warmed checkpoint (%d bytes) has SHA-256 %s, want %s", len(data), got, tc.digest)
+			}
+		})
+	}
+}
+
+// TestWideMachineGolden pins the whole result of the quick 64- and 128-node
+// Full 2M8w machines under BenchmarkStep64Serial's protocol (200 warmup and
+// 400 measured transactions). figures_output.txt covers only 1 and 8 CPUs;
+// these are the shapes whose directories and tag arrays are largest, and
+// 128 nodes is the only one that sets the sharer set's second word.
+func TestWideMachineGolden(t *testing.T) {
+	for _, procs := range []int{64, 128} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			o := QuickOptions()
+			o.WarmupTxns, o.MeasureTxns = 200, 400
+			got, err := json.MarshalIndent(o.Run(core.FullConfig(procs, 2*core.MB, 8)), "", "\t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join("testdata", fmt.Sprintf("wide_full_2M8w_%d.json", procs)), append(got, '\n'))
+		})
+	}
+}

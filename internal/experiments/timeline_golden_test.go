@@ -12,10 +12,10 @@ import (
 	"oltpsim/internal/core"
 )
 
-// updateTimeline rewrites the golden timeline files instead of comparing:
+// updateGolden rewrites the package's golden files instead of comparing:
 //
-//	go test ./internal/experiments/ -run TestTimelineGolden -update-timeline
-var updateTimeline = flag.Bool("update-timeline", false, "rewrite the golden timeline testdata")
+//	go test ./internal/experiments/ -run 'TestTimelineGolden|TestWideMachineGolden' -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden testdata")
 
 // goldenScenarioResult is the reference phased run the golden files pin: the
 // burst profile on the fully integrated 8-way machine under the quick-sized
@@ -29,7 +29,7 @@ func goldenScenarioResult(t *testing.T) ScenarioResult {
 
 func checkGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
-	if *updateTimeline {
+	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -37,10 +37,10 @@ func checkGolden(t *testing.T, path string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update-timeline): %v", err)
+		t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from the golden file.\nIf the change is intentional, regenerate with -update-timeline.\ngot:\n%s\nwant:\n%s",
+		t.Errorf("%s drifted from the golden file.\nIf the change is intentional, regenerate with -update-golden.\ngot:\n%s\nwant:\n%s",
 			filepath.Base(path), got, want)
 	}
 }

@@ -84,8 +84,10 @@ func TestDecodeRefsRefusesImpossibleRefs(t *testing.T) {
 		want string
 	}{
 		{"unknown kind", rawRef{addr: 0x4000, kind: 3}, "kernel: reference 1 has unknown kind 3"},
-		{"address beyond 48 bits", rawRef{addr: memref.MaxAddr + 1, kind: uint8(memref.Load)},
-			"kernel: reference 1 address 0x1000000000000 exceeds 0xffffffffffff"},
+		{"address beyond 40 bits", rawRef{addr: memref.MaxAddr + 1, kind: uint8(memref.Load)},
+			"kernel: reference 1 address 0x10000000000 exceeds 0xffffffffff"},
+		{"address beyond 48 bits", rawRef{addr: 1 << 48, kind: uint8(memref.Load)},
+			"kernel: reference 1 address 0x1000000000000 exceeds 0xffffffffff"},
 		{"instruction count beyond 12 bits", rawRef{addr: 0x4000, instrs: memref.MaxInstrs + 1},
 			"kernel: reference 1 instruction count 4096 exceeds 4095"},
 		{"instruction count beyond 16 bits", rawRef{addr: 0x4000, instrs: 1<<16 + 5},

@@ -8,7 +8,8 @@
 // hierarchy and the processor model in a single register and a segment
 // buffer holds 8 bytes per reference:
 //
-//	bits  0-47  byte address                              Ref.Addr, at most MaxAddr
+//	bits  0-39  byte address                              Ref.Addr, at most MaxAddr
+//	bits 40-47  zero
 //	bits 48-49  access type (IFetch, Load, Store)         Ref.Kind
 //	bit  50     issued in kernel mode                     Ref.Kernel
 //	bit  51     depends on the previous data access       Ref.DepPrev
@@ -16,6 +17,12 @@
 //
 // New is the only way to build a non-zero Ref and panics on a field its bits
 // cannot hold, so a reference can never silently lose bits.
+//
+// The address stops at 40 bits, below what the word could carry, because a
+// cache way stores a line as a 29-bit tag (the line index divided by the
+// set count): 2^40 bytes is 2^34 lines, which 29 bits cover once a cache
+// has 32 sets (cache.MinSets). The OLTP harness maps nothing at or above
+// 2^37.
 package memref
 
 import "fmt"
@@ -69,15 +76,15 @@ type Ref struct{ w uint64 }
 
 // Field limits of the packed layout.
 const (
-	// MaxAddr is the largest byte address a Ref holds (48 bits).
+	// MaxAddr is the largest byte address a Ref holds (40 bits).
 	MaxAddr = 1<<addrBits - 1
 	// MaxInstrs is the largest instruction count a Ref holds (12 bits).
 	MaxInstrs = 1<<(64-instrsShift) - 1
 )
 
 const (
-	addrBits    = 48
-	kindShift   = addrBits
+	addrBits    = 40
+	kindShift   = 48
 	kernelBit   = 1 << 50
 	depPrevBit  = 1 << 51
 	instrsShift = 52

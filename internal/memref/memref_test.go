@@ -74,7 +74,8 @@ func TestNewPanicsBeyondRange(t *testing.T) {
 		kind   Kind
 		instrs int
 	}{
-		{"address beyond 48 bits", MaxAddr + 1, Load, 0},
+		{"address beyond 40 bits", MaxAddr + 1, Load, 0},
+		{"address beyond 48 bits", 1 << 48, Load, 0},
 		{"largest address", ^uint64(0), Load, 0},
 		{"unknown kind", 0, Store + 1, 0},
 		{"largest kind", 0, Kind(255), 0},

@@ -44,6 +44,7 @@ func (h *Harness) LoadState(d *snapshot.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
+	cfg := h.eng.Config()
 	for _, g := range h.servers {
 		waitLSN := d.U64()
 		phase := d.Int()
@@ -56,7 +57,7 @@ func (h *Harness) LoadState(d *snapshot.Decoder) error {
 		g.waitLSN = waitLSN
 		g.phase = phase
 		g.rng.LoadState(d)
-		if err := g.sess.LoadState(d); err != nil {
+		if err := g.sess.LoadState(d, cfg.BufferFrames, cfg.AccountBlocks()); err != nil {
 			return err
 		}
 	}

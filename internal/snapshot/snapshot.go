@@ -237,12 +237,14 @@ type Encoder struct {
 	parts [][]byte // the full parts before buf, in order
 }
 
-// grow makes room for n more bytes. A full part is kept as it is and the
+// Grow makes room for n more bytes. A full part is kept as it is and the
 // next one is at least twice its size, so building a section allocates at
 // most about twice its final size and never copies what it already holds;
 // growing one slice by append costs about five times, because append's
-// growth falls to about 1.25x for large slices.
-func (e *Encoder) grow(n int) {
+// growth falls to about 1.25x for large slices. The slice methods call it
+// once for their whole length; a caller that streams a long run of values
+// one at a time calls it first to allocate the same way.
+func (e *Encoder) Grow(n int) {
 	if cap(e.buf)-len(e.buf) < n {
 		if len(e.buf) > 0 {
 			e.parts = append(e.parts, e.buf)
@@ -253,19 +255,19 @@ func (e *Encoder) grow(n int) {
 
 // U64 appends v.
 func (e *Encoder) U64(v uint64) {
-	e.grow(8)
+	e.Grow(8)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
 // U32 appends v.
 func (e *Encoder) U32(v uint32) {
-	e.grow(4)
+	e.Grow(4)
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
 // U8 appends v.
 func (e *Encoder) U8(v uint8) {
-	e.grow(1)
+	e.Grow(1)
 	e.buf = append(e.buf, v)
 }
 
@@ -290,7 +292,7 @@ func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
 // U64s appends a length-prefixed slice.
 func (e *Encoder) U64s(vs []uint64) {
-	e.grow(8 + 8*len(vs))
+	e.Grow(8 + 8*len(vs))
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(len(vs)))
 	for _, v := range vs {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
@@ -299,14 +301,14 @@ func (e *Encoder) U64s(vs []uint64) {
 
 // U8s appends a length-prefixed byte slice.
 func (e *Encoder) U8s(vs []uint8) {
-	e.grow(8 + len(vs))
+	e.Grow(8 + len(vs))
 	e.Int(len(vs))
 	e.buf = append(e.buf, vs...)
 }
 
 // I64s appends a length-prefixed slice of signed integers.
 func (e *Encoder) I64s(vs []int64) {
-	e.grow(8 + 8*len(vs))
+	e.Grow(8 + 8*len(vs))
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(len(vs)))
 	for _, v := range vs {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
@@ -315,7 +317,7 @@ func (e *Encoder) I64s(vs []int64) {
 
 // F64s appends a length-prefixed slice of floats.
 func (e *Encoder) F64s(vs []float64) {
-	e.grow(8 + 8*len(vs))
+	e.Grow(8 + 8*len(vs))
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(len(vs)))
 	for _, v := range vs {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
@@ -324,7 +326,7 @@ func (e *Encoder) F64s(vs []float64) {
 
 // String appends a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
-	e.grow(8 + len(s))
+	e.Grow(8 + len(s))
 	e.Int(len(s))
 	e.buf = append(e.buf, s...)
 }

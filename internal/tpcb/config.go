@@ -44,6 +44,8 @@ const (
 	// UndoBlocksPerSegment is the recycled window of blocks per rollback
 	// segment.
 	UndoBlocksPerSegment = 4
+	// UndoRecordBytes is one before-image in an undo block.
+	UndoRecordBytes = 160
 	// HistoryInsertSlots is the number of free-list insert points for the
 	// history table; concurrent inserters rotate among them.
 	HistoryInsertSlots = 4

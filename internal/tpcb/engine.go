@@ -395,8 +395,8 @@ func (e *Engine) writeUndo(sess *Session) {
 	e.pool.MarkDirty(f)
 	e.pool.Unpin(f)
 
-	sess.undoOff += 160
-	if sess.undoOff+160 > BlockBytes-memref.LineBytes {
+	sess.undoOff += UndoRecordBytes
+	if sess.undoOff+UndoRecordBytes > BlockBytes-memref.LineBytes {
 		sess.undoOff = 0
 		sess.undoBlockIdx = (sess.undoBlockIdx + 1) % UndoBlocksPerSegment
 		e.Stats.UndoBlocks++

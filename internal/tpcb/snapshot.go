@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"oltpsim/internal/memref"
 	"oltpsim/internal/snapshot"
 )
 
@@ -114,9 +115,18 @@ func (e *Engine) LoadState(d *snapshot.Decoder) error {
 	if nSlots != len(e.histSlot) {
 		return fmt.Errorf("tpcb: snapshot has %d history slots, want %d", nSlots, len(e.histSlot))
 	}
+	// Each block is range-checked as the int64 it was saved as, before it
+	// narrows to the slot's int32.
 	slots := make([]histSlot, nSlots)
+	first := int64(e.historyBlock0)
+	end := first + int64(e.cfg.HistoryWindowBlocks)
 	for i := range slots {
-		slots[i] = histSlot{block: int32(d.I64()), rows: d.Int()}
+		block, rows := d.I64(), d.Int()
+		if d.Err() == nil && (block < first || block >= end || rows < 0) {
+			return fmt.Errorf("tpcb: history slot %d (block %d, rows %d) out of range: blocks %d..%d",
+				i, block, rows, first, end-1)
+		}
+		slots[i] = histSlot{block: int32(block), rows: rows}
 	}
 	histCursor := d.Int()
 	e.rng.LoadState(d)
@@ -135,12 +145,6 @@ func (e *Engine) LoadState(d *snapshot.Decoder) error {
 	acquires := d.U64()
 	if d.Err() != nil {
 		return d.Err()
-	}
-	for i, s := range slots {
-		window := int32(e.cfg.HistoryWindowBlocks)
-		if s.block < e.historyBlock0 || s.block >= e.historyBlock0+window || s.rows < 0 {
-			return fmt.Errorf("tpcb: history slot %d (block %d, rows %d) out of range", i, s.block, s.rows)
-		}
 	}
 	for i, pos := range poss {
 		if pos < 0 || pos >= e.code.All[i].SizeLines {
@@ -198,8 +202,15 @@ func (s *Session) SaveState(e *snapshot.Encoder) {
 	e.I64(int64(s.scanBlock))
 }
 
-// LoadState restores the session cursors.
-func (s *Session) LoadState(d *snapshot.Decoder) error {
+// LoadState restores the session cursors of a session whose engine has
+// frames buffer frames and accountBlocks account blocks. Each cursor is
+// range-checked as it was saved, before writeUndo, PostCommit or ExecScan
+// narrows it to an int32 block or frame: the undo cursor must name a
+// record inside the segment's block window, each pinned frame must lie in
+// [0, frames), and the scan cursor in [0, accountBlocks] (a scan that has
+// just read the last block saves accountBlocks; the next scan wraps it
+// to 0).
+func (s *Session) LoadState(d *snapshot.Decoder, frames, accountBlocks int) error {
 	idx := d.Int()
 	off := d.Int()
 	pinned := d.I64s()
@@ -207,11 +218,18 @@ func (s *Session) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if idx < 0 || off < 0 {
-		return fmt.Errorf("tpcb: session %d undo cursor %d/%d negative", s.ID, idx, off)
+	const lastUndoOff = BlockBytes - memref.LineBytes - UndoRecordBytes
+	if idx < 0 || idx >= UndoBlocksPerSegment || off < 0 || off > lastUndoOff {
+		return fmt.Errorf("tpcb: session %d undo cursor %d/%d outside blocks 0..%d, offsets 0..%d",
+			s.ID, idx, off, UndoBlocksPerSegment-1, lastUndoOff)
 	}
-	if scanBlock < 0 {
-		return fmt.Errorf("tpcb: session %d scan cursor %d negative", s.ID, scanBlock)
+	for i, f := range pinned {
+		if f < 0 || f >= int64(frames) {
+			return fmt.Errorf("tpcb: session %d pinned frame %d is %d, outside 0..%d", s.ID, i, f, frames-1)
+		}
+	}
+	if scanBlock < 0 || scanBlock > int64(accountBlocks) {
+		return fmt.Errorf("tpcb: session %d scan cursor %d outside 0..%d", s.ID, scanBlock, accountBlocks)
 	}
 	s.undoBlockIdx = idx
 	s.undoOff = off

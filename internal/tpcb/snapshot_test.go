@@ -2,9 +2,12 @@ package tpcb
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"oltpsim/internal/memref"
 	"oltpsim/internal/snapshot"
 )
 
@@ -176,5 +179,121 @@ func TestPoolLoadRefusesBlockPastDatabase(t *testing.T) {
 				t.Fatalf("LoadState error %v, want one containing %q", err, tc.error)
 			}
 		})
+	}
+}
+
+// withHistoryBlock returns e's saved state with history slot 0's block
+// replaced. e has run no transactions, so its balance tables are empty and
+// the copy can walk the fields before the slots by their layout.
+func withHistoryBlock(t *testing.T, e *Engine, block int64) func(*snapshot.Encoder) {
+	saved := section(t, e.SaveState)
+	return func(enc *snapshot.Encoder) {
+		for range 3 { // account, teller and branch tables: rows, nonzero count 0
+			enc.I64(saved.I64())
+			enc.I64(saved.I64())
+		}
+		enc.U64(saved.U64()) // historyLen
+		enc.I64(saved.I64()) // deltaSum
+		n := saved.Int()
+		enc.Int(n)
+		for i := 0; i < n; i++ {
+			b, rows := saved.I64(), saved.I64()
+			if i == 0 {
+				b = block
+			}
+			enc.I64(b)
+			enc.I64(rows)
+		}
+		for saved.Remaining() > 0 {
+			enc.U8(saved.U8())
+		}
+		if err := saved.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLoadRefusesHistoryBlockOutsideWindow: a history slot's block is
+// range-checked as the int64 it was saved as. A block 2^32 past the
+// window's first would narrow to the first and load as it; it and a
+// negative block are refused by slot, and the window's first and last
+// blocks load.
+func TestLoadRefusesHistoryBlockOutsideWindow(t *testing.T) {
+	e := newTestEngine(t, NopEmitter{})
+	first := int64(e.historyBlock0)
+	last := first + int64(e.cfg.HistoryWindowBlocks) - 1
+	for _, block := range []int64{1<<32 + first, -1, last + 1} {
+		err := newTestEngine(t, NopEmitter{}).LoadState(section(t, withHistoryBlock(t, e, block)))
+		if err == nil || !strings.Contains(err.Error(), "history slot 0") {
+			t.Errorf("block %d: LoadState error %v, want one naming history slot 0", block, err)
+		}
+	}
+	for _, block := range []int64{first, last} {
+		loaded := newTestEngine(t, NopEmitter{})
+		if err := loaded.LoadState(section(t, withHistoryBlock(t, e, block))); err != nil {
+			t.Fatalf("block %d: %v", block, err)
+		}
+		if got := int64(loaded.histSlot[0].block); got != block {
+			t.Errorf("block %d loaded as %d", block, got)
+		}
+	}
+}
+
+// TestSessionLoadRefusesOutOfRangeCursors: an undo cursor outside the
+// segment's window, a pinned frame outside the buffer pool or a scan
+// cursor outside the account blocks is refused before it narrows to
+// int32, where 1<<40 would have become frame 0 and 2^31 a negative cursor.
+// The ends of every range load; the scan cursor's upper end is
+// AccountBlocks() itself, what a scan that just read the last block saves.
+func TestSessionLoadRefusesOutOfRangeCursors(t *testing.T) {
+	e := newTestEngine(t, NopEmitter{})
+	frames, blocks := e.cfg.BufferFrames, e.cfg.AccountBlocks()
+	lastOff := int64(BlockBytes - memref.LineBytes - UndoRecordBytes)
+	state := func(undo [2]int64, pinned []int64, scan int64) func(*snapshot.Encoder) {
+		return func(enc *snapshot.Encoder) {
+			enc.I64(undo[0]) // undo block index
+			enc.I64(undo[1]) // undo offset
+			enc.I64s(pinned)
+			enc.I64(scan)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		undo   [2]int64
+		pinned []int64
+		scan   int64
+		error  string
+	}{
+		{"frame beyond 32 bits", [2]int64{}, []int64{3, 1 << 40}, 0, "pinned frame 1 is 1099511627776"},
+		{"negative frame", [2]int64{}, []int64{-7}, 0, "pinned frame 0 is -7"},
+		{"frame past the pool", [2]int64{}, []int64{int64(frames)}, 0, "pinned frame 0"},
+		{"cursor beyond 31 bits", [2]int64{}, nil, 1 << 31, "scan cursor 2147483648"},
+		{"cursor past the last block", [2]int64{}, nil, int64(blocks) + 1, "scan cursor"},
+		{"negative cursor", [2]int64{}, nil, -1, "scan cursor -1"},
+		// writeUndo narrows the block to int32: block 2^40 of a segment
+		// would write the first segment's first block.
+		{"undo block beyond 32 bits", [2]int64{1 << 40, 0}, nil, 0, "undo cursor 1099511627776/0"},
+		{"undo block past the segment", [2]int64{UndoBlocksPerSegment, 0}, nil, 0, "undo cursor 4/0"},
+		{"negative undo block", [2]int64{-1, 0}, nil, 0, "undo cursor -1/0"},
+		{"undo record past the block", [2]int64{0, lastOff + 1}, nil, 0, "undo cursor 0/"},
+		{"negative undo offset", [2]int64{0, -160}, nil, 0, "undo cursor 0/-160"},
+		{"undo offset that wraps", [2]int64{0, math.MaxInt64 - 100}, nil, 0, "undo cursor 0/9223372036854775707"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := e.NewSession(0, 0)
+			err := s.LoadState(section(t, state(tc.undo, tc.pinned, tc.scan)), frames, blocks)
+			if err == nil || !strings.Contains(err.Error(), tc.error) {
+				t.Fatalf("LoadState error %v, want one containing %q", err, tc.error)
+			}
+		})
+	}
+	s := e.NewSession(0, 0)
+	last := [2]int64{UndoBlocksPerSegment - 1, lastOff}
+	if err := s.LoadState(section(t, state(last, []int64{0, int64(frames) - 1}, int64(blocks))), frames, blocks); err != nil {
+		t.Fatal(err)
+	}
+	if s.undoBlockIdx != UndoBlocksPerSegment-1 || int64(s.undoOff) != lastOff ||
+		!slices.Equal(s.pinned, []int32{0, int32(frames) - 1}) || s.scanBlock != int32(blocks) {
+		t.Fatalf("loaded undo cursor %d/%d, pinned %v, scan cursor %d", s.undoBlockIdx, s.undoOff, s.pinned, s.scanBlock)
 	}
 }
