@@ -3,6 +3,7 @@ package oltpsim
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -526,25 +527,28 @@ func BenchmarkJobThroughput(b *testing.B) {
 }
 
 // BenchmarkCheckpointWrite times one checkpoint write of the job server's
-// 8-CPU Full 2M8w quick job: System.Save plus the container encode of the
-// machine after its 150-transaction warmup, the checkpoint every
-// checkpointed job writes. No other guarded benchmark writes one
-// (JobThroughput runs with checkpoint_every 0). B/op is the encoder's
-// allocation, and ckpt-bytes the container's size.
+// 8-CPU Full 2M8w quick job: the container of the machine after its
+// 150-transaction warmup, built and streamed to io.Discard as the server
+// streams it to its file, the checkpoint every checkpointed job writes. No
+// other guarded benchmark writes one (JobThroughput runs with
+// checkpoint_every 0). B/op is what building and streaming the container
+// allocates, and ckpt-bytes the container's size.
 func BenchmarkCheckpointWrite(b *testing.B) {
 	o := experiments.QuickOptions()
 	cfg := FullIntegrationConfig(8, 2*MB, 8)
 	sys := MustNewSystem(cfg, oltp.MustNewHarness(o.Params(cfg)))
 	sys.RunUntil(o.WarmupTxns)
-	var size int
+	var size int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := o.WarmedCheckpoint(sys)
+		ck, err := o.WarmedCheckpoint(sys)
 		if err != nil {
 			b.Fatal(err)
 		}
-		size = len(data)
+		if size, err = ck.WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(size), "ckpt-bytes")
 }

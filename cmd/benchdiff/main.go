@@ -26,11 +26,13 @@
 //	go run ./cmd/benchdiff -check -threshold 25
 //	go run ./cmd/benchdiff -check -json      # machine-readable comparison
 //
-// Every comparison — human or -json — reports both deltas for every
-// benchmark, including the ones that pass: a time delta inside the
-// threshold and an alloc delta inside tolerance are still data (CI trend
-// dashboards read the -json form), and a FAIL carries its explicit reasons
-// rather than leaving the reader to reverse-engineer which counter tripped.
+// Every comparison — human or -json — reports the time, alloc and B/op
+// deltas for every benchmark, including the ones that pass: a time delta
+// inside the threshold and an alloc delta inside tolerance are still data
+// (CI trend dashboards read the -json form), and a FAIL carries its
+// explicit reasons rather than leaving the reader to reverse-engineer which
+// counter tripped. B/op is advisory: no check fails on it, but a benchmark
+// whose allocated bytes grow or shrink says so beside its baseline.
 //
 // A full sweep takes minutes, so SIGINT/SIGTERM are honored between and
 // during benchmark groups: the in-flight `go test` is killed, and -check
@@ -280,9 +282,9 @@ type Report struct {
 	Results     []Result `json:"results"`
 }
 
-// Result is one benchmark's comparison outcome. Both deltas are always
+// Result is one benchmark's comparison outcome. Every delta is always
 // present — a passing benchmark's drift is still data — and a failing one
-// names every counter that tripped in Reasons.
+// names every counter that tripped in Reasons. The B/op delta never trips.
 type Result struct {
 	Name            string   `json:"name"`
 	Status          string   `json:"status"` // "ok", "fail", or "missing"
@@ -292,6 +294,9 @@ type Result struct {
 	AllocsPerOp     uint64   `json:"allocs_per_op"`
 	BaseAllocsPerOp uint64   `json:"base_allocs_per_op"`
 	AllocDeltaPct   float64  `json:"alloc_delta_pct"`
+	BytesPerOp      uint64   `json:"bytes_per_op"`
+	BaseBytesPerOp  uint64   `json:"base_bytes_per_op"`
+	BytesDeltaPct   float64  `json:"bytes_delta_pct"`
 	Reasons         []string `json:"reasons,omitempty"`
 }
 
@@ -308,7 +313,7 @@ func compare(base []Benchmark, got map[string]Benchmark, threshold, allocTol flo
 		if !ok {
 			results = append(results, Result{
 				Name: b.Name, Status: "missing",
-				BaseNsPerOp: b.NsPerOp, BaseAllocsPerOp: b.AllocsPerOp,
+				BaseNsPerOp: b.NsPerOp, BaseAllocsPerOp: b.AllocsPerOp, BaseBytesPerOp: b.BytesPerOp,
 				Reasons: []string{"benchmark missing from this run"},
 			})
 			failed = true
@@ -324,6 +329,9 @@ func compare(base []Benchmark, got map[string]Benchmark, threshold, allocTol flo
 			AllocsPerOp:     g.AllocsPerOp,
 			BaseAllocsPerOp: b.AllocsPerOp,
 			AllocDeltaPct:   100 * (allocRatio - 1),
+			BytesPerOp:      g.BytesPerOp,
+			BaseBytesPerOp:  b.BytesPerOp,
+			BytesDeltaPct:   100 * (ratio(g.BytesPerOp, b.BytesPerOp) - 1),
 		}
 		if allocRatio > 1+allocTol {
 			r.Reasons = append(r.Reasons, fmt.Sprintf("allocs/op %d exceeds baseline %d beyond %.1f%% tolerance",
@@ -342,8 +350,8 @@ func compare(base []Benchmark, got map[string]Benchmark, threshold, allocTol flo
 	return results, failed
 }
 
-// renderResult is the human form of one comparison outcome: status, both
-// counters with their baselines and deltas, and any failure reasons.
+// renderResult is the human form of one comparison outcome: status, the
+// three counters with their baselines and deltas, and any failure reasons.
 func renderResult(r Result) string {
 	if r.Status == "missing" {
 		return fmt.Sprintf("FAIL %s: benchmark missing from this run", r.Name)
@@ -352,9 +360,10 @@ func renderResult(r Result) string {
 	if r.Status == "fail" {
 		status = "FAIL"
 	}
-	line := fmt.Sprintf("%s %s: %.0f ns/op (baseline %.0f, %+.1f%%), %d allocs/op (baseline %d, %+.1f%%)",
+	line := fmt.Sprintf("%s %s: %.0f ns/op (baseline %.0f, %+.1f%%), %d allocs/op (baseline %d, %+.1f%%), %d B/op (baseline %d, %+.1f%%)",
 		status, r.Name, r.NsPerOp, r.BaseNsPerOp, r.TimeDeltaPct,
-		r.AllocsPerOp, r.BaseAllocsPerOp, r.AllocDeltaPct)
+		r.AllocsPerOp, r.BaseAllocsPerOp, r.AllocDeltaPct,
+		r.BytesPerOp, r.BaseBytesPerOp, r.BytesDeltaPct)
 	if len(r.Reasons) > 0 {
 		line += " [" + strings.Join(r.Reasons, "; ") + "]"
 	}

@@ -70,11 +70,12 @@ func TestCompare(t *testing.T) {
 }
 
 // TestCompareReportsDeltasWhenPassing pins the always-report contract: a
-// benchmark inside every tolerance still carries its exact time and alloc
-// deltas, in both the structured result and the human line.
+// benchmark inside every tolerance still carries its exact time, alloc and
+// B/op deltas, in both the structured result and the human line. B/op is
+// advisory, so bytes grown far past the baseline still pass.
 func TestCompareReportsDeltasWhenPassing(t *testing.T) {
-	base := []Benchmark{{Name: "BenchmarkX", NsPerOp: 1000, AllocsPerOp: 200}}
-	got := map[string]Benchmark{"BenchmarkX": {Name: "BenchmarkX", NsPerOp: 1050, AllocsPerOp: 198}}
+	base := []Benchmark{{Name: "BenchmarkX", NsPerOp: 1000, AllocsPerOp: 200, BytesPerOp: 4000}}
+	got := map[string]Benchmark{"BenchmarkX": {Name: "BenchmarkX", NsPerOp: 1050, AllocsPerOp: 198, BytesPerOp: 10000}}
 	results, failed := compare(base, got, 10, 0.05, false)
 	if failed || len(results) != 1 {
 		t.Fatalf("failed=%v results=%v, want one passing result", failed, results)
@@ -86,18 +87,22 @@ func TestCompareReportsDeltasWhenPassing(t *testing.T) {
 	if r.AllocDeltaPct > -0.9 || r.AllocDeltaPct < -1.1 {
 		t.Errorf("alloc delta %.2f%%, want ~-1%%", r.AllocDeltaPct)
 	}
+	if r.BytesPerOp != 10000 || r.BaseBytesPerOp != 4000 || r.BytesDeltaPct != 150 {
+		t.Errorf("B/op %d (baseline %d, %+.1f%%), want 10000 (baseline 4000, +150%%)", r.BytesPerOp, r.BaseBytesPerOp, r.BytesDeltaPct)
+	}
 	line := renderResult(r)
-	for _, want := range []string{"allocs/op", "ns/op", "baseline"} {
+	for _, want := range []string{"allocs/op", "ns/op", "baseline", "10000 B/op (baseline 4000, +150.0%)"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("human line %q missing %q", line, want)
 		}
 	}
-	// The structured form must round-trip through JSON with both deltas.
+	// The structured form must round-trip through JSON with every delta.
 	out, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"time_delta_pct"`, `"alloc_delta_pct"`, `"base_allocs_per_op"`} {
+	for _, want := range []string{`"time_delta_pct"`, `"alloc_delta_pct"`, `"base_allocs_per_op"`,
+		`"bytes_per_op":10000`, `"base_bytes_per_op":4000`, `"bytes_delta_pct":150`} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("JSON %s missing %s", out, want)
 		}

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -97,7 +98,7 @@ func main() {
 	}
 	if *checkpoint != "" {
 		cr.Every = *ckptEvery
-		cr.Write = func(data []byte) error { return cli.WriteFileAtomic(*checkpoint, data) }
+		cr.Write = func(ck io.WriterTo) error { return cli.WriteFileAtomic(*checkpoint, ck) }
 	}
 	sr, _, err := opt.Execute(cfg, cr)
 	if err != nil {

@@ -349,16 +349,21 @@ func TestMatchesStampLRU(t *testing.T) {
 	}
 }
 
-// loadWords restores a cache of 4 sets of 2 ways from the given words and
-// counters.
-func loadWords(ways []uint64, accesses, hits uint64) (*Cache, error) {
+// loadWords restores a cache of 4 sets of 2 ways from a section that
+// claims the given way and resident counts, then holds words, zero
+// accesses and hits.
+func loadWords(ways, resident int, words []uint64, hits uint64) (*Cache, error) {
 	w := snapshot.NewWriter()
 	e := w.Section("cache")
-	e.U64s(ways)
-	e.U64(accesses)
+	e.Int(ways)
+	e.Int(resident)
+	for _, v := range words {
+		e.U64(v)
+	}
+	e.U64(0)
 	e.U64(hits)
 	var buf bytes.Buffer
-	if err := w.Emit(&buf); err != nil {
+	if _, err := w.WriteTo(&buf); err != nil {
 		return nil, err
 	}
 	r, err := snapshot.NewReader(&buf)
@@ -374,42 +379,88 @@ func loadWords(ways []uint64, accesses, hits uint64) (*Cache, error) {
 }
 
 // TestLoadStateRefusesBadWords: each invariant the lookup and the LRU order
-// rely on has a checkpoint that breaks it and is refused. Line 0 and line
-// 0x100 (= 4 sets * 64 B) both belong to set 0; ways 0-1 are set 0.
+// rely on has a checkpoint that breaks it and is refused. Lines 0, 0x100
+// and 0x200 (multiples of 4 sets * 64 B) belong to set 0, line 0x40 to set
+// 1; each set has 2 ways.
 func TestLoadStateRefusesBadWords(t *testing.T) {
 	m := func(line uint64) uint64 { return line | uint64(Modified)<<1 | validBit }
 	for _, tc := range []struct {
-		name, want string
-		ways       []uint64
-		hits       uint64
+		name, want     string
+		ways, resident int
+		words          []uint64
+		hits           uint64
 	}{
-		{"wrong way count", "ways, want 8", make([]uint64, 6), 0},
-		{"stray low bits", "stray low bits", []uint64{m(0) | 0x10, 0, 0, 0, 0, 0, 0, 0}, 0},
-		{"valid bit without a state", "not a valid line", []uint64{validBit, 0, 0, 0, 0, 0, 0, 0}, 0},
-		{"state without the valid bit", "not a valid line", []uint64{uint64(Shared) << 1, 0, 0, 0, 0, 0, 0, 0}, 0},
-		{"line outside its set", "outside its set", []uint64{m(64), 0, 0, 0, 0, 0, 0, 0}, 0},
-		{"line twice in one set", "twice", []uint64{m(0), m(0), 0, 0, 0, 0, 0, 0}, 0},
-		{"occupied way after an empty one", "after an empty way", []uint64{0, m(0x100), 0, 0, 0, 0, 0, 0}, 0},
-		{"line above MaxAddr", "beyond the lines", []uint64{m(memref.MaxAddr + 1), 0, 0, 0, 0, 0, 0, 0}, 0},
+		{"wrong way count", "ways, want 8", 6, 0, nil, 0},
+		{"count beyond the ways", "resident ways outside 0..8", 8, 9, nil, 0},
+		{"negative count", "resident ways outside 0..8", 8, -1, nil, 0},
+		{"count beyond the input", "exceed the remaining input", 8, 8, []uint64{m(0)}, 0},
+		{"stray low bits", "stray low bits", 8, 1, []uint64{m(0) | 0x10}, 0},
+		{"empty word", "not a valid line", 8, 1, []uint64{0}, 0},
+		{"valid bit without a state", "not a valid line", 8, 1, []uint64{validBit}, 0},
+		{"state without the valid bit", "not a valid line", 8, 1, []uint64{uint64(Shared) << 1}, 0},
+		{"set out of order", "way 1 holds line 0x0 of set 0 after set 1", 8, 2, []uint64{m(0x40), m(0)}, 0},
+		{"set over its associativity", "way 2 holds line 0x200 in set 0, which has only 2 ways", 8, 3, []uint64{m(0), m(0x100), m(0x200)}, 0},
+		{"line twice in one set", "way 1 holds line 0x0 twice", 8, 2, []uint64{m(0), m(0)}, 0},
+		{"line above MaxAddr", "beyond the lines", 8, 1, []uint64{m(memref.MaxAddr + 1)}, 0},
 		// 4 sets hold 2^29 tags each, so line 2^37 has no tag here.
-		{"line beyond the tags of 4 sets", "beyond the lines", []uint64{m(1 << 37), 0, 0, 0, 0, 0, 0, 0}, 0},
-		{"hits exceed accesses", "hits exceed", make([]uint64, 8), 1},
+		{"line beyond the tags of 4 sets", "beyond the lines", 8, 1, []uint64{m(1 << 37)}, 0},
+		{"hits exceed accesses", "hits exceed", 8, 0, nil, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := loadWords(tc.ways, 0, tc.hits)
+			_, err := loadWords(tc.ways, tc.resident, tc.words, tc.hits)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("LoadState error %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
-	// The same words with line 0 once and line 0x100 behind it load, and
-	// invalidating line 0 then leaves no copy behind.
-	c, err := loadWords([]uint64{m(0), m(0x100), 0, 0, 0, 0, 0, 0}, 0, 0)
+	// Line 0 once and line 0x100 behind it, then line 0x40 in set 1, load
+	// into the front of their sets, and invalidating line 0 then leaves no
+	// copy behind.
+	c, err := loadWords(8, 3, []uint64{m(0), m(0x100), m(0x40)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Invalidate(0); st != Modified || c.Probe(0) != Invalid || c.Probe(0x100) != Modified {
-		t.Fatalf("Invalidate(0) = %v, then Probe(0) = %v, Probe(0x100) = %v", st, c.Probe(0), c.Probe(0x100))
+	tagM := func(tag uint32) uint32 { return tag<<tagShift | uint32(Modified)<<1 | validBit }
+	if want := []uint32{tagM(0), tagM(1), tagM(0), 0, 0, 0, 0, 0}; !reflect.DeepEqual(c.ways, want) {
+		t.Fatalf("loaded ways %#x, want %#x", c.ways, want)
+	}
+	if st := c.Invalidate(0); st != Modified || c.Probe(0) != Invalid || c.Probe(0x100) != Modified || c.Probe(0x40) != Modified {
+		t.Fatalf("Invalidate(0) = %v, then Probe(0) = %v, Probe(0x100) = %v, Probe(0x40) = %v",
+			st, c.Probe(0), c.Probe(0x100), c.Probe(0x40))
+	}
+}
+
+// TestSaveStateWritesResidentWays: a cache section holds the way count, the
+// resident count and only the resident ways' words, in set order and
+// recency order within a set, then the counters.
+func TestSaveStateWritesResidentWays(t *testing.T) {
+	c := mk(t, 4*2*64, 2)
+	c.Insert(0x40, Shared)    // set 1
+	c.Insert(0x100, Modified) // set 0
+	c.Insert(0, Exclusive)    // set 0, now most recent
+	c.Access(0x40)
+	w := snapshot.NewWriter()
+	c.SaveState(w.Section("cache"))
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := snapshot.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for d.Remaining() > 0 {
+		got = append(got, d.U64())
+	}
+	st := func(s State) uint64 { return uint64(s)<<1 | validBit }
+	want := []uint64{8, 3, 0 | st(Exclusive), 0x100 | st(Modified), 0x40 | st(Shared), 1, 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("section words %#x, want %#x", got, want)
 	}
 }
 
@@ -446,7 +497,7 @@ func TestTagsReachMaxAddr(t *testing.T) {
 			var buf bytes.Buffer
 			w := snapshot.NewWriter()
 			c.SaveState(w.Section("cache"))
-			if err := w.Emit(&buf); err != nil {
+			if _, err := w.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
 			first := bytes.Clone(buf.Bytes())
@@ -465,7 +516,7 @@ func TestTagsReachMaxAddr(t *testing.T) {
 			w = snapshot.NewWriter()
 			loaded.SaveState(w.Section("cache"))
 			buf.Reset()
-			if err := w.Emit(&buf); err != nil {
+			if _, err := w.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), first) {

@@ -7,23 +7,26 @@ import (
 	"oltpsim/internal/snapshot"
 )
 
-// SaveState writes the cache's mutable state: the way words, in recency
-// order within each set, and the access counters. Each way is written as
-// the 64-bit word line | state<<1 | valid (0 when empty), not as the tag it
-// holds in memory, so the format does not depend on the set count. Geometry
-// is not written — the loader rebuilds the cache from the same
-// configuration and only the contents are restored — but the word count
-// acts as a cross-check.
+// SaveState writes the cache's mutable state: the way count, the number of
+// resident ways, each resident way's word in ascending set order and
+// recency order within a set, then the access counters. A word is the
+// 64-bit line | state<<1 | valid, not the tag the way holds in memory, so
+// the format does not depend on the set count and names the set of its
+// line. Geometry is not written — the loader rebuilds the cache from the
+// same configuration and only the contents are restored — but the way
+// count acts as a cross-check. Empty ways are not written: a warmed L2
+// holds a line in a fraction of its ways.
 func (c *Cache) SaveState(e *snapshot.Encoder) {
-	e.Grow(8 + 8*len(c.ways))
+	resident := c.Occupancy()
+	e.Grow(8*4 + 8*resident)
 	e.Int(len(c.ways))
+	e.Int(resident)
 	for set := uint64(0); set < c.nsets; set++ {
 		for _, w := range c.setWays(set) {
 			if w == 0 {
-				e.U64(0)
-			} else {
-				e.U64(c.lineAt(set, w) | uint64(w&flagBits))
+				break // empty ways are last
 			}
+			e.U64(c.lineAt(set, w) | uint64(w&flagBits))
 		}
 	}
 	e.U64(c.Accesses)
@@ -31,45 +34,56 @@ func (c *Cache) SaveState(e *snapshot.Encoder) {
 }
 
 // LoadState restores state saved by SaveState into a cache of identical
-// geometry, validating every invariant the hot paths rely on: each word is
-// empty or a valid line of its own set that the cache can hold, no set
-// holds a line twice, and empty ways are last.
+// geometry, placing each word in the set its line names and validating
+// every invariant the hot paths rely on: each word is a valid line the
+// cache can hold, the sets come in ascending order, no set holds more
+// lines than its ways or a line twice, and the resident count fits both
+// the ways and the input. The words of a set fill its ways from the
+// front, so empty ways stay last.
 func (c *Cache) LoadState(d *snapshot.Decoder) error {
 	n := d.Int()
+	resident := d.Int()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != len(c.ways) {
+	switch {
+	case n != len(c.ways):
 		return fmt.Errorf("cache %s: snapshot has %d ways, want %d", c.cfg.Name, n, len(c.ways))
+	case resident < 0 || resident > n:
+		return fmt.Errorf("cache %s: %d resident ways outside 0..%d ways", c.cfg.Name, resident, n)
+	case resident > d.Remaining()/8:
+		return fmt.Errorf("cache %s: %d resident ways exceed the remaining input", c.cfg.Name, resident)
 	}
 	ways := make([]uint32, n)
 	low := uint64(memref.LineBytes) - 1
-	for i := range ways {
-		// A decoder that has failed reads 0, an empty way, so a truncated
-		// stream reaches the error check below.
+	var set, filled uint64 // the set being filled, and its words so far
+	for i := 0; i < resident; i++ {
 		w := d.U64()
-		first := uint64(i) - uint64(i)%c.assoc
 		line := w &^ low
-		set, tag := c.index(line)
+		s, tag := c.index(line)
 		switch {
-		case w == 0:
-			continue
-		case uint64(i) > first && ways[i-1] == 0:
-			return fmt.Errorf("cache %s: way %d is occupied after an empty way", c.cfg.Name, i)
 		case w&low&^flagBits != 0:
 			return fmt.Errorf("cache %s: way %d word %#x has stray low bits", c.cfg.Name, i, w)
 		case w&validBit == 0 || w&stateBits == 0:
 			return fmt.Errorf("cache %s: way %d word %#x is not a valid line with a state", c.cfg.Name, i, w)
 		case line > memref.MaxAddr || tag > maxTag:
 			return fmt.Errorf("cache %s: way %d holds line %#x, beyond the lines it can hold", c.cfg.Name, i, line)
-		case set*c.assoc != first:
-			return fmt.Errorf("cache %s: way %d holds line %#x outside its set", c.cfg.Name, i, line)
+		case s < set:
+			return fmt.Errorf("cache %s: way %d holds line %#x of set %d after set %d", c.cfg.Name, i, line, s, set)
 		}
+		if s > set {
+			set, filled = s, 0
+		}
+		if filled == c.assoc {
+			return fmt.Errorf("cache %s: way %d holds line %#x in set %d, which has only %d ways", c.cfg.Name, i, line, s, c.assoc)
+		}
+		row := ways[s*c.assoc : s*c.assoc+filled+1]
 		key := uint32(tag)<<tagShift | validBit
-		if rank(ways[first:i], uint64(key)) >= 0 {
+		if rank(row[:filled], uint64(key)) >= 0 {
 			return fmt.Errorf("cache %s: way %d holds line %#x twice in its set", c.cfg.Name, i, line)
 		}
-		ways[i] = key | uint32(w&stateBits)
+		row[filled] = key | uint32(w&stateBits)
+		filled++
 	}
 	accesses := d.U64()
 	hits := d.U64()

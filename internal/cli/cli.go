@@ -5,6 +5,7 @@ package cli
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,34 +110,44 @@ func LoadSchedule(path string) (*scenario.Schedule, error) {
 	return p.Compile()
 }
 
-// WriteFileAtomic replaces the file at path with data through a temp file
-// beside it (path + ".tmp") and a rename, so a process killed mid-write
-// leaves either the old content or the new, never a torn file. The temp
+// WriteFileAtomic replaces the file at path with what src writes, through a
+// temp file beside it (path + ".tmp") and a rename, so a process killed
+// mid-write leaves either the old content or the new, never a torn file.
+// src streams straight into the temp file, so a large source, such as a
+// checkpoint container of many parts, is never copied whole. The temp
 // file is fsynced before the rename and the directory after it, so the
 // either-old-or-new guarantee covers OS crashes and power loss, not just
 // process kills — rename-before-data-flush could otherwise surface an
-// empty or torn file.
-func WriteFileAtomic(path string, data []byte) error {
+// empty or torn file. A write, fsync, close or rename that fails removes
+// the temp file and leaves the file at path as it was.
+func WriteFileAtomic(path string, src io.WriterTo) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeSynced(f, src); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	return syncDir(filepath.Dir(path))
+}
+
+// writeSynced writes src to f, fsyncs it and closes it, returning the
+// first error.
+func writeSynced(f *os.File, src io.WriterTo) error {
+	_, err := src.WriteTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives an OS crash.

@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,7 +144,7 @@ func TestBuildRejectsInvalid(t *testing.T) {
 func TestWriteFileAtomicReplaces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.ck")
 	for _, data := range []string{"old bytes", "new"} {
-		if err := WriteFileAtomic(path, []byte(data)); err != nil {
+		if err := WriteFileAtomic(path, strings.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,16 +160,70 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 // created, the call fails and the previous content survives.
 func TestWriteFileAtomicKeepsOldOnFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.ck")
-	if err := WriteFileAtomic(path, []byte("old bytes")); err != nil {
+	if err := WriteFileAtomic(path, strings.NewReader("old bytes")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("new")); err == nil {
+	if err := WriteFileAtomic(path, strings.NewReader("new")); err == nil {
 		t.Fatal("write through an uncreatable temp file succeeded")
 	}
 	if got, err := os.ReadFile(path); err != nil || string(got) != "old bytes" {
 		t.Fatalf("file holds %q (err %v), want the old bytes", got, err)
 	}
+}
+
+// failingSource writes half a payload and then fails, as a checkpoint
+// stream whose destination fills up would.
+type failingSource struct{}
+
+var errSourceFailed = errors.New("source failed midway")
+
+func (failingSource) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write([]byte("half a payload"))
+	if err != nil {
+		return int64(n), err
+	}
+	return int64(n), errSourceFailed
+}
+
+// TestWriteFileAtomicCleansUpOnFailure: a source that fails midway and a
+// rename onto a non-empty directory each return their error, leave no
+// temp file behind, and leave what was at the path unchanged.
+func TestWriteFileAtomicCleansUpOnFailure(t *testing.T) {
+	t.Run("source fails midway", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "state.ck")
+		if err := WriteFileAtomic(path, strings.NewReader("old bytes")); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(path, failingSource{}); !errors.Is(err, errSourceFailed) {
+			t.Fatalf("err = %v, want the source's error", err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != "old bytes" {
+			t.Fatalf("file holds %q (err %v), want the old bytes", got, err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("temp file left behind (stat err %v)", err)
+		}
+	})
+	t.Run("rename onto a non-empty directory", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "state.ck")
+		kept := filepath.Join(path, "kept")
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(kept, []byte("kept"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(path, strings.NewReader("new")); err == nil {
+			t.Fatal("rename onto a non-empty directory succeeded")
+		}
+		if got, err := os.ReadFile(kept); err != nil || string(got) != "kept" {
+			t.Fatalf("directory entry holds %q (err %v), want it unchanged", got, err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("temp file left behind (stat err %v)", err)
+		}
+	})
 }

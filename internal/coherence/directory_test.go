@@ -405,7 +405,7 @@ func TestWideMachineCrossesWordBoundary(t *testing.T) {
 	w := snapshot.NewWriter()
 	d.SaveState(w.Section("directory"))
 	var buf bytes.Buffer
-	if err := w.Emit(&buf); err != nil {
+	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
@@ -453,7 +453,7 @@ func TestLoadRefusesHugeTable(t *testing.T) {
 	e.Int(1 << 44)
 	e.Int(0)
 	var buf bytes.Buffer
-	if err := w.Emit(&buf); err != nil {
+	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))

@@ -22,6 +22,7 @@ func (d *Directory) SaveState(e *snapshot.Encoder) {
 		}
 	}
 	slices.Sort(keys)
+	e.Grow(8 + savedEntryBytes*len(keys))
 	e.Int(len(keys))
 	for _, k := range keys {
 		ent := t.find(k >> 1)

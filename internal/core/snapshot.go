@@ -41,10 +41,11 @@ func (s *System) Save(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return w.Emit(out)
+	_, err = w.WriteTo(out)
+	return err
 }
 
-// Snapshot returns the machine state as the unemitted writer Save emits,
+// Snapshot returns the machine state as the unwritten writer Save writes,
 // for a caller that embeds it in a larger stream.
 func (s *System) Snapshot() (*snapshot.Writer, error) {
 	if s.classifier != nil {
@@ -86,20 +87,35 @@ func (s *System) Snapshot() (*snapshot.Writer, error) {
 	return w, nil
 }
 
-// Load restores a snapshot into a system built from the identical
-// configuration and workload parameters. On error the system is left in an
-// unspecified partially-restored state and must be discarded.
+// Load restores a snapshot read from in into a system built from the
+// identical configuration and workload parameters. On error the system is
+// left in an unspecified partially-restored state and must be discarded.
 func (s *System) Load(in io.Reader) error {
+	r, err := snapshot.NewReader(in)
+	if err != nil {
+		return err
+	}
+	return s.restore(r)
+}
+
+// LoadBytes is Load from a stream already in memory, parsed in place
+// rather than copied: data must not change during the call.
+func (s *System) LoadBytes(data []byte) error {
+	r, err := snapshot.Parse(data)
+	if err != nil {
+		return err
+	}
+	return s.restore(r)
+}
+
+// restore loads the sections of a parsed snapshot.
+func (s *System) restore(r *snapshot.Reader) error {
 	if s.classifier != nil {
 		return fmt.Errorf("core: a system with Classify enabled cannot restore a snapshot")
 	}
 	ws, ok := s.w.(SnapshotState)
 	if !ok {
 		return fmt.Errorf("core: workload %T does not support snapshots", s.w)
-	}
-	r, err := snapshot.NewReader(in)
-	if err != nil {
-		return err
 	}
 
 	d, err := r.Section("config")

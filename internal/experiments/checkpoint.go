@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -30,12 +29,15 @@ type CheckpointRun struct {
 	// never changes results: chunked RunUntil lands on the same commit
 	// boundaries as an uninterrupted run.
 	Every uint64
-	// Write persists one checkpoint container. Nil disables all checkpoint
-	// writes. Write must not retain the slice.
-	Write func(data []byte) error
+	// Write persists one checkpoint container, the machine state at the
+	// moment of the call; ck.WriteTo streams the container's parts to any
+	// io.Writer without joining them first. Nil disables all checkpoint
+	// writes.
+	Write func(ck io.WriterTo) error
 	// Resume, when non-nil, is a checkpoint container previously produced
 	// against the identical configuration and protocol; the run continues
-	// from it instead of starting cold.
+	// from it instead of starting cold. It is parsed in place and must not
+	// change during Execute.
 	Resume []byte
 	// Canceled, when non-nil, is polled before every chunk of simulation
 	// (a quantum, or the stretch up to a phase boundary); once it returns
@@ -117,35 +119,33 @@ type checkpoint struct {
 	measureBase uint64
 	proto       protocol
 	cums        []stats.RunResult
-	system      []byte // the saved machine, as decoded
+	system      []byte // the saved machine, a view of the decoded container
 }
 
-// save returns the container holding c and sys's current machine state.
-func (c *checkpoint) save(sys *core.System) ([]byte, error) {
+// save returns the container holding c and sys's current machine state,
+// unwritten; it embeds the parts of the machine's sections rather than a
+// copy of them.
+func (c *checkpoint) save(sys *core.System) (*snapshot.Writer, error) {
 	machine, err := sys.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := c.encode(&buf, func(e *snapshot.Encoder) { e.Embed(machine) }); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return c.encode(func(e *snapshot.Encoder) { e.Embed(machine) }), nil
 }
 
 // WarmedCheckpoint returns the container Execute hands CheckpointRun.Write
 // at the end of warmup, for sys, a machine built under o and warmed through
 // o.WarmupTxns. It lets a benchmark time the checkpoint write apart from
 // the simulation before it.
-func (o Options) WarmedCheckpoint(sys *core.System) ([]byte, error) {
+func (o Options) WarmedCheckpoint(sys *core.System) (io.WriterTo, error) {
 	c := checkpoint{pos: posWarmed, proto: o.protocol()}
 	return c.save(sys)
 }
 
-// encode writes the container: one "checkpoint" section holding the
+// encode builds the container: one "checkpoint" section holding the
 // position, protocol, completed segments and the saved machine, which
 // system appends as a length-prefixed byte string.
-func (c *checkpoint) encode(out io.Writer, system func(*snapshot.Encoder)) error {
+func (c *checkpoint) encode(system func(*snapshot.Encoder)) *snapshot.Writer {
 	w := snapshot.NewWriter()
 	e := w.Section("checkpoint")
 	e.U8(c.pos)
@@ -160,14 +160,15 @@ func (c *checkpoint) encode(out io.Writer, system func(*snapshot.Encoder)) error
 		c.cums[i].SaveState(e)
 	}
 	system(e)
-	return w.Emit(out)
+	return w
 }
 
-// decodeCheckpoint parses a container up to, but not including, the
-// machine restore. Every accepted container re-encodes to the same bytes.
+// decodeCheckpoint parses a container in place up to, but not including,
+// the machine restore: the machine it returns is a view of data. Every
+// accepted container re-encodes to the same bytes.
 func decodeCheckpoint(data []byte) (checkpoint, error) {
 	var c checkpoint
-	r, err := snapshot.NewReader(bytes.NewReader(data))
+	r, err := snapshot.Parse(data)
 	var old *snapshot.VersionError
 	if errors.As(err, &old) && old.Got < snapshot.Version {
 		return c, fmt.Errorf("experiments: outdated checkpoint (snapshot version %d, this build reads version %d); it cannot be resumed, run again from the start", old.Got, snapshot.Version)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"oltpsim/internal/cache"
@@ -11,14 +12,21 @@ import (
 	"oltpsim/internal/stats"
 )
 
-// encodedCheckpoint emits c, failing the test on error.
-func encodedCheckpoint(tb testing.TB, c checkpoint) []byte {
+// containerBytes writes a checkpoint container into memory, failing the
+// test on error.
+func containerBytes(tb testing.TB, ck io.WriterTo) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := c.encode(&buf, func(e *snapshot.Encoder) { e.U8s(c.system) }); err != nil {
+	if _, err := ck.WriteTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// encodedCheckpoint writes c into memory, failing the test on error.
+func encodedCheckpoint(tb testing.TB, c checkpoint) []byte {
+	tb.Helper()
+	return containerBytes(tb, c.encode(func(e *snapshot.Encoder) { e.U8s(c.system) }))
 }
 
 // badBalanceTables returns machine streams whose workload section opens
@@ -42,7 +50,7 @@ func badBalanceTables() [][]byte {
 			e.I64(v)
 		}
 		var buf bytes.Buffer
-		if err := w.Emit(&buf); err != nil {
+		if _, err := w.WriteTo(&buf); err != nil {
 			panic(err)
 		}
 		out = append(out, buf.Bytes())
@@ -66,7 +74,7 @@ func badFrameBlocks() [][]byte {
 		e.Bool(false) // queued for the database writer
 		e.U64(0)      // last use
 		var buf bytes.Buffer
-		if err := w.Emit(&buf); err != nil {
+		if _, err := w.WriteTo(&buf); err != nil {
 			panic(err)
 		}
 		out = append(out, buf.Bytes())
@@ -75,25 +83,26 @@ func badFrameBlocks() [][]byte {
 }
 
 // duplicateLineMachine returns a machine stream for the 1-CPU Base 1M1w
-// whose first cache, CPU 0's 2-way L1I, holds line 0 as Modified in both
-// ways of set 0: a copy that would survive its own invalidation, so the
-// cache's load refuses it.
+// whose first cache, CPU 0's 2-way L1I, saves two resident ways that both
+// hold line 0 as Modified: a copy that would survive its own invalidation,
+// so the cache's load refuses it.
 func duplicateLineMachine() []byte {
 	cfg := core.BaseConfig(1, 1*core.MB, 1)
-	l1i := make([]uint64, core.L1Bytes/64)
-	l1i[0] = uint64(cache.Modified)<<1 | 1
-	l1i[1] = l1i[0]
+	line0 := uint64(cache.Modified)<<1 | 1
 	w := snapshot.NewWriter()
 	w.Section("config").String(cfg.Fingerprint())
 	e := w.Section("machine")
-	e.U64s([]uint64{0}) // per-core clocks
-	e.U64(0)            // write-invalidate operations
-	e.U64(0)            // steps
-	e.U64s(l1i)
+	e.U64s([]uint64{0})           // per-core clocks
+	e.U64(0)                      // write-invalidate operations
+	e.U64(0)                      // steps
+	e.Int(int(core.L1Bytes / 64)) // L1I ways
+	e.Int(2)                      // resident ways
+	e.U64(line0)
+	e.U64(line0)
 	e.U64(0) // accesses
 	e.U64(0) // hits
 	var buf bytes.Buffer
-	if err := w.Emit(&buf); err != nil {
+	if _, err := w.WriteTo(&buf); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"oltpsim/internal/core"
@@ -81,7 +80,7 @@ func (o Options) Execute(cfg core.Config, cr CheckpointRun) (ScenarioResult, uin
 		}
 		if err == nil {
 			sys = o.build(cfg)
-			err = sys.Load(bytes.NewReader(ck.system))
+			err = sys.LoadBytes(ck.system)
 		}
 		if err != nil {
 			return ScenarioResult{}, 0, fmt.Errorf("experiments: resuming checkpoint: %w", err)
@@ -109,9 +108,9 @@ func (o Options) Execute(cfg core.Config, cr CheckpointRun) (ScenarioResult, uin
 		if !due || cr.Write == nil {
 			return nil
 		}
-		data, err := st.save(sys)
+		ck, err := st.save(sys)
 		if err == nil {
-			err = cr.Write(data)
+			err = cr.Write(ck)
 		}
 		if err != nil {
 			err = fmt.Errorf("experiments: writing checkpoint: %w", err)

@@ -15,6 +15,7 @@ const refBytes = 8 + 1 + 1 + 1 + 4
 // kernel, dep-prev, instruction count), not as the packed word, so the
 // checkpoint format does not depend on memref's bit layout.
 func encodeRefs(e *snapshot.Encoder, refs []memref.Ref) {
+	e.Grow(8 + refBytes*len(refs))
 	e.Int(len(refs))
 	for _, r := range refs {
 		e.U64(r.Addr())

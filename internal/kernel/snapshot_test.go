@@ -26,7 +26,7 @@ func decoderFor(t *testing.T, fill func(e *snapshot.Encoder)) *snapshot.Decoder 
 	w := snapshot.NewWriter()
 	fill(w.Section("refs"))
 	var buf bytes.Buffer
-	if err := w.Emit(&buf); err != nil {
+	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := snapshot.NewReader(&buf)

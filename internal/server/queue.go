@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"io"
 
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/stats"
@@ -164,13 +165,13 @@ func (s *Server) runJob(j *Job) {
 // records it durably in the job state, then fires the OnCheckpoint hook.
 // After a kill it refuses to touch the disk — the store must stay exactly
 // as the "crash" left it.
-func (s *Server) checkpointWriter(j *Job, i int) func([]byte) error {
+func (s *Server) checkpointWriter(j *Job, i int) func(io.WriterTo) error {
 	seq := 0
-	return func(data []byte) error {
+	return func(ck io.WriterTo) error {
 		if s.isKilled() {
 			return errKilled
 		}
-		if err := s.st.writeCheckpoint(j.ID, data); err != nil {
+		if err := s.st.writeCheckpoint(j.ID, ck); err != nil {
 			return err
 		}
 		seq++

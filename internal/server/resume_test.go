@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -478,7 +479,7 @@ func TestRecoveryRefusesRetiredSpecField(t *testing.T) {
 				t.Fatal(err)
 			}
 			stored := `{"machines": [{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10, "` + field + `": 2}`
-			if err := st.writeFile(id, "spec.json", []byte(stored)); err != nil {
+			if err := st.writeFile(id, "spec.json", strings.NewReader(stored)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -515,7 +516,7 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 	e.U64(60)
 	w.Section("system").U8s([]byte("machine"))
 	var format1 bytes.Buffer
-	if err := w.Emit(&format1); err != nil {
+	if _, err := w.WriteTo(&format1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -523,7 +524,12 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 	// stamped as an older snapshot version with its CRC recomputed.
 	var current []byte
 	_, _, err = smokeOptions().Execute(cfgs[0], experiments.CheckpointRun{
-		Write:    func(data []byte) error { current = append([]byte(nil), data...); return nil },
+		Write: func(ck io.WriterTo) error {
+			var buf bytes.Buffer
+			_, err := ck.WriteTo(&buf)
+			current = buf.Bytes()
+			return err
+		},
 		Canceled: func() bool { return current != nil },
 	})
 	if !errors.Is(err, experiments.ErrCanceled) {
@@ -558,7 +564,7 @@ func TestRecoveryFailsOutdatedCheckpoint(t *testing.T) {
 			if err := st.writeState(id, persistedState{State: StateCheckpointed, Checkpoints: 3}); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.writeCheckpoint(id, tc.ck); err != nil {
+			if err := st.writeCheckpoint(id, bytes.NewReader(tc.ck)); err != nil {
 				t.Fatal(err)
 			}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -54,9 +55,9 @@ func newStore(dataDir string) (*store, error) {
 
 func (st *store) jobDir(id string) string { return filepath.Join(st.dir, id) }
 
-// writeFile atomically replaces <jobdir>/<name> with data.
-func (st *store) writeFile(id, name string, data []byte) error {
-	return cli.WriteFileAtomic(filepath.Join(st.jobDir(id), name), data)
+// writeFile atomically replaces <jobdir>/<name> with what src writes.
+func (st *store) writeFile(id, name string, src io.WriterTo) error {
+	return cli.WriteFileAtomic(filepath.Join(st.jobDir(id), name), src)
 }
 
 func (st *store) writeJSON(id, name string, v any) error {
@@ -64,7 +65,7 @@ func (st *store) writeJSON(id, name string, v any) error {
 	if err != nil {
 		return err
 	}
-	return st.writeFile(id, name, data)
+	return st.writeFile(id, name, bytes.NewReader(data))
 }
 
 // createJob makes the job directory and persists the spec and the initial
@@ -87,8 +88,9 @@ func (st *store) writeResults(id string, results []stats.RunResult) error {
 	return st.writeJSON(id, "results.json", results)
 }
 
-func (st *store) writeCheckpoint(id string, data []byte) error {
-	return st.writeFile(id, "checkpoint.bin", data)
+// writeCheckpoint streams a checkpoint container into the job directory.
+func (st *store) writeCheckpoint(id string, ck io.WriterTo) error {
+	return st.writeFile(id, "checkpoint.bin", ck)
 }
 
 // removeJob deletes a job's directory entirely. Used only to roll back a

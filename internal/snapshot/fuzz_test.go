@@ -23,7 +23,7 @@ func fuzzSeed() []byte {
 	e.String("hello")
 	w.Section("beta").U64(1)
 	var buf bytes.Buffer
-	if err := w.Emit(&buf); err != nil {
+	if _, err := w.WriteTo(&buf); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -50,7 +50,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(hugeSliceClaim())
 	f.Add(oversizedLength())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := parse(data)
+		r, err := Parse(data)
 		if err != nil {
 			return
 		}
@@ -62,7 +62,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			enc.buf = append(enc.buf, r.payloads[i]...)
 		}
 		var out bytes.Buffer
-		if err := w.Emit(&out); err != nil {
+		if _, err := w.WriteTo(&out); err != nil {
 			t.Fatalf("re-emit parsed stream: %v", err)
 		}
 		if !bytes.Equal(out.Bytes(), data) {

@@ -16,7 +16,11 @@
 //
 // The package is a leaf: stateful packages (cache, coherence, kernel, ...)
 // implement their own save/load methods in terms of Encoder/Decoder, and
-// core.System.Save/Load orchestrates the named sections.
+// core.System.Save/Load orchestrates the named sections. A section costs
+// the state it holds, not the structure's capacity: a cache writes only
+// its resident ways (since version 9), the directory its live entries and
+// the balance tables their nonzero rows. A Writer streams its parts to
+// its destination without joining them, and Parse reads a stream in place.
 package snapshot
 
 import (
@@ -32,7 +36,7 @@ const Magic = "OLTPSNAP"
 
 // Version is the current format version. Load refuses any other version
 // with a *VersionError: state layout changes must bump it.
-const Version uint32 = 8
+const Version uint32 = 9
 
 // VersionError reports a stream written in another format version, so a
 // caller can tell an outdated stream from a corrupt one.
@@ -47,7 +51,7 @@ func (e *VersionError) Error() string {
 // maxSectionName bounds section names; anything longer is corruption.
 const maxSectionName = 255
 
-// Writer accumulates named sections and emits the framed, checksummed
+// Writer accumulates named sections and writes the framed, checksummed
 // stream. Sections are written in the order they are opened, which makes the
 // byte stream a deterministic function of the save calls.
 type Writer struct {
@@ -78,8 +82,9 @@ func (w *Writer) seal() {
 	}
 }
 
-// frame returns the stream Emit writes, less its trailing CRC, as parts:
-// the magic and version, then each section's header and payload parts.
+// frame returns the stream WriteTo writes, less its trailing CRC, as
+// parts: the magic and version, then each section's header and payload
+// parts.
 func (w *Writer) frame() [][]byte {
 	w.seal()
 	parts := [][]byte{binary.LittleEndian.AppendUint32([]byte(Magic), Version)}
@@ -92,29 +97,33 @@ func (w *Writer) frame() [][]byte {
 	return parts
 }
 
-// Emit seals the last section and writes the complete stream. Each header
-// and payload goes straight to out under a running CRC, so emitting never
-// copies the stream into one buffer of its own; an out that can reserve
-// room, such as a bytes.Buffer, reserves the whole stream up front.
-func (w *Writer) Emit(out io.Writer) error {
+// WriteTo seals the last section and writes the complete stream, so a
+// Writer is an io.WriterTo and may be written more than once. Each header
+// and payload part goes straight to out under a running CRC, so writing
+// never copies the stream into one buffer of its own; an out that can
+// reserve room, such as a bytes.Buffer, reserves the whole stream up front.
+func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	parts := w.frame()
 	if g, ok := out.(interface{ Grow(int) }); ok {
 		g.Grow(payloadLen(parts) + 4)
 	}
 	crc := crc32.NewIEEE()
-	body := io.MultiWriter(out, crc)
+	var n int64
 	for _, part := range parts {
-		if _, err := body.Write(part); err != nil {
-			return err
+		m, err := out.Write(part)
+		n += int64(m)
+		if err != nil {
+			return n, err
 		}
+		crc.Write(part)
 	}
-	_, err := out.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
-	return err
+	m, err := out.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return n + int64(m), err
 }
 
-// Embed appends the stream w would emit as a length-prefixed byte string,
-// the bytes U8s would append for it, but refers to w's payloads instead of
-// copying them: w must not change until this encoder's stream is emitted.
+// Embed appends the stream w writes as a length-prefixed byte string, the
+// bytes U8s would append for it, but refers to w's payloads instead of
+// copying them: w must not change until this encoder's stream is written.
 func (e *Encoder) Embed(w *Writer) {
 	parts := w.frame()
 	crc := crc32.NewIEEE()
@@ -148,13 +157,15 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading stream: %w", err)
 	}
-	return parse(data)
+	return Parse(data)
 }
 
-// parse is the allocation-bounded core of NewReader, shared with the fuzz
-// target. It never allocates more than O(len(data)) regardless of what the
-// length fields claim.
-func parse(data []byte) (*Reader, error) {
+// Parse validates and indexes a snapshot stream held in data, in place:
+// the section payloads, and every byte string U8s reads from them, are
+// views of data, which must not change while the Reader is in use. It
+// never allocates more than O(len(data)) regardless of what the length
+// fields claim.
+func Parse(data []byte) (*Reader, error) {
 	const headerLen = len(Magic) + 4
 	if len(data) < headerLen+4 {
 		return nil, fmt.Errorf("snapshot: stream too short (%d bytes)", len(data))
@@ -237,19 +248,22 @@ type Encoder struct {
 	parts [][]byte // the full parts before buf, in order
 }
 
-// Grow makes room for n more bytes. A full part is kept as it is and the
-// next one is at least twice its size, so building a section allocates at
-// most about twice its final size and never copies what it already holds;
-// growing one slice by append costs about five times, because append's
-// growth falls to about 1.25x for large slices. The slice methods call it
-// once for their whole length; a caller that streams a long run of values
-// one at a time calls it first to allocate the same way.
+// partSlack is the room a new part keeps beyond the write that opened it,
+// for the small writes that follow.
+const partSlack = 2 << 10
+
+// Grow makes room for n more bytes. A part that lacks it is kept as it is,
+// never copied, and the next one holds n bytes and partSlack more. A bulk
+// writer that knows its length reserves it exactly, once, so its part is
+// about its own size and building a section allocates about the section;
+// a run of small writes opens a part every partSlack bytes. The slice
+// methods reserve their whole length.
 func (e *Encoder) Grow(n int) {
 	if cap(e.buf)-len(e.buf) < n {
 		if len(e.buf) > 0 {
 			e.parts = append(e.parts, e.buf)
 		}
-		e.buf = make([]byte, 0, max(n, 2*cap(e.buf), 64))
+		e.buf = make([]byte, 0, n+partSlack)
 	}
 }
 
@@ -364,7 +378,7 @@ func (d *Decoder) take(n int) []byte {
 		d.fail("need %d bytes at offset %d, have %d", n, d.off, len(d.buf)-d.off)
 		return nil
 	}
-	b := d.buf[d.off : d.off+n]
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return b
 }
@@ -447,19 +461,14 @@ func (d *Decoder) U64s() []uint64 {
 	return vs
 }
 
-// U8s reads a length-prefixed byte slice.
+// U8s reads a length-prefixed byte slice. It returns a view of the
+// section's bytes, not a copy (see Parse).
 func (d *Decoder) U8s() []uint8 {
 	n := d.sliceLen(1)
 	if n == 0 {
 		return nil
 	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]uint8, n)
-	copy(out, b)
-	return out
+	return d.take(n)
 }
 
 // I64s reads a length-prefixed slice of signed integers.

@@ -15,7 +15,7 @@ func hostileStream(name string, fill func(*Encoder)) []byte {
 	w := NewWriter()
 	fill(w.Section(name))
 	var buf bytes.Buffer
-	if err := w.Emit(&buf); err != nil {
+	if _, err := w.WriteTo(&buf); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -62,10 +62,10 @@ func oversizedLength() []byte {
 // hostile seeds get past the version and CRC checks, and each is refused
 // by the length check it was written for.
 func TestHostileSeedsReachTheirChecks(t *testing.T) {
-	if _, err := parse(oversizedLength()); err == nil || !strings.Contains(err.Error(), "claims 1099511627776 bytes") {
+	if _, err := Parse(oversizedLength()); err == nil || !strings.Contains(err.Error(), "claims 1099511627776 bytes") {
 		t.Errorf("oversized section length: parse error %v, want the claimed length refused", err)
 	}
-	r, err := parse(hugeSliceClaim())
+	r, err := Parse(hugeSliceClaim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +140,10 @@ func TestEmitMatchesWholeStreamCRC(t *testing.T) {
 		return w
 	}()} {
 		var buf bytes.Buffer
-		if err := w.Emit(&buf); err != nil {
+		if _, err := w.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		r, err := parse(buf.Bytes())
+		r, err := Parse(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestEmbedMatchesU8sOfEmit(t *testing.T) {
 	inner.Section("alpha").U64s([]uint64{1, 2, 3})
 	inner.Section("beta").String("x")
 	var flat bytes.Buffer
-	if err := inner.Emit(&flat); err != nil {
+	if _, err := inner.WriteTo(&flat); err != nil {
 		t.Fatal(err)
 	}
 	emit := func(fill func(*Encoder)) []byte {
@@ -175,7 +175,7 @@ func TestEmbedMatchesU8sOfEmit(t *testing.T) {
 		fill(e)
 		e.U32(9)
 		var buf bytes.Buffer
-		if err := w.Emit(&buf); err != nil {
+		if _, err := w.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -184,5 +184,47 @@ func TestEmbedMatchesU8sOfEmit(t *testing.T) {
 	copied := emit(func(e *Encoder) { e.U8s(flat.Bytes()) })
 	if !bytes.Equal(embedded, copied) {
 		t.Fatalf("Embed wrote %d bytes, U8s of the emitted stream %d", len(embedded), len(copied))
+	}
+}
+
+// TestGrowReservesExactly: a bulk write opens a part of its own length and
+// partSlack more, whatever the parts before it held, and the small writes
+// after it fill that slack before another part opens. Sizing the next part
+// from the last one's capacity would double the bulk write's allocation.
+func TestGrowReservesExactly(t *testing.T) {
+	const bulk = 1 << 20
+	var e Encoder
+	e.U64(1)
+	e.U8s(make([]byte, bulk))
+	for i := 0; i < partSlack/8; i++ {
+		e.U64(2)
+	}
+	if len(e.parts) != 1 {
+		t.Fatalf("%d full parts, want 1", len(e.parts))
+	}
+	if got, want := cap(e.parts[0])+cap(e.buf), (8+partSlack)+(8+bulk+partSlack); got != want {
+		t.Fatalf("parts hold %d bytes of capacity, want %d", got, want)
+	}
+}
+
+// TestParseViewsInPlace: Parse reads a stream without copying it, so a
+// byte string U8s returns is a view of the parsed stream, capped at its
+// own length.
+func TestParseViewsInPlace(t *testing.T) {
+	data := hostileStream("s", func(e *Encoder) { e.U8s([]byte("machine")); e.U64(9) })
+	r, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := d.U8s()
+	if string(b) != "machine" || cap(b) != len(b) {
+		t.Fatalf("U8s = %q with capacity %d, want \"machine\" capped at its length", b, cap(b))
+	}
+	if i := bytes.Index(data, b); i < 0 || &data[i] != &b[0] {
+		t.Fatal("U8s returned a copy, not a view of the stream")
 	}
 }

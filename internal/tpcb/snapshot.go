@@ -47,6 +47,7 @@ func saveBalances(e *snapshot.Encoder, rows int, t balanceTable) {
 		keys = append(keys, row)
 	}
 	slices.Sort(keys)
+	e.Grow(16 + 16*len(keys))
 	e.Int(rows)
 	e.Int(len(keys))
 	for _, row := range keys {
@@ -194,11 +195,7 @@ func (f *CodeFn) LoadState(d *snapshot.Decoder) error {
 func (s *Session) SaveState(e *snapshot.Encoder) {
 	e.Int(s.undoBlockIdx)
 	e.Int(s.undoOff)
-	pinned := make([]int64, len(s.pinned))
-	for i, f := range s.pinned {
-		pinned[i] = int64(f)
-	}
-	e.I64s(pinned)
+	saveInt32s(e, s.pinned)
 	e.I64(int64(s.scanBlock))
 }
 
@@ -245,6 +242,7 @@ func (s *Session) LoadState(d *snapshot.Decoder, frames, accountBlocks int) erro
 // order is architectural), LRU clock, dirty queue, and counters. The
 // block-to-frame map is derived from the frame table and rebuilt on load.
 func (p *BufferPool) SaveState(e *snapshot.Encoder) {
+	e.Grow(8 + savedFrameBytes*len(p.frames))
 	e.Int(len(p.frames))
 	for _, fr := range p.frames {
 		e.I64(int64(fr.block))
@@ -252,14 +250,18 @@ func (p *BufferPool) SaveState(e *snapshot.Encoder) {
 		e.Bool(fr.inDirty)
 		e.U64(fr.lastUse)
 	}
-	e.I64s(int32s(p.free))
+	saveInt32s(e, p.free)
 	e.U64(p.clock)
-	e.I64s(int32s(p.dirtyQueue))
+	saveInt32s(e, p.dirtyQueue)
 	e.U64(p.Stats.Gets)
 	e.U64(p.Stats.Misses)
 	e.U64(p.Stats.Evictions)
 	e.U64(p.Stats.Cleaned)
 }
+
+// savedFrameBytes is the encoded size of one frame: block, dirty, queued
+// for the database writer, and last use.
+const savedFrameBytes = 8 + 1 + 1 + 8
 
 // LoadState restores a pool of identical frame count and rebuilds the
 // block-to-frame index.
@@ -358,10 +360,12 @@ func (l *RedoLog) LoadState(d *snapshot.Decoder) error {
 	return nil
 }
 
-func int32s(vs []int32) []int64 {
-	out := make([]int64, len(vs))
-	for i, v := range vs {
-		out[i] = int64(v)
+// saveInt32s writes vs as the length-prefixed 64-bit integers I64s writes,
+// without widening them into a slice first.
+func saveInt32s(e *snapshot.Encoder, vs []int32) {
+	e.Grow(8 + 8*len(vs))
+	e.Int(len(vs))
+	for _, v := range vs {
+		e.I64(int64(v))
 	}
-	return out
 }

@@ -18,7 +18,7 @@ func section(t *testing.T, fill func(*snapshot.Encoder)) *snapshot.Decoder {
 	w := snapshot.NewWriter()
 	fill(w.Section("workload"))
 	var buf bytes.Buffer
-	if err := w.Emit(&buf); err != nil {
+	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r, err := snapshot.NewReader(&buf)
@@ -89,7 +89,7 @@ func TestBalanceTablesRoundTrip(t *testing.T) {
 		w := snapshot.NewWriter()
 		e.SaveState(w.Section("workload"))
 		var buf bytes.Buffer
-		if err := w.Emit(&buf); err != nil {
+		if _, err := w.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
