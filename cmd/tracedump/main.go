@@ -98,29 +98,39 @@ func run(ctx context.Context, out io.Writer, cpus, cpu, n, skip int, quick bool)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Drive every CPU in global time order (commits depend on the log
-		// writer's progress).
+		// The CPU whose clock is earliest asks for its next run (commits
+		// depend on the log writer's progress). Inside a run, a call per
+		// reference would only return the run's next reference, so
+		// consuming it whole keeps the calls that change state, and so the
+		// streams, in the order one reference per call gives.
 		c := 0
 		for i := 1; i < cpus; i++ {
 			if clocks[i] < clocks[c] {
 				c = i
 			}
 		}
-		r, st, wake := h.Next(c, clocks[c])
+		refs, st, wake := h.Next(c, clocks[c])
 		switch st {
 		case kernel.StatusRef:
-			clocks[c] += uint64(r.Instrs()) + 1
-			if c != cpu {
-				continue
+			for _, r := range refs {
+				clocks[c] += uint64(r.Instrs()) + 1
+				if c != cpu {
+					continue
+				}
+				seen++
+				if seen <= skip {
+					continue
+				}
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				fmt.Fprintf(out, "%d,%d,%s,%#x,%#x,%d,%t,%t,%d\n",
+					seen, c, r.Kind(), r.Addr(), r.Line(),
+					h.HomeOf(r.Line()), r.Kernel(), r.DepPrev(), r.Instrs())
+				if emitted++; emitted == n {
+					return nil
+				}
 			}
-			seen++
-			if seen <= skip {
-				continue
-			}
-			fmt.Fprintf(out, "%d,%d,%s,%#x,%#x,%d,%t,%t,%d\n",
-				seen, c, r.Kind(), r.Addr(), r.Line(),
-				h.HomeOf(r.Line()), r.Kernel(), r.DepPrev(), r.Instrs())
-			emitted++
 		case kernel.StatusIdle:
 			clocks[c] = wake
 		default:

@@ -39,7 +39,9 @@ func (c *Cache) SaveState(e *snapshot.Encoder) {
 // cache can hold, the sets come in ascending order, no set holds more
 // lines than its ways or a line twice, and the resident count fits both
 // the ways and the input. The words of a set fill its ways from the
-// front, so empty ways stay last.
+// front, so empty ways stay last. The words are decoded into the cache's
+// own way array, so a load that fails leaves the cache partly restored,
+// and it must be discarded, as core.System.Load documents for a machine.
 func (c *Cache) LoadState(d *snapshot.Decoder) error {
 	n := d.Int()
 	resident := d.Int()
@@ -54,7 +56,8 @@ func (c *Cache) LoadState(d *snapshot.Decoder) error {
 	case resident > d.Remaining()/8:
 		return fmt.Errorf("cache %s: %d resident ways exceed the remaining input", c.cfg.Name, resident)
 	}
-	ways := make([]uint32, n)
+	ways := c.ways
+	clear(ways)
 	low := uint64(memref.LineBytes) - 1
 	var set, filled uint64 // the set being filled, and its words so far
 	for i := 0; i < resident; i++ {
@@ -93,7 +96,6 @@ func (c *Cache) LoadState(d *snapshot.Decoder) error {
 	if hits > accesses {
 		return fmt.Errorf("cache %s: %d hits exceed %d accesses", c.cfg.Name, hits, accesses)
 	}
-	copy(c.ways, ways)
 	c.Accesses = accesses
 	c.Hits = hits
 	return nil

@@ -13,8 +13,8 @@ import (
 // them) as seen from the stepping loop.
 type stuckWorkload struct{}
 
-func (stuckWorkload) Next(cpu int, now uint64) (memref.Ref, kernel.Status, uint64) {
-	return memref.Ref{}, kernel.StatusIdle, now + 2048
+func (stuckWorkload) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, uint64) {
+	return nil, kernel.StatusIdle, now + 2048
 }
 
 func (stuckWorkload) HomeOf(uint64) int { return 0 }

@@ -52,14 +52,14 @@ func (s *orderSource) idle(cpu int, wake uint64) {
 	s.acts[cpu] = append(s.acts[cpu], orderAct{st: kernel.StatusIdle, wake: wake})
 }
 
-func (s *orderSource) Next(cpu int, now uint64) (memref.Ref, kernel.Status, uint64) {
+func (s *orderSource) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, uint64) {
 	s.calls = append(s.calls, orderEvent{cpu: cpu, now: now})
 	if s.pos[cpu] >= len(s.acts[cpu]) {
-		return memref.Ref{}, kernel.StatusDone, 0
+		return nil, kernel.StatusDone, 0
 	}
 	a := s.acts[cpu][s.pos[cpu]]
 	s.pos[cpu]++
-	return memref.Ref{}, a.st, a.wake
+	return nil, a.st, a.wake
 }
 
 func (s *orderSource) HomeOf(line uint64) int { return 0 }

@@ -15,6 +15,10 @@ import (
 type SnapshotState interface {
 	SaveState(*snapshot.Encoder)
 	LoadState(*snapshot.Decoder) error
+	// Unread gives back the last n references of the run Next last
+	// returned for cpu, which the core has not timed, so that SaveState
+	// saves them as still to run and the next Next hands them out again.
+	Unread(cpu, n int)
 }
 
 // Fingerprint canonicalizes the configuration minus its display name: two
@@ -54,6 +58,13 @@ func (s *System) Snapshot() (*snapshot.Writer, error) {
 	ws, ok := s.w.(SnapshotState)
 	if !ok {
 		return nil, fmt.Errorf("core: workload %T does not support snapshots", s.w)
+	}
+	// A core's unconsumed run goes back to the workload, so the snapshot
+	// holds what handing the references out one at a time would have left
+	// unread; the core asks for it again on its next step.
+	for _, co := range s.allCores {
+		ws.Unread(co.cpuID, len(co.run))
+		co.run = nil
 	}
 	w := snapshot.NewWriter()
 	w.Section("config").String(s.fingerprint)
@@ -203,6 +214,11 @@ func (s *System) restore(r *snapshot.Reader) error {
 	d, err = r.Section("workload")
 	if err != nil {
 		return err
+	}
+	// The runs the cores held are views of the workload state being
+	// replaced.
+	for _, co := range s.allCores {
+		co.run = nil
 	}
 	if err := ws.LoadState(d); err != nil {
 		return err

@@ -16,23 +16,16 @@ import (
 // harness with its scheduler) plus the page-placement and progress
 // information the memory system needs.
 type Workload interface {
-	// Next produces the next reference for cpu at local time now; see
-	// kernel.Status for the contract.
-	Next(cpu int, now uint64) (r memref.Ref, st kernel.Status, wake uint64)
+	// Next hands cpu, at local time now, its next run of references, or
+	// tells it to idle until wake or that it is done; see kernel.Status
+	// and kernel.Scheduler.Next for the contract. A StatusRef run holds
+	// at least one reference and must stay unchanged until the same CPU's
+	// next call, which Step makes only once it has timed the whole run.
+	Next(cpu int, now uint64) (run []memref.Ref, st kernel.Status, wake uint64)
 	// HomeOf maps a line address to its home node (chip).
 	HomeOf(line uint64) int
 	// Committed returns the global count of committed transactions.
 	Committed() uint64
-}
-
-// RefSource is an optional fast path a Workload may implement: when its Next
-// is a pure delegation to a kernel.Scheduler, exposing the scheduler lets
-// the per-reference loop call it directly instead of dispatching through the
-// Workload interface and the delegation frame on every reference. Implement
-// it only if Next adds no logic around the scheduler — the system will
-// bypass Next entirely.
-type RefSource interface {
-	RefSource() *kernel.Scheduler
 }
 
 // CommitSource is an optional fast path a Workload may implement alongside
@@ -60,6 +53,10 @@ type coreCtx struct {
 	// chip is the node this core belongs to, so the flattened Step scan can
 	// recover it without a parallel slice lookup.
 	chip *node
+	// run is what is left of the run the workload last handed this core:
+	// Step times it one reference per step and asks for the next run only
+	// once it is empty.
+	run []memref.Ref
 }
 
 // node is one processor chip: cores sharing an L2 (and victim buffer/RAC),
@@ -83,10 +80,9 @@ type node struct {
 // directory protocol, and the latency model implied by the integration
 // level.
 type System struct {
-	cfg   Config
-	lat   LatencyTable
-	w     Workload
-	sched *kernel.Scheduler // non-nil when w implements RefSource
+	cfg Config
+	lat LatencyTable
+	w   Workload
 	// commits is the workload's committed-transaction counter when it
 	// implements CommitSource, letting RunUntil test its stop condition with
 	// a plain load per step; nil means fall back to w.Committed().
@@ -140,9 +136,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	cores := cfg.CoresPerChip
 	chips := cfg.Processors / cores
 	s := &System{cfg: cfg, fingerprint: cfg.Fingerprint(), lat: cfg.Latencies(), w: w, chips: chips, cores: cores}
-	if rs, ok := w.(RefSource); ok {
-		s.sched = rs.RefSource()
-	}
 	if cs, ok := w.(CommitSource); ok {
 		s.commits = cs.CommitCounter()
 	}
@@ -330,40 +323,39 @@ func (s *System) Step() bool {
 	}
 	idx := int(win & coreMask)
 	co := s.allCores[idx]
-	now := win >> coreBits
-	var r memref.Ref
-	var st kernel.Status
-	var wake uint64
-	if s.sched != nil {
-		r, st, wake = s.sched.Next(co.cpuID, now)
-	} else {
-		r, st, wake = s.w.Next(co.cpuID, now)
-	}
 	var clock uint64
-	switch st {
-	case kernel.StatusDone:
-		s.clocks[idx] = doneKey
-		s.replay(idx, doneKey)
-		return true
-	case kernel.StatusIdle:
-		if m := co.inorder; m != nil {
-			m.AdvanceTo(wake)
-			clock = m.Now()
-		} else {
-			co.model.AdvanceTo(wake)
-			clock = co.model.Now()
+	if len(co.run) == 0 {
+		run, st, wake := s.w.Next(co.cpuID, win>>coreBits)
+		switch st {
+		case kernel.StatusDone:
+			s.clocks[idx] = doneKey
+			s.replay(idx, doneKey)
+			return true
+		case kernel.StatusIdle:
+			if m := co.inorder; m != nil {
+				m.AdvanceTo(wake)
+				clock = m.Now()
+			} else {
+				co.model.AdvanceTo(wake)
+				clock = co.model.Now()
+			}
+			s.clocks[idx] = clock
+			s.replay(idx, keyOf(clock, idx))
+			return true
 		}
-	default:
-		lat, cat := s.access(co.chip, co, r)
-		if m := co.inorder; m != nil {
-			m.Account(r, lat, cat)
-			clock = m.Now()
-		} else {
-			co.model.Account(r, lat, cat)
-			clock = co.model.Now()
-		}
-		s.steps++
+		co.run = run
 	}
+	r := co.run[0]
+	co.run = co.run[1:]
+	lat, cat := s.access(co.chip, co, r)
+	if m := co.inorder; m != nil {
+		m.Account(r, lat, cat)
+		clock = m.Now()
+	} else {
+		co.model.Account(r, lat, cat)
+		clock = co.model.Now()
+	}
+	s.steps++
 	s.clocks[idx] = clock
 	s.replay(idx, keyOf(clock, idx))
 	return true
@@ -427,8 +419,8 @@ func (s *System) RunUntil(target uint64) {
 // deadlockPanic reports a run that exceeded its derived step budget.
 func (s *System) deadlockPanic(guard, target uint64) {
 	msg := fmt.Sprintf("core: %d steps without reaching %d committed transactions; scheduler deadlock?", guard, target)
-	if s.sched != nil {
-		msg += "\n" + s.sched.DumpState()
+	if w, ok := s.w.(interface{ Scheduler() *kernel.Scheduler }); ok {
+		msg += "\n" + w.Scheduler().DumpState()
 	}
 	panic(msg)
 }

@@ -24,13 +24,14 @@ func newScript(nodes int) *scriptSource {
 
 func (s *scriptSource) add(cpu int, r memref.Ref) { s.refs[cpu] = append(s.refs[cpu], r) }
 
-func (s *scriptSource) Next(cpu int, now uint64) (memref.Ref, kernel.Status, uint64) {
-	if s.pos[cpu] >= len(s.refs[cpu]) {
-		return memref.Ref{}, kernel.StatusDone, 0
+// Next hands out one-reference runs.
+func (s *scriptSource) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, uint64) {
+	i := s.pos[cpu]
+	if i >= len(s.refs[cpu]) {
+		return nil, kernel.StatusDone, 0
 	}
-	r := s.refs[cpu][s.pos[cpu]]
 	s.pos[cpu]++
-	return r, kernel.StatusRef, 0
+	return s.refs[cpu][i : i+1], kernel.StatusRef, 0
 }
 
 func (s *scriptSource) HomeOf(line uint64) int {
@@ -281,17 +282,17 @@ func TestIdleAccounting(t *testing.T) {
 // idleSource emits one ref, idles, then finishes.
 type idleSource struct{ step int }
 
-func (s *idleSource) Next(cpu int, now uint64) (memref.Ref, kernel.Status, uint64) {
+func (s *idleSource) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, uint64) {
 	s.step++
 	switch s.step {
 	case 1:
-		return memref.New(64, memref.Load, false, false, 0), kernel.StatusRef, 0
+		return []memref.Ref{memref.New(64, memref.Load, false, false, 0)}, kernel.StatusRef, 0
 	case 2:
-		return memref.Ref{}, kernel.StatusIdle, now + 500
+		return nil, kernel.StatusIdle, now + 500
 	case 3:
-		return memref.New(128, memref.Load, false, false, 0), kernel.StatusRef, 0
+		return []memref.Ref{memref.New(128, memref.Load, false, false, 0)}, kernel.StatusRef, 0
 	default:
-		return memref.Ref{}, kernel.StatusDone, 0
+		return nil, kernel.StatusDone, 0
 	}
 }
 

@@ -442,3 +442,38 @@ func TestCheckpointSaveAllocation(t *testing.T) {
 		t.Logf("writing the %d-byte checkpoint allocated %d bytes (%.2fx)", n, grew, float64(grew)/float64(n))
 	}
 }
+
+// TestLoadAllocation: System.Load from a bytes.Buffer allocates no more
+// than System.LoadBytes of the same bytes plus one copy of the stream. The
+// buffer reports its length, so the stream is read into one slice of that
+// size rather than grown to it.
+func TestLoadAllocation(t *testing.T) {
+	o := QuickOptions()
+	sys := o.build(core.FullConfig(8, 2*core.MB, 8))
+	sys.RunUntil(o.WarmupTxns)
+	var snap bytes.Buffer
+	if err := sys.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	data := snap.Bytes()
+	allocated := func(load func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := load(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	inPlace := allocated(func() error { return sys.LoadBytes(data) })
+	buffered := allocated(func() error { return sys.Load(bytes.NewBuffer(data)) })
+	// One copy of the stream as the allocator hands it out: rounded up to
+	// whole 8 KiB pages, plus the Buffer itself.
+	const rounding = 16 << 10
+	if limit := inPlace + uint64(len(data)) + rounding; buffered > limit {
+		t.Errorf("Load of the %d-byte stream from a bytes.Buffer allocated %d bytes, over LoadBytes' %d plus the stream (%d)",
+			len(data), buffered, inPlace, limit)
+	} else {
+		t.Logf("Load of the %d-byte stream from a bytes.Buffer allocated %d bytes; LoadBytes %d", len(data), buffered, inPlace)
+	}
+}

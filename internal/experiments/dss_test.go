@@ -36,18 +36,28 @@ func dssOptions(t *testing.T) Options {
 }
 
 // stepRecorder is a core.Workload over an OLTP harness that keeps the
-// reference each Step pulled. It implements neither core.RefSource nor
-// core.CommitSource, so the system calls Next on every step.
+// reference each Step pulled. It holds each CPU's harness run and hands it
+// out one reference at a time, so the system calls Next on every step; it
+// does not implement core.CommitSource.
 type stepRecorder struct {
 	h    *oltp.Harness
+	runs [][]memref.Ref // per CPU, the rest of its harness run
 	last memref.Ref
 	st   kernel.Status
 }
 
-func (w *stepRecorder) Next(cpu int, now uint64) (memref.Ref, kernel.Status, uint64) {
-	r, st, wake := w.h.Next(cpu, now)
-	w.last, w.st = r, st
-	return r, st, wake
+func (w *stepRecorder) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, uint64) {
+	run := w.runs[cpu]
+	if len(run) == 0 {
+		var wake uint64
+		run, w.st, wake = w.h.Next(cpu, now)
+		if w.st != kernel.StatusRef {
+			return nil, w.st, wake
+		}
+	}
+	w.last, w.st = run[0], kernel.StatusRef
+	w.runs[cpu] = run[1:]
+	return run[:1], kernel.StatusRef, 0
 }
 
 func (w *stepRecorder) HomeOf(line uint64) int { return w.h.HomeOf(line) }
@@ -79,7 +89,7 @@ func directoryOps(s *coherence.Stats) (ops [coherence.NumCategories]uint64) {
 // BlockAddr(acct0+AccountBlocks, 0)), acct0 = BranchBlocks+TellerBlocks.
 func runDSSRecorded(t *testing.T, o Options, cfg core.Config) dssRun {
 	t.Helper()
-	w := &stepRecorder{h: oltp.MustNewHarness(o.Params(cfg))}
+	w := &stepRecorder{h: oltp.MustNewHarness(o.Params(cfg)), runs: make([][]memref.Ref, cfg.Processors)}
 	sys := core.MustNewSystem(cfg, w)
 	db := w.h.Engine().Config()
 	acct0 := int32(db.BranchBlocks() + db.TellerBlocks())

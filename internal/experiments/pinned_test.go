@@ -16,7 +16,7 @@ import (
 // pinnedVersion is the snapshot format the digests below were recorded
 // under. A format change bumps snapshot.Version and re-records the
 // digests beside it; a change that keeps the version must keep the bytes.
-const pinnedVersion = 9
+const pinnedVersion = 10
 
 // TestWarmedCheckpointDigests pins the checkpoint bytes of three quick
 // machines, one per shape the machine snapshot serializes: a uniprocessor
@@ -35,9 +35,9 @@ func TestWarmedCheckpointDigests(t *testing.T) {
 		cfg    core.Config
 		digest string
 	}{
-		{core.BaseConfig(1, 8*core.MB, 1), "8309883cc983a65a5607ce555d06a1507d33aef20d376848fdc05fa740a882af"},
-		{rac, "1b03aa86f2f502ea33db4514de36388e8c93450637c7232868c2114451120135"},
-		{core.FullConfig(64, 2*core.MB, 8), "943b3d8a27b44bf9ab41b0661753a2be1e4971d20650b9bd4b3d720d992e78f0"},
+		{core.BaseConfig(1, 8*core.MB, 1), "d634f8dca8bf2db030cc4a4f4dbea43bbf117374f3397ba4de7a3b604a85fe5a"},
+		{rac, "65ee2778e0e3b1c6416ed35f36e673d625288bc07f702b22513cfe7da9946627"},
+		{core.FullConfig(64, 2*core.MB, 8), "f4f816a7a321431411d81d0e6faebdeb600e209fcf4dde4434b294053e02c2d3"},
 	} {
 		name := fmt.Sprintf("%d-CPU %s RAC=%d", tc.cfg.Processors, tc.cfg.Name, tc.cfg.RACBytes)
 		t.Run(name, func(t *testing.T) {

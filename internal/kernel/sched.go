@@ -10,7 +10,8 @@ import (
 type Status uint8
 
 const (
-	// StatusRef: a reference was produced and should be timed.
+	// StatusRef: a run of at least one reference was produced, and each of
+	// them should be timed.
 	StatusRef Status = iota
 	// StatusIdle: no process is runnable; the CPU should advance its clock
 	// to the accompanying wake time and count idle cycles.
@@ -55,7 +56,7 @@ type Directive struct {
 }
 
 // RefBuffer collects the references of one segment. Generators append to it;
-// the scheduler feeds it to the CPU one reference at a time.
+// the scheduler hands it to the CPU in runs.
 type RefBuffer struct {
 	Refs []memref.Ref
 }
@@ -95,19 +96,20 @@ type Proc struct {
 	Name string
 	CPU  int
 
-	gen        Generator
-	state      procState
-	wakeAt     uint64
-	buf        RefBuffer
-	pos        int
+	gen    Generator
+	state  procState
+	wakeAt uint64
+	// spill holds what was left of the segment when the process was
+	// preempted; dispatch puts it back into the CPU's segment buffer.
+	spill      []memref.Ref
 	pending    Directive
 	hasPending bool
 	sliceUsed  int
 }
 
-// State descriptions for diagnostics.
-func (p *Proc) stateName() string {
-	switch p.state {
+// name describes a process state for diagnostics.
+func (st procState) name() string {
+	switch st {
 	case stateReady:
 		return "ready"
 	case stateRunning:
@@ -126,10 +128,18 @@ func (p *Proc) stateName() string {
 type cpuQueue struct {
 	cur   *Proc
 	procs []*Proc // every proc pinned to this CPU
-	// Pending context-switch overhead, kept inline so the per-reference
-	// fast path in Next touches only this struct.
-	swBuf RefBuffer
+	// seg is the running process's segment: every process pinned to the
+	// CPU generates into this one buffer, and seg.Refs[segPos:] is what is
+	// still to run.
+	seg    RefBuffer
+	segPos int
+	// sw is the context-switch path dispatch injected, handed out before
+	// the segment.
+	sw    RefBuffer
 	swPos int
+	// runSw records whether the last run came from sw, so Unread knows
+	// which position to rewind.
+	runSw bool
 }
 
 // Scheduler multiplexes the processes pinned to each CPU, implementing the
@@ -187,17 +197,25 @@ func (s *Scheduler) Wake(p *Proc, at uint64) {
 	p.wakeAt = at
 }
 
-// Next produces the next reference for cpu, whose local clock reads now.
-// Status semantics follow the Status constants; wake is meaningful only for
-// StatusIdle.
-func (s *Scheduler) Next(cpu int, now uint64) (r memref.Ref, st Status, wake uint64) {
+// Next hands cpu, whose local clock reads now, its next run of references,
+// which stays valid until the same CPU's next call. A run is the rest of the
+// context-switch path if any is left, else the rest of the segment up to
+// where the time slice expires; once it has expired, a run is one
+// reference, so the preemption test runs before each reference. The
+// caller times a run's references one at a time and calls again once it
+// has used them all (or gives the rest back with Unread first), so the
+// segment's drain and directive happen at the clock that follows its last
+// reference. Status semantics follow the Status constants; wake is
+// meaningful only for StatusIdle.
+func (s *Scheduler) Next(cpu int, now uint64) (run []memref.Ref, st Status, wake uint64) {
 	c := &s.cpus[cpu]
 	for {
 		// Pending context-switch overhead takes priority.
-		if c.swPos < len(c.swBuf.Refs) {
-			r = c.swBuf.Refs[c.swPos]
-			c.swPos++
-			return r, StatusRef, 0
+		if c.swPos < len(c.sw.Refs) {
+			run = c.sw.Refs[c.swPos:]
+			c.swPos = len(c.sw.Refs)
+			c.runSw = true
+			return run, StatusRef, 0
 		}
 
 		if c.cur == nil {
@@ -205,30 +223,40 @@ func (s *Scheduler) Next(cpu int, now uint64) (r memref.Ref, st Status, wake uin
 				wake, any := s.earliestWake(c, now)
 				if !any {
 					if s.allDead(c) {
-						return memref.Ref{}, StatusDone, 0
+						return nil, StatusDone, 0
 					}
 					// Everything is Waiting on a cross-CPU event whose time
 					// we cannot know yet; nap briefly and recheck.
-					return memref.Ref{}, StatusIdle, now + idleRecheck
+					return nil, StatusIdle, now + idleRecheck
 				}
-				return memref.Ref{}, StatusIdle, wake
+				return nil, StatusIdle, wake
 			}
 			continue
 		}
 
 		p := c.cur
-		if p.pos < len(p.buf.Refs) {
-			if p.sliceUsed >= s.quantum && s.someoneElseReady(c, p, now) {
-				// Slice expired: preempt at this reference boundary.
-				p.state = stateReady
-				p.wakeAt = now
-				c.cur = nil
-				continue
+		if c.segPos < len(c.seg.Refs) {
+			left := s.quantum - p.sliceUsed
+			if left <= 0 {
+				if s.someoneElseReady(c, p, now) {
+					// Slice expired: preempt at this reference boundary,
+					// carrying the rest of the segment off the CPU.
+					p.spill = append(p.spill[:0], c.seg.Refs[c.segPos:]...)
+					c.seg.Refs = c.seg.Refs[:0]
+					c.segPos = 0
+					p.state = stateReady
+					p.wakeAt = now
+					c.cur = nil
+					continue
+				}
+				left = 1
 			}
-			r = p.buf.Refs[p.pos]
-			p.pos++
-			p.sliceUsed++
-			return r, StatusRef, 0
+			end := min(len(c.seg.Refs), c.segPos+left)
+			run = c.seg.Refs[c.segPos:end]
+			p.sliceUsed += end - c.segPos
+			c.segPos = end
+			c.runSw = false
+			return run, StatusRef, 0
 		}
 
 		// Segment drained: apply the pending directive, if any.
@@ -261,10 +289,32 @@ func (s *Scheduler) Next(cpu int, now uint64) (r memref.Ref, st Status, wake uin
 			}
 		}
 
-		p.buf.Refs = p.buf.Refs[:0]
-		p.pos = 0
-		p.pending = p.gen.NextSegment(now, &p.buf)
+		c.seg.Refs = c.seg.Refs[:0]
+		c.segPos = 0
+		p.pending = p.gen.NextSegment(now, &c.seg)
 		p.hasPending = true
+	}
+}
+
+// Unread gives back the last n references of the run Next last returned
+// for cpu, which its caller has not timed: the next call hands them out
+// again, and SaveState saves them as still to run, as if they had never
+// been handed out.
+func (s *Scheduler) Unread(cpu, n int) {
+	if n == 0 {
+		return
+	}
+	c := &s.cpus[cpu]
+	pos := &c.segPos
+	if c.runSw {
+		pos = &c.swPos
+	}
+	if n < 0 || n > *pos {
+		panic(fmt.Sprintf("kernel: unread %d references on CPU %d, beyond the last run", n, cpu))
+	}
+	*pos -= n
+	if !c.runSw {
+		c.cur.sliceUsed -= n
 	}
 }
 
@@ -289,10 +339,13 @@ func (s *Scheduler) dispatch(c *cpuQueue, cpu int, now uint64) bool {
 	best.state = stateRunning
 	best.sliceUsed = 0
 	c.cur = best
+	c.seg.Refs = append(c.seg.Refs[:0], best.spill...)
+	c.segPos = 0
+	best.spill = best.spill[:0]
 	if s.switchRefs != nil {
-		c.swBuf.Refs = c.swBuf.Refs[:0]
+		c.sw.Refs = c.sw.Refs[:0]
 		c.swPos = 0
-		s.switchRefs(cpu, &c.swBuf)
+		s.switchRefs(cpu, &c.sw)
 	}
 	return true
 }
@@ -353,7 +406,7 @@ func (s *Scheduler) DumpState() string {
 	for i := range s.cpus {
 		out += fmt.Sprintf("cpu%d:", i)
 		for _, p := range s.cpus[i].procs {
-			out += fmt.Sprintf(" %s=%s@%d", p.Name, p.stateName(), p.wakeAt)
+			out += fmt.Sprintf(" %s=%s@%d", p.Name, p.state.name(), p.wakeAt)
 		}
 		out += "\n"
 	}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"oltpsim/internal/memref"
@@ -36,17 +37,20 @@ func (g *scriptGen) NextSegment(now uint64, out *RefBuffer) Directive {
 // arms the drain on each of them.
 func (g *scriptGen) Drained(now uint64) { g.drains = append(g.drains, now) }
 
-// drain pulls refs from the scheduler, advancing a fake clock one cycle per
-// reference, and returns the refs seen and the final status.
+// drain times up to max refs from the scheduler, one cycle per reference,
+// taking them in whole runs and giving back the part of the last run past
+// max, and returns the refs seen and the final status.
 func drain(s *Scheduler, cpu int, start uint64, max int) (n int, st Status, wake uint64, now uint64) {
 	now = start
-	for i := 0; i < max; i++ {
-		_, status, w := s.Next(cpu, now)
+	for n < max {
+		run, status, w := s.Next(cpu, now)
 		if status != StatusRef {
 			return n, status, w, now
 		}
-		n++
-		now++
+		take := min(len(run), max-n)
+		s.Unread(cpu, len(run)-take)
+		n += take
+		now += uint64(take)
 	}
 	return n, StatusRef, 0, now
 }
@@ -163,9 +167,9 @@ func TestContextSwitchOverheadInjected(t *testing.T) {
 	})
 	g := &scriptGen{segments: []scriptSeg{{refs: 2, dir: Directive{Kind: Exit}}}}
 	s.Spawn(0, "p", g)
-	r, st, _ := s.Next(0, 0)
-	if st != StatusRef || r.Addr() != 0xdead0000 || !r.Kernel() {
-		t.Fatalf("first ref not switch overhead: %+v (%v)", r, st)
+	run, st, _ := s.Next(0, 0)
+	if st != StatusRef || len(run) != 1 || run[0].Addr() != 0xdead0000 || !run[0].Kernel() {
+		t.Fatalf("first run not the switch overhead: %v (%v)", run, st)
 	}
 	if switches != 1 {
 		t.Fatalf("switch hook ran %d times", switches)
@@ -239,5 +243,205 @@ func TestDumpState(t *testing.T) {
 	s.Spawn(0, "p", &scriptGen{})
 	if out := s.DumpState(); out == "" {
 		t.Fatal("empty dump")
+	}
+}
+
+// churnGen is a process whose segments are mostly longer than the small
+// quantum newChurn uses, so slices expire mid-segment and preemption
+// leaves spills. Each reference's address names the process, the segment
+// and the reference's place in it, and the directives cycle through Run,
+// IOWait and Sleep so processes leave and rejoin the run queue.
+type churnGen struct {
+	id     int
+	seg    int // segments produced
+	drains []uint64
+}
+
+func (g *churnGen) NextSegment(now uint64, out *RefBuffer) Directive {
+	g.seg++
+	n := 5 + (g.id*7+g.seg*3)%23
+	for i := 0; i < n; i++ {
+		addr := uint64(g.id)<<32 | uint64(g.seg)<<16 | uint64(i)<<6
+		out.Append(memref.New(addr, memref.Load, false, false, i%3))
+	}
+	switch {
+	case g.seg >= 12:
+		return Directive{Kind: Exit, Drain: true}
+	case g.seg%3 == 0:
+		return Directive{Kind: IOWait, Dur: 40, Drain: true}
+	case g.seg%4 == 1:
+		return Directive{Kind: Sleep, Until: now + 25, Drain: true}
+	default:
+		return Directive{Kind: Run, Drain: true}
+	}
+}
+
+func (g *churnGen) Drained(now uint64) { g.drains = append(g.drains, now) }
+
+// newChurn builds two CPUs of three churnGen processes each under a
+// quantum of 8 references, with a three-reference context-switch path.
+func newChurn() (*Scheduler, []*churnGen) {
+	s := NewScheduler(2, 8, func(cpu int, out *RefBuffer) {
+		for i := 0; i < 3; i++ {
+			out.Append(memref.New(0xdead0000+uint64(cpu)<<12+uint64(i)<<6, memref.IFetch, true, false, 4))
+		}
+	})
+	var gens []*churnGen
+	for cpu := 0; cpu < 2; cpu++ {
+		for i := 0; i < 3; i++ {
+			g := &churnGen{id: len(gens)}
+			s.Spawn(cpu, "p", g)
+			gens = append(gens, g)
+		}
+	}
+	return s, gens
+}
+
+// stepEvent is one step of a stepper: the CPU, its clock, and what Next's
+// run (or status) gave it.
+type stepEvent struct {
+	cpu  int
+	now  uint64
+	ref  memref.Ref
+	st   Status
+	wake uint64
+}
+
+// stepper drives a scheduler as core.System does: the earliest CPU (lowest
+// index on a tie) takes one step, timing the next reference of the run it
+// holds and calling Next only when that run is used up. A reference costs
+// one cycle plus its instructions. With oneRef set it takes one reference
+// per call and gives the rest of each run back.
+type stepper struct {
+	s      *Scheduler
+	clocks []uint64
+	done   []bool
+	runs   [][]memref.Ref
+	oneRef bool
+}
+
+func newStepper(s *Scheduler, oneRef bool) *stepper {
+	n := len(s.cpus)
+	return &stepper{s: s, clocks: make([]uint64, n), done: make([]bool, n), runs: make([][]memref.Ref, n), oneRef: oneRef}
+}
+
+func (d *stepper) step() (stepEvent, bool) {
+	c := -1
+	for i := range d.clocks {
+		if !d.done[i] && (c < 0 || d.clocks[i] < d.clocks[c]) {
+			c = i
+		}
+	}
+	if c < 0 {
+		return stepEvent{}, false
+	}
+	ev := stepEvent{cpu: c, now: d.clocks[c], st: StatusRef}
+	if len(d.runs[c]) == 0 {
+		run, st, wake := d.s.Next(c, d.clocks[c])
+		switch st {
+		case StatusDone:
+			d.done[c] = true
+			ev.st = st
+			return ev, true
+		case StatusIdle:
+			d.clocks[c] = max(d.clocks[c], wake)
+			ev.st, ev.wake = st, wake
+			return ev, true
+		}
+		if d.oneRef {
+			d.s.Unread(c, len(run)-1)
+			run = run[:1]
+		}
+		d.runs[c] = run
+	}
+	ev.ref = d.runs[c][0]
+	d.runs[c] = d.runs[c][1:]
+	d.clocks[c] += 1 + uint64(ev.ref.Instrs())
+	return ev, true
+}
+
+// all steps until every CPU is done.
+func (d *stepper) all(t *testing.T) []stepEvent {
+	t.Helper()
+	var seq []stepEvent
+	for {
+		ev, ok := d.step()
+		if !ok {
+			return seq
+		}
+		seq = append(seq, ev)
+		if len(seq) > 100_000 {
+			t.Fatal("runaway sequence")
+		}
+	}
+}
+
+// giveBack hands every CPU's unconsumed run back to the scheduler.
+func (d *stepper) giveBack() {
+	for c, run := range d.runs {
+		d.s.Unread(c, len(run))
+		d.runs[c] = nil
+	}
+}
+
+// anySpill reports whether a preempted process holds spilled references.
+func anySpill(s *Scheduler) bool {
+	for c := range s.cpus {
+		for _, p := range s.cpus[c].procs {
+			if len(p.spill) > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// churnSequence runs newChurn to the end and returns its steps and each
+// process's drain times.
+func churnSequence(t *testing.T, oneRef bool) ([]stepEvent, [][]uint64) {
+	t.Helper()
+	s, gens := newChurn()
+	seq := newStepper(s, oneRef).all(t)
+	drains := make([][]uint64, len(gens))
+	for i, g := range gens {
+		drains[i] = g.drains
+	}
+	return seq, drains
+}
+
+// TestRunsMatchOneReferencePerCall: with a quantum shorter than the
+// segments, so that preemption spills, consuming whole runs gives the same
+// (reference, status, wake) sequence at the same clocks, and the same
+// drain times, as taking one reference per call.
+func TestRunsMatchOneReferencePerCall(t *testing.T) {
+	runs, runDrains := churnSequence(t, false)
+	refs, refDrains := churnSequence(t, true)
+	if !reflect.DeepEqual(runs, refs) {
+		for i := range min(len(runs), len(refs)) {
+			if runs[i] != refs[i] {
+				t.Fatalf("step %d: runs give %+v, one reference per call %+v", i, runs[i], refs[i])
+			}
+		}
+		t.Fatalf("runs give %d steps, one reference per call %d", len(runs), len(refs))
+	}
+	if !reflect.DeepEqual(runDrains, refDrains) {
+		t.Fatalf("drain times differ: runs %v, one reference per call %v", runDrains, refDrains)
+	}
+
+	// The script must exercise what it is for: preemption with a spill,
+	// and runs longer than one reference.
+	s, _ := newChurn()
+	d := newStepper(s, false)
+	spilled, longRun := false, false
+	for {
+		ev, ok := d.step()
+		if !ok {
+			break
+		}
+		spilled = spilled || anySpill(s)
+		longRun = longRun || (ev.st == StatusRef && len(d.runs[ev.cpu]) > 0)
+	}
+	if !spilled || !longRun {
+		t.Fatalf("spilled %t, multi-reference runs %t: the script no longer exercises preemption", spilled, longRun)
 	}
 }

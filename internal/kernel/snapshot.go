@@ -26,10 +26,10 @@ func encodeRefs(e *snapshot.Encoder, refs []memref.Ref) {
 	}
 }
 
-// decodeRefs reads what encodeRefs wrote and refuses a reference no
-// generator can produce: an unknown kind, or an address or instruction
-// count beyond what memref.Ref holds.
-func decodeRefs(d *snapshot.Decoder) ([]memref.Ref, error) {
+// decodeRefs reads what encodeRefs wrote into dst's storage and refuses a
+// reference no generator can produce: an unknown kind, or an address or
+// instruction count beyond what memref.Ref holds.
+func decodeRefs(d *snapshot.Decoder, dst []memref.Ref) ([]memref.Ref, error) {
 	n := d.Int()
 	if d.Err() != nil {
 		return nil, d.Err()
@@ -37,8 +37,8 @@ func decodeRefs(d *snapshot.Decoder) ([]memref.Ref, error) {
 	if n < 0 || n*refBytes > d.Remaining() {
 		return nil, fmt.Errorf("kernel: ref count %d exceeds remaining input", n)
 	}
-	refs := make([]memref.Ref, n)
-	for i := range refs {
+	refs := dst[:0]
+	for i := 0; i < n; i++ {
 		addr := d.U64()
 		kind := memref.Kind(d.U8())
 		kernel := d.Bool()
@@ -55,14 +55,18 @@ func decodeRefs(d *snapshot.Decoder) ([]memref.Ref, error) {
 		case instrs > memref.MaxInstrs:
 			return nil, fmt.Errorf("kernel: reference %d instruction count %d exceeds %d", i, instrs, memref.MaxInstrs)
 		}
-		refs[i] = memref.New(addr, kind, kernel, depPrev, int(instrs))
+		refs = append(refs, memref.New(addr, kind, kernel, depPrev, int(instrs)))
 	}
 	return refs, nil
 }
 
 // SaveState writes every process's execution position and the per-CPU run
-// queues. A directive keeps its Drain flag after it is consumed, so the flag
-// is saved only while the directive is still pending.
+// queues: for each CPU, its processes, then the current one, then the
+// references still to run of its segment and of its context-switch path.
+// Consumed references are not saved; a caller holding part of a run gives
+// it back with Unread first. A preempted process saves the references it
+// spilled. A directive keeps its Drain flag after it is consumed, so the
+// flag is saved only while the directive is still pending.
 func (s *Scheduler) SaveState(e *snapshot.Encoder) {
 	e.Int(len(s.cpus))
 	for ci := range s.cpus {
@@ -71,8 +75,7 @@ func (s *Scheduler) SaveState(e *snapshot.Encoder) {
 		for _, p := range c.procs {
 			e.U8(uint8(p.state))
 			e.U64(p.wakeAt)
-			encodeRefs(e, p.buf.Refs)
-			e.Int(p.pos)
+			encodeRefs(e, p.spill)
 			e.Bool(p.hasPending)
 			e.U8(uint8(p.pending.Kind))
 			e.U64(p.pending.Until)
@@ -87,12 +90,15 @@ func (s *Scheduler) SaveState(e *snapshot.Encoder) {
 			}
 		}
 		e.Int(cur)
-		encodeRefs(e, c.swBuf.Refs)
-		e.Int(c.swPos)
+		encodeRefs(e, c.seg.Refs[c.segPos:])
+		encodeRefs(e, c.sw.Refs[c.swPos:])
 	}
 }
 
-// LoadState restores a scheduler with the identical process topology.
+// LoadState restores a scheduler with the identical process topology. Only
+// a preempted process (Ready, with its directive pending) may hold spilled
+// references, and only a CPU with a current process may hold segment or
+// context-switch references.
 func (s *Scheduler) LoadState(d *snapshot.Decoder) error {
 	if n := d.Int(); d.Err() == nil && n != len(s.cpus) {
 		return fmt.Errorf("kernel: snapshot has %d CPUs, want %d", n, len(s.cpus))
@@ -108,11 +114,10 @@ func (s *Scheduler) LoadState(d *snapshot.Decoder) error {
 		for _, p := range c.procs {
 			state := procState(d.U8())
 			wakeAt := d.U64()
-			refs, err := decodeRefs(d)
+			spill, err := decodeRefs(d, p.spill)
 			if err != nil {
 				return err
 			}
-			pos := d.Int()
 			hasPending := d.Bool()
 			pending := Directive{Kind: DirectiveKind(d.U8()), Until: d.U64(), Dur: d.U64(), Drain: d.Bool()}
 			sliceUsed := d.Int()
@@ -125,45 +130,47 @@ func (s *Scheduler) LoadState(d *snapshot.Decoder) error {
 			if pending.Kind > Exit {
 				return fmt.Errorf("kernel: process %q has invalid directive %d", p.Name, pending.Kind)
 			}
-			if pos < 0 || pos > len(refs) {
-				return fmt.Errorf("kernel: process %q position %d outside %d refs", p.Name, pos, len(refs))
-			}
 			if pending.Drain && !hasPending {
 				return fmt.Errorf("kernel: process %q has a drain flag without a pending directive", p.Name)
 			}
+			if len(spill) > 0 && (state != stateReady || !hasPending) {
+				return fmt.Errorf("kernel: process %q holds %d spilled references but was not preempted (%s, directive pending %t)",
+					p.Name, len(spill), state.name(), hasPending)
+			}
 			p.state = state
 			p.wakeAt = wakeAt
-			p.buf.Refs = append(p.buf.Refs[:0], refs...)
-			p.pos = pos
+			p.spill = spill
 			p.pending = pending
 			p.hasPending = hasPending
 			p.sliceUsed = sliceUsed
 		}
 		cur := d.Int()
-		swRefs, err := decodeRefs(d)
-		if err != nil {
-			return err
-		}
-		swPos := d.Int()
 		if err := d.Err(); err != nil {
 			return err
 		}
 		if cur < -1 || cur >= len(c.procs) {
 			return fmt.Errorf("kernel: CPU %d current process %d out of range", ci, cur)
 		}
-		if swPos < 0 || swPos > len(swRefs) {
-			return fmt.Errorf("kernel: CPU %d switch position %d outside %d refs", ci, swPos, len(swRefs))
+		seg, err := decodeRefs(d, c.seg.Refs)
+		if err != nil {
+			return err
 		}
+		sw, err := decodeRefs(d, c.sw.Refs)
+		if err != nil {
+			return err
+		}
+		c.cur = nil
 		if cur >= 0 {
 			if c.procs[cur].state != stateRunning {
 				return fmt.Errorf("kernel: CPU %d current process %q not running", ci, c.procs[cur].Name)
 			}
 			c.cur = c.procs[cur]
-		} else {
-			c.cur = nil
+		} else if len(seg) > 0 || len(sw) > 0 {
+			return fmt.Errorf("kernel: CPU %d holds %d segment and %d context-switch references but no current process",
+				ci, len(seg), len(sw))
 		}
-		c.swBuf.Refs = append(c.swBuf.Refs[:0], swRefs...)
-		c.swPos = swPos
+		c.seg.Refs, c.segPos = seg, 0
+		c.sw.Refs, c.swPos = sw, 0
 	}
 	return nil
 }

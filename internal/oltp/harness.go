@@ -191,14 +191,14 @@ func MustNewHarness(p Params) *Harness {
 	return h
 }
 
-// Next implements core.Workload by delegating to the scheduler.
-func (h *Harness) Next(cpu int, now uint64) (memref.Ref, kernel.Status, uint64) {
+// Next implements core.Workload by delegating to the scheduler: the run is
+// a view of cpu's segment buffer, valid until cpu's next call.
+func (h *Harness) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, uint64) {
 	return h.sched.Next(cpu, now)
 }
 
-// RefSource implements core.RefSource: Next above is a pure delegation, so
-// the timing loop may call the scheduler directly.
-func (h *Harness) RefSource() *kernel.Scheduler { return h.sched }
+// Unread implements core.SnapshotState by delegating to the scheduler.
+func (h *Harness) Unread(cpu, n int) { h.sched.Unread(cpu, n) }
 
 // HomeOf implements core.Workload.
 func (h *Harness) HomeOf(line uint64) int { return h.as.HomeOf(line) }

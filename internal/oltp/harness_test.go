@@ -13,9 +13,10 @@ func testCodeFn() *tpcb.CodeFn {
 }
 
 // pull drives every CPU of the harness in global-time order (the way the
-// timing engine does, with a trivial 1-cycle-per-instruction clock) and
-// returns the first n references observed on CPU cpu. Driving all CPUs is
-// essential: commits on any CPU depend on the log writer running on CPU 0.
+// timing engine does, with a trivial 1-cycle-per-instruction clock),
+// consuming each run whole, and returns the first n references observed on
+// CPU cpu. Driving all CPUs is essential: commits on any CPU
+// depend on the log writer running on CPU 0.
 func pull(h *Harness, cpu int, n int) []memref.Ref {
 	cpus := h.p.CPUs
 	clocks := make([]uint64, cpus)
@@ -28,20 +29,22 @@ func pull(h *Harness, cpu int, n int) []memref.Ref {
 				c = i
 			}
 		}
-		r, st, wake := h.Next(c, clocks[c])
+		run, st, wake := h.Next(c, clocks[c])
 		switch st {
 		case kernel.StatusRef:
 			if c == cpu {
-				out = append(out, r)
+				out = append(out, run...)
 			}
-			clocks[c] += uint64(r.Instrs()) + 1
+			for _, r := range run {
+				clocks[c] += uint64(r.Instrs()) + 1
+			}
 		case kernel.StatusIdle:
 			clocks[c] = wake
 		default:
 			return out
 		}
 	}
-	return out
+	return out[:n]
 }
 
 func TestHarnessStreams(t *testing.T) {
@@ -79,10 +82,12 @@ func TestHarnessCommits(t *testing.T) {
 	h := MustNewHarness(TestParams(1))
 	now := uint64(0)
 	for h.Committed() < 20 {
-		r, st, wake := h.Next(0, now)
+		run, st, wake := h.Next(0, now)
 		switch st {
 		case kernel.StatusRef:
-			now += uint64(r.Instrs()) + 1
+			for _, r := range run {
+				now += uint64(r.Instrs()) + 1
+			}
 		case kernel.StatusIdle:
 			now = wake
 		default:
@@ -232,10 +237,12 @@ func TestGroupCommitBatches(t *testing.T) {
 	h := MustNewHarness(TestParams(1))
 	now := uint64(0)
 	for h.Committed() < 50 {
-		r, st, wake := h.Next(0, now)
+		run, st, wake := h.Next(0, now)
 		switch st {
 		case kernel.StatusRef:
-			now += uint64(r.Instrs()) + 1
+			for _, r := range run {
+				now += uint64(r.Instrs()) + 1
+			}
 		case kernel.StatusIdle:
 			now = wake
 		}

@@ -144,7 +144,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			lastSeq = ev.Seq
 			writeEvent(w, ev)
 			flusher.Flush()
-			if State(ev.Type).valid() && State(ev.Type).Terminal() {
+			if ev.terminal() {
 				return
 			}
 		}

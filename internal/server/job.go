@@ -66,6 +66,13 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 }
 
+// terminal reports whether ev announces a terminal state, the last event
+// a job publishes.
+func (ev Event) terminal() bool {
+	st := State(ev.Type)
+	return st.valid() && st.Terminal()
+}
+
 // maxEventHistory bounds the per-job event log kept for SSE replay. Old
 // events are dropped from the front; live subscribers have already seen
 // them and late subscribers still get the full current status from the
@@ -185,7 +192,7 @@ func (j *Job) publish(ev Event) {
 		default:
 		}
 	}
-	if State(ev.Type).valid() && State(ev.Type).Terminal() {
+	if ev.terminal() {
 		for _, sub := range j.subs {
 			close(sub.ch)
 		}
@@ -193,14 +200,17 @@ func (j *Job) publish(ev Event) {
 	}
 }
 
-// subscribe returns the replayable event history and, unless the job is
-// already terminal, a live channel registered for future events along with
-// its unsubscribe function.
+// subscribe returns the replayable event history and, unless that history
+// already ends with the job's terminal event, a live channel registered for
+// future events along with its unsubscribe function. The log decides, not
+// the state: finishJob makes a job terminal and persists that before it
+// publishes the terminal event, and a subscriber arriving in between must
+// still receive it.
 func (j *Job) subscribe() (replay []Event, ch chan Event, unsubscribe func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	replay = append([]Event(nil), j.events...)
-	if j.state.Terminal() {
+	if n := len(j.events); n > 0 && j.events[n-1].terminal() {
 		return replay, nil, func() {}
 	}
 	id := j.nextSub

@@ -146,7 +146,11 @@ func New(cfg Config) (*Server, error) {
 			s.pending = append(s.pending, j.ID)
 			s.cfg.Logf("recovered %s: re-queued with %d/%d configurations done (resume checkpoint: %v)",
 				j.ID, len(j.results), len(j.cfgs), j.resume != nil)
+			continue
 		}
+		// A job that ended before the restart starts its log with its
+		// terminal event, so a stream of it replays that and ends.
+		j.publish(j.event(string(j.state), -1))
 	}
 	s.mux = s.routes()
 	return s, nil

@@ -488,3 +488,89 @@ func TestServerCancel(t *testing.T) {
 		}
 	})
 }
+
+// nextEvent reads the next event of an SSE stream, failing the test if the
+// stream ends first.
+func nextEvent(t *testing.T, sc *bufio.Scanner) Event {
+	t.Helper()
+	for sc.Scan() {
+		line, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad SSE data line %q: %v", line, err)
+		}
+		return ev
+	}
+	t.Fatal("stream ended without a terminal event")
+	return Event{}
+}
+
+// TestStreamOpenedBeforeTerminalEvent: finishJob makes a job terminal and
+// persists that before it publishes the terminal event. A stream opened in
+// between gets the terminal event when it is published, rather than ending
+// after a replay that lacks it.
+func TestStreamOpenedBeforeTerminalEvent(t *testing.T) {
+	// Not started: the submitted job stays queued until the test moves it.
+	s, err := New(testServerConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	j, _ := s.jobByID(postJob(t, ts, smokeSpec()).ID)
+
+	j.mu.Lock()
+	j.state = StateDone // where finishJob's first step leaves it
+	j.mu.Unlock()
+	resp, err := ts.Client().Get(ts.URL + "/jobs/" + j.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	// The handler flushes the replay after it has subscribed.
+	if ev := nextEvent(t, sc); ev.Type != "queued" {
+		t.Fatalf("replayed %q, want queued", ev.Type)
+	}
+	j.publish(j.event(string(StateDone), -1))
+	if ev := nextEvent(t, sc); ev.Type != string(StateDone) || ev.Seq != 1 {
+		t.Fatalf("stream went on with %q (seq %d), want done (seq 1)", ev.Type, ev.Seq)
+	}
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "data: ") {
+			t.Errorf("stream continued past its terminal event: %q", sc.Text())
+		}
+	}
+}
+
+// TestRecoveredTerminalJobStream: a job that ended before a restart
+// replays its terminal event after it, and its stream ends there.
+func TestRecoveredTerminalJobStream(t *testing.T) {
+	cfg := testServerConfig(t.TempDir())
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	id := postJob(t, ts, smokeSpec()).ID
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ts.Close()
+	s.Close()
+
+	s = newTestServer(t, cfg)
+	ts = httptest.NewServer(s)
+	defer ts.Close()
+	events := readStream(t, ts, id)
+	if len(events) != 1 || events[0].Type != string(StateCancelled) {
+		t.Fatalf("recovered cancelled job streams %+v, want its cancelled event alone", events)
+	}
+}

@@ -18,8 +18,9 @@
 // implement their own save/load methods in terms of Encoder/Decoder, and
 // core.System.Save/Load orchestrates the named sections. A section costs
 // the state it holds, not the structure's capacity: a cache writes only
-// its resident ways (since version 9), the directory its live entries and
-// the balance tables their nonzero rows. A Writer streams its parts to
+// its resident ways (since version 9), the scheduler the references still
+// to run (since version 10), the directory its live entries and the
+// balance tables their nonzero rows. A Writer streams its parts to
 // its destination without joining them, and Parse reads a stream in place.
 package snapshot
 
@@ -36,7 +37,7 @@ const Magic = "OLTPSNAP"
 
 // Version is the current format version. Load refuses any other version
 // with a *VersionError: state layout changes must bump it.
-const Version uint32 = 9
+const Version uint32 = 10
 
 // VersionError reports a stream written in another format version, so a
 // caller can tell an outdated stream from a corrupt one.
@@ -151,9 +152,22 @@ type Reader struct {
 	read     []bool
 }
 
-// NewReader validates and indexes a snapshot stream read from r.
+// maxStream caps the bytes NewReader reads.
+const maxStream = 1 << 32
+
+// NewReader validates and indexes a snapshot stream read from r, at most
+// 4 GiB of it. A reader that reports the bytes it has left, as
+// bytes.Buffer, bytes.Reader and strings.Reader do with Len, is read into
+// one buffer of that size; any other is read to its end.
 func NewReader(r io.Reader) (*Reader, error) {
-	data, err := io.ReadAll(io.LimitReader(r, 1<<32))
+	var data []byte
+	var err error
+	if l, ok := r.(interface{ Len() int }); ok {
+		data = make([]byte, min(int64(l.Len()), maxStream))
+		_, err = io.ReadFull(r, data)
+	} else {
+		data, err = io.ReadAll(io.LimitReader(r, maxStream))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading stream: %w", err)
 	}
