@@ -60,8 +60,7 @@ func Build(spec MachineSpec) (core.Config, error) {
 	var cfg core.Config
 	switch strings.ToLower(spec.Level) {
 	case "cons":
-		cfg = core.ConservativeConfig(spec.Procs)
-		cfg.L2SizeBytes, cfg.L2Assoc = size, spec.Assoc
+		cfg = core.ConservativeConfig(spec.Procs, size, spec.Assoc)
 	case "base":
 		cfg = core.BaseConfig(spec.Procs, size, spec.Assoc)
 	case "l2":

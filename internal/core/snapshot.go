@@ -235,8 +235,8 @@ func (s *System) restore(r *snapshot.Reader) error {
 // RunMeasured; after Load of a machine saved at the end of its warmup,
 // RunMeasured alone continues it.
 func (s *System) RunMeasured(measureTxns uint64) stats.RunResult {
-	base := s.w.Committed()
+	base := s.Committed()
 	s.ResetStats()
 	s.RunUntil(base + measureTxns)
-	return s.Collect(s.cfg.Name, s.w.Committed()-base)
+	return s.Collect(s.cfg.Name, s.Committed()-base)
 }

@@ -24,17 +24,10 @@ type Workload interface {
 	Next(cpu int, now uint64) (run []memref.Ref, st kernel.Status, wake uint64)
 	// HomeOf maps a line address to its home node (chip).
 	HomeOf(line uint64) int
-	// Committed returns the global count of committed transactions.
-	Committed() uint64
-}
-
-// CommitSource is an optional fast path a Workload may implement alongside
-// Committed: direct access to the committed-transaction counter. RunUntil
-// stops exactly at the commit boundary, which means testing the counter
-// after every single step; through this interface that test is one pointer
-// load instead of an interface dispatch per reference. The counter must be
-// the same value Committed returns.
-type CommitSource interface {
+	// CommitCounter returns the workload's global count of committed
+	// transactions, which it keeps up to date for the life of the System.
+	// RunUntil stops exactly at the commit boundary, so it tests the count
+	// after every step: one load, not an interface call per reference.
 	CommitCounter() *uint64
 }
 
@@ -83,9 +76,8 @@ type System struct {
 	cfg Config
 	lat LatencyTable
 	w   Workload
-	// commits is the workload's committed-transaction counter when it
-	// implements CommitSource, letting RunUntil test its stop condition with
-	// a plain load per step; nil means fall back to w.Committed().
+	// commits is the workload's committed-transaction counter
+	// (Workload.CommitCounter).
 	commits *uint64
 	chips   int
 	cores   int // per chip
@@ -135,10 +127,8 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	}
 	cores := cfg.CoresPerChip
 	chips := cfg.Processors / cores
-	s := &System{cfg: cfg, fingerprint: cfg.Fingerprint(), lat: cfg.Latencies(), w: w, chips: chips, cores: cores}
-	if cs, ok := w.(CommitSource); ok {
-		s.commits = cs.CommitCounter()
-	}
+	s := &System{cfg: cfg, fingerprint: cfg.Fingerprint(), lat: cfg.Latencies(), w: w, commits: w.CommitCounter(),
+		chips: chips, cores: cores}
 	s.dir = coherence.New(chips, w.HomeOf, (*peers)(s))
 	s.dir.Migratory = !cfg.NoMigratory
 	for i := 0; i < chips; i++ {
@@ -299,7 +289,7 @@ func (s *System) Chips() int { return s.chips }
 // Committed returns the workload's committed-transaction count — the
 // protocol position the warmup/measure boundaries and the checkpoint
 // quanta are defined in.
-func (s *System) Committed() uint64 { return s.w.Committed() }
+func (s *System) Committed() uint64 { return *s.commits }
 
 // Steps returns the total simulator steps executed by this System. The
 // counter rides in the snapshot, so a run resumed from a checkpoint
@@ -376,7 +366,7 @@ const refBudgetPerTxn = 2_000_000
 // saturating instead of overflowing for absurd targets.
 func (s *System) stepBound(target uint64) uint64 {
 	remaining := uint64(1)
-	if c := s.w.Committed(); target > c {
+	if c := s.Committed(); target > c {
 		remaining += target - c
 	}
 	procs := uint64(len(s.allCores))
@@ -398,14 +388,7 @@ func (s *System) RunUntil(target uint64) {
 	var guard uint64
 	bound := s.stepBound(target)
 	commits := s.commits
-	for {
-		if commits != nil {
-			if *commits >= target {
-				return
-			}
-		} else if s.w.Committed() >= target {
-			return
-		}
+	for *commits < target {
 		if !s.Step() {
 			return
 		}

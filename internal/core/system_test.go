@@ -38,7 +38,7 @@ func (s *scriptSource) HomeOf(line uint64) int {
 	return int(line>>memref.PageShift) % s.nodes
 }
 
-func (s *scriptSource) Committed() uint64 { return 0 }
+func (s *scriptSource) CommitCounter() *uint64 { return new(uint64) }
 
 func smallCfg(procs int) Config {
 	cfg := BaseConfig(procs, 1*MB, 4)
@@ -297,7 +297,7 @@ func (s *idleSource) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, uin
 }
 
 func (s *idleSource) HomeOf(line uint64) int { return 0 }
-func (s *idleSource) Committed() uint64      { return 0 }
+func (s *idleSource) CommitCounter() *uint64 { return new(uint64) }
 
 func TestResetStatsKeepsArchState(t *testing.T) {
 	src := newScript(1)

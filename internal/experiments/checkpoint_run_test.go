@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"oltpsim/internal/core"
+	"oltpsim/internal/memref"
 	"oltpsim/internal/snapshot"
 	"oltpsim/internal/stats"
 )
@@ -342,42 +343,44 @@ func TestResumeRefusesDuplicateLine(t *testing.T) {
 	}
 }
 
-// withSwitchRef returns machine, a saved 1-CPU machine stream, with the
-// first reference in CPU 0's context-switch buffer rewritten by patch and
+// withBufferRef returns machine, a saved 1-CPU machine stream, with the
+// first reference still to run in CPU 0's buffer rewritten by patch and
 // the stream's CRC recomputed. The scheduler closes the workload section,
 // the stream's last, so the buffer sits at a fixed distance from the end:
 //
-//	... | count n | n refs of 15 bytes | switch position | crc
+//	... | switch count | count n | n words | crc
 //
-// and n is the first count at or above the switch position that, read from
-// where it would sit, equals itself.
-func withSwitchRef(t *testing.T, machine []byte, patch func(ref []byte)) []byte {
+// and n is the first count that, read from where it would sit, equals
+// itself, after a switch count from 0 to n.
+func withBufferRef(t *testing.T, machine []byte, patch func(w uint64) uint64) []byte {
 	t.Helper()
-	const refBytes, tail = 8 + 1 + 1 + 1 + 4, 8 + 4
 	out := append([]byte(nil), machine...)
-	end := len(out) - tail
-	swPos := int(binary.LittleEndian.Uint64(out[end:]))
-	for n := max(swPos, 1); end-refBytes*n-8 >= 0; n++ {
-		at := end - refBytes*n
+	end := len(out) - 4
+	for n := 1; end-8*n-16 >= 0; n++ {
+		at := end - 8*n
 		if int(binary.LittleEndian.Uint64(out[at-8:])) != n {
 			continue
 		}
-		if kind := out[at+8]; kind > 2 {
-			t.Fatalf("reference at offset %d has kind %d: switch buffer mislocated", at, kind)
+		if sw := int(binary.LittleEndian.Uint64(out[at-16:])); sw < 0 || sw > n {
+			continue
 		}
-		patch(out[at : at+refBytes])
+		w := binary.LittleEndian.Uint64(out[at:])
+		if _, err := memref.FromWord(w); err != nil {
+			t.Fatalf("word at offset %d: %v: buffer mislocated", at, err)
+		}
+		binary.LittleEndian.PutUint64(out[at:], patch(w))
 		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
 		return out
 	}
-	t.Fatal("no context-switch references in the saved machine")
+	t.Fatal("no references in CPU 0's saved buffer")
 	return nil
 }
 
 // TestResumeRefusesImpossibleRef: a checkpoint whose scheduler holds a
-// reference no generator can produce (an unknown kind, an address beyond 48
-// bits, an instruction count a reference cannot hold) is refused on resume
-// with an error naming the reference, rather than run as a load no counter
-// sees or with a truncated instruction count.
+// reference word no generator can produce (an unknown kind, a bit set
+// among bits 40-47) is refused on resume with an error naming the
+// reference, rather than run as a load no counter sees or at an address
+// no cache tag holds.
 func TestResumeRefusesImpossibleRef(t *testing.T) {
 	cfg := core.BaseConfig(1, 1*core.MB, 1)
 	o := checkpointRunOptions()
@@ -387,25 +390,22 @@ func TestResumeRefusesImpossibleRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name  string
-		patch func(ref []byte)
-		want  string
+		name string
+		set  uint64 // bits set in the word
+		want string // the refusal, after the word it names
 	}{
-		{"unknown kind", func(ref []byte) { ref[8] = 3 }, "kernel: reference 0 has unknown kind 3"},
-		{"address beyond 40 bits", func(ref []byte) { binary.LittleEndian.PutUint64(ref, 1<<40) },
-			"kernel: reference 0 address 0x10000000000 exceeds"},
-		{"address beyond 48 bits", func(ref []byte) { binary.LittleEndian.PutUint64(ref, 1<<48) },
-			"kernel: reference 0 address 0x1000000000000 exceeds"},
-		{"instruction count beyond 16 bits", func(ref []byte) { binary.LittleEndian.PutUint32(ref[11:], 1<<16+5) },
-			"kernel: reference 0 instruction count 65541 exceeds"},
+		{"unknown kind", 3 << 48, "has unknown kind 3"},
+		{"address beyond 40 bits", 1 << 40, "sets bits 40-47, beyond the 40-bit address"},
+		{"bit 47 set", 1 << 47, "sets bits 40-47, beyond the 40-bit address"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ck := warmed
-			ck.system = withSwitchRef(t, warmed.system, c.patch)
+			var w uint64
+			ck.system = withBufferRef(t, warmed.system, func(old uint64) uint64 { w = old | c.set; return w })
 			_, _, err := o.Execute(cfg, CheckpointRun{Resume: encodedCheckpoint(t, ck)})
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("resume error %v, want %q", err, c.want)
+			if want := fmt.Sprintf("kernel: reference 0: memref: word %#x %s", w, c.want); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("resume error %v, want %q", err, want)
 			}
 		})
 	}

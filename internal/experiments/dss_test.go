@@ -37,8 +37,7 @@ func dssOptions(t *testing.T) Options {
 
 // stepRecorder is a core.Workload over an OLTP harness that keeps the
 // reference each Step pulled. It holds each CPU's harness run and hands it
-// out one reference at a time, so the system calls Next on every step; it
-// does not implement core.CommitSource.
+// out one reference at a time, so the system calls Next on every step.
 type stepRecorder struct {
 	h    *oltp.Harness
 	runs [][]memref.Ref // per CPU, the rest of its harness run
@@ -61,7 +60,7 @@ func (w *stepRecorder) Next(cpu int, now uint64) ([]memref.Ref, kernel.Status, u
 }
 
 func (w *stepRecorder) HomeOf(line uint64) int { return w.h.HomeOf(line) }
-func (w *stepRecorder) Committed() uint64      { return w.h.Committed() }
+func (w *stepRecorder) CommitCounter() *uint64 { return w.h.CommitCounter() }
 
 // dssRun is one measured run of the profile with its account-block tallies.
 type dssRun struct {

@@ -94,7 +94,7 @@ func TestMultiprocessorIntegrationLadder(t *testing.T) {
 // full-vs-conservative gain reaches ~1.5x (Section 5).
 func TestConservativeSensitivity(t *testing.T) {
 	o := testOptions()
-	cons := o.Run(core.ConservativeConfig(8))
+	cons := o.Run(core.ConservativeConfig(8, 8*core.MB, 4))
 	base := o.Run(core.BaseConfig(8, 8*core.MB, 4))
 	if cons.CyclesPerTxn() <= base.CyclesPerTxn() {
 		t.Fatal("conservative base not slower than base on the multiprocessor")

@@ -124,7 +124,7 @@ func offChipSweep(procs int) []core.Config {
 			cfgs = append(cfgs, core.BaseConfig(procs, size*core.MB, assoc))
 		}
 	}
-	cfgs = append(cfgs, core.ConservativeConfig(procs))
+	cfgs = append(cfgs, core.ConservativeConfig(procs, 8*core.MB, 4))
 	return cfgs
 }
 

@@ -27,7 +27,7 @@ func invariantConfigs() []core.Config {
 	cfgs := []core.Config{
 		core.BaseConfig(1, 8*core.MB, 1),
 		core.BaseConfig(8, 8*core.MB, 1),
-		core.ConservativeConfig(8),
+		core.ConservativeConfig(8, 8*core.MB, 4),
 		core.IntegratedL2Config(1, 2*core.MB, 8, core.OnChipSRAM),
 		core.IntegratedL2Config(8, 2*core.MB, 8, core.OnChipSRAM),
 		core.IntegratedL2Config(8, 8*core.MB, 8, core.OnChipDRAM),

@@ -16,7 +16,7 @@ import (
 // pinnedVersion is the snapshot format the digests below were recorded
 // under. A format change bumps snapshot.Version and re-records the
 // digests beside it; a change that keeps the version must keep the bytes.
-const pinnedVersion = 10
+const pinnedVersion = 11
 
 // TestWarmedCheckpointDigests pins the checkpoint bytes of three quick
 // machines, one per shape the machine snapshot serializes: a uniprocessor
@@ -35,9 +35,9 @@ func TestWarmedCheckpointDigests(t *testing.T) {
 		cfg    core.Config
 		digest string
 	}{
-		{core.BaseConfig(1, 8*core.MB, 1), "d634f8dca8bf2db030cc4a4f4dbea43bbf117374f3397ba4de7a3b604a85fe5a"},
-		{rac, "65ee2778e0e3b1c6416ed35f36e673d625288bc07f702b22513cfe7da9946627"},
-		{core.FullConfig(64, 2*core.MB, 8), "f4f816a7a321431411d81d0e6faebdeb600e209fcf4dde4434b294053e02c2d3"},
+		{core.BaseConfig(1, 8*core.MB, 1), "55a15f1bf6fcf14c2cfbef32b4db2faa51d8afabfd3f9466db9d19fa57fad134"},
+		{rac, "dbcb6897d427e7e74b9fccf97ea6762e136a01c8b3502a7c5d0bb4d1debe4310"},
+		{core.FullConfig(64, 2*core.MB, 8), "0d606e87de40bb7163df6ec61699fd81f89f0f3b0f692304c9f7ed8b6144db23"},
 	} {
 		name := fmt.Sprintf("%d-CPU %s RAC=%d", tc.cfg.Processors, tc.cfg.Name, tc.cfg.RACBytes)
 		t.Run(name, func(t *testing.T) {

@@ -41,7 +41,9 @@ const (
 	Exit
 )
 
-// Directive tells the scheduler what to do after a segment drains.
+// Directive tells the scheduler what to do after a segment drains. Applying
+// it clears it, so the zero Directive (Run, no drain) is what a process
+// holds when no directive is due: it refills.
 type Directive struct {
 	Kind  DirectiveKind
 	Until uint64 // absolute wake time for Sleep
@@ -55,8 +57,9 @@ type Directive struct {
 	Drain bool
 }
 
-// RefBuffer collects the references of one segment. Generators append to it;
-// the scheduler hands it to the CPU in runs.
+// RefBuffer collects references: a CPU's context-switch path, then the
+// running process's segment. Generators append to it; the scheduler hands
+// it to the CPU in runs.
 type RefBuffer struct {
 	Refs []memref.Ref
 }
@@ -83,10 +86,9 @@ type Generator interface {
 type procState uint8
 
 const (
-	stateReady procState = iota
-	stateRunning
-	stateWaiting  // blocked on an explicit Wake
-	stateSleeping // blocked on a time
+	stateReady    procState = iota // runnable, and running while its CPU's cur
+	stateWaiting                   // blocked on an explicit Wake
+	stateSleeping                  // blocked on a time
 	stateDead
 )
 
@@ -100,11 +102,10 @@ type Proc struct {
 	state  procState
 	wakeAt uint64
 	// spill holds what was left of the segment when the process was
-	// preempted; dispatch puts it back into the CPU's segment buffer.
-	spill      []memref.Ref
-	pending    Directive
-	hasPending bool
-	sliceUsed  int
+	// preempted; dispatch puts it back into the CPU's buffer.
+	spill []memref.Ref
+	// pending is the directive to apply once the segment drains.
+	pending Directive
 }
 
 // name describes a process state for diagnostics.
@@ -112,8 +113,6 @@ func (st procState) name() string {
 	switch st {
 	case stateReady:
 		return "ready"
-	case stateRunning:
-		return "running"
 	case stateWaiting:
 		return "waiting"
 	case stateSleeping:
@@ -126,20 +125,17 @@ func (st procState) name() string {
 }
 
 type cpuQueue struct {
-	cur   *Proc
+	cur   *Proc   // the running process, if any
 	procs []*Proc // every proc pinned to this CPU
-	// seg is the running process's segment: every process pinned to the
-	// CPU generates into this one buffer, and seg.Refs[segPos:] is what is
-	// still to run.
+	// seg is the CPU's one reference buffer, shared by every process
+	// pinned to it: dispatch writes the context-switch path at its front,
+	// up to swEnd, and the running process's segment follows it.
+	// seg.Refs[segPos:] is what is still to run.
 	seg    RefBuffer
 	segPos int
-	// sw is the context-switch path dispatch injected, handed out before
-	// the segment.
-	sw    RefBuffer
-	swPos int
-	// runSw records whether the last run came from sw, so Unread knows
-	// which position to rewind.
-	runSw bool
+	swEnd  int
+	// sliceUsed counts the segment references cur has run in its slice.
+	sliceUsed int
 }
 
 // Scheduler multiplexes the processes pinned to each CPU, implementing the
@@ -211,10 +207,9 @@ func (s *Scheduler) Next(cpu int, now uint64) (run []memref.Ref, st Status, wake
 	c := &s.cpus[cpu]
 	for {
 		// Pending context-switch overhead takes priority.
-		if c.swPos < len(c.sw.Refs) {
-			run = c.sw.Refs[c.swPos:]
-			c.swPos = len(c.sw.Refs)
-			c.runSw = true
+		if c.segPos < c.swEnd {
+			run = c.seg.Refs[c.segPos:c.swEnd]
+			c.segPos = c.swEnd
 			return run, StatusRef, 0
 		}
 
@@ -236,15 +231,14 @@ func (s *Scheduler) Next(cpu int, now uint64) (run []memref.Ref, st Status, wake
 
 		p := c.cur
 		if c.segPos < len(c.seg.Refs) {
-			left := s.quantum - p.sliceUsed
+			left := s.quantum - c.sliceUsed
 			if left <= 0 {
 				if s.someoneElseReady(c, p, now) {
 					// Slice expired: preempt at this reference boundary,
-					// carrying the rest of the segment off the CPU.
+					// carrying the rest of the segment off the CPU. p stays
+					// ready, so dispatch finds a process and refills the
+					// buffer at once.
 					p.spill = append(p.spill[:0], c.seg.Refs[c.segPos:]...)
-					c.seg.Refs = c.seg.Refs[:0]
-					c.segPos = 0
-					p.state = stateReady
 					p.wakeAt = now
 					c.cur = nil
 					continue
@@ -253,46 +247,41 @@ func (s *Scheduler) Next(cpu int, now uint64) (run []memref.Ref, st Status, wake
 			}
 			end := min(len(c.seg.Refs), c.segPos+left)
 			run = c.seg.Refs[c.segPos:end]
-			p.sliceUsed += end - c.segPos
+			c.sliceUsed += end - c.segPos
 			c.segPos = end
-			c.runSw = false
 			return run, StatusRef, 0
 		}
 
-		// Segment drained: apply the pending directive, if any.
-		if p.hasPending {
-			p.hasPending = false
-			if p.pending.Drain {
-				p.gen.Drained(now)
-			}
-			switch p.pending.Kind {
-			case Run:
-				// fall through to refill
-			case Block:
-				p.state = stateWaiting
-				c.cur = nil
-				continue
-			case Sleep:
-				p.state = stateSleeping
-				p.wakeAt = p.pending.Until
-				c.cur = nil
-				continue
-			case IOWait:
-				p.state = stateSleeping
-				p.wakeAt = now + p.pending.Dur
-				c.cur = nil
-				continue
-			case Exit:
-				p.state = stateDead
-				c.cur = nil
-				continue
-			}
+		// Segment drained: apply the pending directive, clearing it.
+		d := p.pending
+		p.pending = Directive{}
+		if d.Drain {
+			p.gen.Drained(now)
+		}
+		switch d.Kind {
+		case Block:
+			p.state = stateWaiting
+			c.cur = nil
+			continue
+		case Sleep:
+			p.state = stateSleeping
+			p.wakeAt = d.Until
+			c.cur = nil
+			continue
+		case IOWait:
+			p.state = stateSleeping
+			p.wakeAt = now + d.Dur
+			c.cur = nil
+			continue
+		case Exit:
+			p.state = stateDead
+			c.cur = nil
+			continue
 		}
 
 		c.seg.Refs = c.seg.Refs[:0]
-		c.segPos = 0
+		c.segPos, c.swEnd = 0, 0
 		p.pending = p.gen.NextSegment(now, &c.seg)
-		p.hasPending = true
 	}
 }
 
@@ -305,16 +294,18 @@ func (s *Scheduler) Unread(cpu, n int) {
 		return
 	}
 	c := &s.cpus[cpu]
-	pos := &c.segPos
-	if c.runSw {
-		pos = &c.swPos
+	// A run of the segment starts at or after swEnd and holds at least one
+	// reference, so segPos <= swEnd only after a run of the switch path.
+	start, inSeg := 0, c.segPos > c.swEnd
+	if inSeg {
+		start = c.swEnd
 	}
-	if n < 0 || n > *pos {
+	if n < 0 || n > c.segPos-start {
 		panic(fmt.Sprintf("kernel: unread %d references on CPU %d, beyond the last run", n, cpu))
 	}
-	*pos -= n
-	if !c.runSw {
-		c.cur.sliceUsed -= n
+	c.segPos -= n
+	if inSeg {
+		c.sliceUsed -= n
 	}
 }
 
@@ -336,17 +327,15 @@ func (s *Scheduler) dispatch(c *cpuQueue, cpu int, now uint64) bool {
 	if best == nil {
 		return false
 	}
-	best.state = stateRunning
-	best.sliceUsed = 0
 	c.cur = best
-	c.seg.Refs = append(c.seg.Refs[:0], best.spill...)
-	c.segPos = 0
-	best.spill = best.spill[:0]
+	c.sliceUsed = 0
+	c.seg.Refs = c.seg.Refs[:0]
 	if s.switchRefs != nil {
-		c.sw.Refs = c.sw.Refs[:0]
-		c.swPos = 0
-		s.switchRefs(cpu, &c.sw)
+		s.switchRefs(cpu, &c.seg)
 	}
+	c.segPos, c.swEnd = 0, len(c.seg.Refs)
+	c.seg.Refs = append(c.seg.Refs, best.spill...)
+	best.spill = best.spill[:0]
 	return true
 }
 
@@ -406,7 +395,11 @@ func (s *Scheduler) DumpState() string {
 	for i := range s.cpus {
 		out += fmt.Sprintf("cpu%d:", i)
 		for _, p := range s.cpus[i].procs {
-			out += fmt.Sprintf(" %s=%s@%d", p.Name, p.state.name(), p.wakeAt)
+			st := p.state.name()
+			if p == s.cpus[i].cur {
+				st = "running"
+			}
+			out += fmt.Sprintf(" %s=%s@%d", p.Name, st, p.wakeAt)
 		}
 		out += "\n"
 	}

@@ -10,16 +10,6 @@ import (
 	"oltpsim/internal/snapshot"
 )
 
-// rawRef is one reference as encodeRefs lays it out, with fields wide
-// enough to hold values no memref.Ref can.
-type rawRef struct {
-	addr    uint64
-	kind    uint8
-	kernel  bool
-	depPrev bool
-	instrs  uint32
-}
-
 // decoderFor returns a decoder over the section fill writes.
 func decoderFor(t *testing.T, fill func(e *snapshot.Encoder)) *snapshot.Decoder {
 	t.Helper()
@@ -40,22 +30,20 @@ func decoderFor(t *testing.T, fill func(e *snapshot.Encoder)) *snapshot.Decoder 
 	return d
 }
 
-// refStream encodes refs field by field, as encodeRefs does.
-func refStream(t *testing.T, refs []rawRef) *snapshot.Decoder {
+// wordStream encodes words as encodeRefs lays out references, so a word
+// can hold what no memref.Ref does.
+func wordStream(t *testing.T, words ...uint64) *snapshot.Decoder {
 	return decoderFor(t, func(e *snapshot.Encoder) {
-		e.Int(len(refs))
-		for _, r := range refs {
-			e.U64(r.addr)
-			e.U8(r.kind)
-			e.Bool(r.kernel)
-			e.Bool(r.depPrev)
-			e.U32(r.instrs)
+		e.Int(len(words))
+		for _, w := range words {
+			e.U64(w)
 		}
 	})
 }
 
 // TestRefCodecRoundTrip: references at the limits of every field survive
-// encodeRefs and decodeRefs unchanged.
+// encodeRefs and decodeRefs unchanged, each saved as its 8-byte word after
+// the count.
 func TestRefCodecRoundTrip(t *testing.T) {
 	want := []memref.Ref{
 		memref.New(0, memref.IFetch, false, false, 0),
@@ -63,7 +51,11 @@ func TestRefCodecRoundTrip(t *testing.T) {
 		memref.New(0xdead0040, memref.Load, false, true, 0),
 		memref.New(memref.MaxAddr-63, memref.Store, true, true, 16),
 	}
-	got, err := decodeRefs(decoderFor(t, func(e *snapshot.Encoder) { encodeRefs(e, want) }), nil)
+	d := decoderFor(t, func(e *snapshot.Encoder) { encodeRefs(e, want) })
+	if n := d.Remaining(); n != 8+8*len(want) {
+		t.Fatalf("%d references encoded in %d bytes, want %d", len(want), n, 8+8*len(want))
+	}
+	got, err := decodeRefs(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,54 +64,54 @@ func TestRefCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRefsRefusesImpossibleRefs: a saved reference that no generator
-// can produce is refused by index before any machine runs it, rather than
-// being run as a reference no counter sees (an unknown kind) or with a
-// truncated instruction count.
+// TestDecodeRefsRefusesImpossibleRefs: a saved word that no generator can
+// produce is refused by index before any machine runs it, rather than being
+// run as a reference no counter sees (an unknown kind) or with bits no
+// field holds. A word's 12-bit instruction field cannot exceed
+// memref.MaxInstrs, so no instruction count is refused.
 func TestDecodeRefsRefusesImpossibleRefs(t *testing.T) {
-	good := rawRef{addr: 0x4000, kind: uint8(memref.IFetch), instrs: 16}
+	good := memref.New(0x4000, memref.IFetch, false, false, 16)
+	load := memref.New(0x4000, memref.Load, false, false, 0).Word()
 	cases := []struct {
 		name string
-		bad  rawRef
+		bad  uint64
 		want string
 	}{
-		{"unknown kind", rawRef{addr: 0x4000, kind: 3}, "kernel: reference 1 has unknown kind 3"},
-		{"address beyond 40 bits", rawRef{addr: memref.MaxAddr + 1, kind: uint8(memref.Load)},
-			"kernel: reference 1 address 0x10000000000 exceeds 0xffffffffff"},
-		{"address beyond 48 bits", rawRef{addr: 1 << 48, kind: uint8(memref.Load)},
-			"kernel: reference 1 address 0x1000000000000 exceeds 0xffffffffff"},
-		{"instruction count beyond 12 bits", rawRef{addr: 0x4000, instrs: memref.MaxInstrs + 1},
-			"kernel: reference 1 instruction count 4096 exceeds 4095"},
-		{"instruction count beyond 16 bits", rawRef{addr: 0x4000, instrs: 1<<16 + 5},
-			"kernel: reference 1 instruction count 65541 exceeds 4095"},
+		{"unknown kind", 3<<48 | 0x4000,
+			"kernel: reference 1: memref: word 0x3000000004000 has unknown kind 3"},
+		{"address beyond 40 bits", load | 1<<40,
+			"kernel: reference 1: memref: word 0x1010000004000 sets bits 40-47, beyond the 40-bit address"},
+		{"bit 47 set", load | 1<<47,
+			"kernel: reference 1: memref: word 0x1800000004000 sets bits 40-47, beyond the 40-bit address"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			refs, err := decodeRefs(refStream(t, []rawRef{good, c.bad}), nil)
+			refs, err := decodeRefs(wordStream(t, good.Word(), c.bad), nil)
 			if err == nil || err.Error() != c.want {
 				t.Fatalf("decodeRefs = %v, %v; want error %q", refs, err, c.want)
 			}
 		})
 	}
 	// The same stream with the good reference alone is accepted.
-	refs, err := decodeRefs(refStream(t, []rawRef{good}), nil)
-	if err != nil || len(refs) != 1 || refs[0] != memref.New(0x4000, memref.IFetch, false, false, 16) {
+	refs, err := decodeRefs(wordStream(t, good.Word()), nil)
+	if err != nil || len(refs) != 1 || refs[0] != good {
 		t.Fatalf("decodeRefs(good) = %v, %v", refs, err)
 	}
 }
 
 // TestSchedulerSnapshotKeepsDrain: a scheduler saved mid-segment with a
 // drain armed restores into one that calls Drained at the same CPU time as
-// the unsaved scheduler. Once the drain has run, the consumed directive
-// keeps its flag, and a checkpoint taken then still loads.
+// the unsaved scheduler. Applying the directive clears it, so once the
+// drain has run the process holds the zero directive, and a checkpoint
+// taken then loads without running Drained again.
 func TestSchedulerSnapshotKeepsDrain(t *testing.T) {
 	segs := []scriptSeg{{refs: 6, dir: Directive{Kind: Block}}, {refs: 2, dir: Directive{Kind: Exit}}}
 	orig := &scriptGen{segments: segs}
 	s := NewScheduler(1, 100, nil)
 	p := s.Spawn(0, "p", orig)
 	n, _, _, now := drain(s, 0, 10, 3)
-	if n != 3 || !p.hasPending || !p.pending.Drain {
-		t.Fatalf("after %d refs: pending %t, drain %t; want a pending drain", n, p.hasPending, p.pending.Drain)
+	if want := (Directive{Kind: Block, Drain: true}); n != 3 || p.pending != want {
+		t.Fatalf("after %d refs: directive %+v; want %+v", n, p.pending, want)
 	}
 
 	restore := func(s *Scheduler, pos int) (*Scheduler, *scriptGen) {
@@ -141,8 +133,8 @@ func TestSchedulerSnapshotKeepsDrain(t *testing.T) {
 	if len(orig.drains) != 1 || !reflect.DeepEqual(rg.drains, orig.drains) {
 		t.Fatalf("restored drained at %v, unsaved at %v", rg.drains, orig.drains)
 	}
-	if p.hasPending || !p.pending.Drain {
-		t.Fatalf("after the drain: pending %t, drain %t; want a consumed directive with its flag", p.hasPending, p.pending.Drain)
+	if p.pending != (Directive{}) {
+		t.Fatalf("after the drain: directive %+v; want the zero directive", p.pending)
 	}
 	if _, g := restore(s, orig.pos); len(g.drains) != 0 {
 		t.Fatalf("loading a consumed directive ran Drained at %v", g.drains)
@@ -150,15 +142,16 @@ func TestSchedulerSnapshotKeepsDrain(t *testing.T) {
 }
 
 // schedImage is a one-CPU scheduler with one process, as SaveState lays it
-// out: the process's state, spill and pending directive (a Block), then
-// the CPU's current process and its segment and context-switch references.
+// out: the process's state, spill and directive, then the CPU's current
+// process, its context-switch count and its references.
 type schedImage struct {
-	state      procState
-	spill      []memref.Ref
-	hasPending bool
-	drain      uint8
-	cur        int
-	seg, sw    []memref.Ref
+	state procState
+	spill []memref.Ref
+	dir   DirectiveKind
+	drain uint8
+	cur   int
+	sw    int
+	refs  []memref.Ref
 }
 
 // stream encodes the image field by field.
@@ -169,61 +162,47 @@ func (m schedImage) stream(t *testing.T) *snapshot.Decoder {
 		e.U8(uint8(m.state))
 		e.U64(0) // wake time
 		encodeRefs(e, m.spill)
-		e.Bool(m.hasPending)
-		e.U8(uint8(Block))
+		e.U8(uint8(m.dir))
 		e.U64(0) // Until
 		e.U64(0) // Dur
 		e.U8(m.drain)
-		e.Int(0) // slice used
 		e.Int(m.cur)
-		encodeRefs(e, m.seg)
-		encodeRefs(e, m.sw)
+		e.Int(0) // slice used
+		e.Int(m.sw)
+		encodeRefs(e, m.refs)
 	})
 }
 
-// schedStream encodes a one-CPU scheduler with one ready process and no
-// current one, with the given pending and drain bytes.
-func schedStream(t *testing.T, hasPending bool, drain uint8) *snapshot.Decoder {
-	return schedImage{state: stateReady, hasPending: hasPending, drain: drain, cur: -1}.stream(t)
-}
-
-// loadOneProc loads d into a fresh one-CPU scheduler with one process "p".
-func loadOneProc(d *snapshot.Decoder) error {
+// loadOneProc loads d into a fresh one-CPU scheduler with one process "p"
+// running g.
+func loadOneProc(d *snapshot.Decoder, g *scriptGen) (*Scheduler, error) {
 	s := NewScheduler(1, 100, nil)
-	s.Spawn(0, "p", &scriptGen{})
-	return s.LoadState(d)
+	s.Spawn(0, "p", g)
+	return s, s.LoadState(d)
 }
 
-// TestSchedulerLoadRefusesBadDrain: a drain flag without a pending
-// directive, or a drain byte that is not a bool, is refused.
+// TestSchedulerLoadRefusesBadDrain: a drain byte that is not a bool is
+// refused.
 func TestSchedulerLoadRefusesBadDrain(t *testing.T) {
-	cases := []struct {
-		name       string
-		hasPending bool
-		drain      uint8
-		want       string
-	}{
-		{"drain without pending directive", false, 1, `kernel: process "p" has a drain flag without a pending directive`},
-		{"drain byte 2", true, 2, "bad bool byte"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if err := loadOneProc(schedStream(t, c.hasPending, c.drain)); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("LoadState = %v, want an error containing %q", err, c.want)
-			}
-		})
-	}
-	// The same stream with the drain on a pending directive is accepted.
-	if err := loadOneProc(schedStream(t, true, 1)); err != nil {
+	t.Run("drain byte 2", func(t *testing.T) {
+		img := schedImage{state: stateReady, dir: Block, drain: 2, cur: -1}
+		if _, err := loadOneProc(img.stream(t), &scriptGen{}); err == nil || !strings.Contains(err.Error(), "bad bool byte") {
+			t.Fatalf("LoadState = %v, want a bad bool byte", err)
+		}
+	})
+	// The same stream with a drain byte of 1 is accepted.
+	img := schedImage{state: stateReady, dir: Block, drain: 1, cur: -1}
+	if _, err := loadOneProc(img.stream(t), &scriptGen{}); err != nil {
 		t.Fatalf("LoadState(pending drain) = %v", err)
 	}
 }
 
 // TestSchedulerLoadRefusesMisplacedRefs: references to run are saved in
-// two places only, the spill of a preempted process (Ready, its directive
-// still pending) and the segment and context-switch path of a CPU that
-// has a current process. A stream holding them anywhere else is refused,
-// naming the process or the CPU.
+// two places only, the spill of a preempted process (ready, and not its
+// CPU's current process) and the buffer of a CPU that has a current,
+// ready process, the buffer's first references its context-switch path.
+// A stream holding them anywhere else is refused, naming the process or
+// the CPU.
 func TestSchedulerLoadRefusesMisplacedRefs(t *testing.T) {
 	refs := []memref.Ref{memref.New(0x4000, memref.Load, false, false, 0), memref.New(0x4040, memref.Store, false, false, 2)}
 	cases := []struct {
@@ -231,33 +210,55 @@ func TestSchedulerLoadRefusesMisplacedRefs(t *testing.T) {
 		img  schedImage
 		want string
 	}{
-		{"spill without a pending directive", schedImage{state: stateReady, spill: refs, cur: -1},
-			`kernel: process "p" holds 2 spilled references but was not preempted (ready, directive pending false)`},
-		{"spill on the running process", schedImage{state: stateRunning, spill: refs, hasPending: true, cur: 0},
-			`kernel: process "p" holds 2 spilled references but was not preempted (running, directive pending true)`},
-		{"spill on a waiting process", schedImage{state: stateWaiting, spill: refs, hasPending: true, cur: -1},
-			`kernel: process "p" holds 2 spilled references but was not preempted (waiting, directive pending true)`},
-		{"segment without a current process", schedImage{state: stateReady, cur: -1, seg: refs},
-			"kernel: CPU 0 holds 2 segment and 0 context-switch references but no current process"},
-		{"switch path without a current process", schedImage{state: stateReady, cur: -1, sw: refs[:1]},
-			"kernel: CPU 0 holds 0 segment and 1 context-switch references but no current process"},
+		{"spill on the running process", schedImage{state: stateReady, spill: refs, cur: 0},
+			`kernel: process "p" holds 2 spilled references but is running`},
+		{"spill on a waiting process", schedImage{state: stateWaiting, spill: refs, cur: -1},
+			`kernel: process "p" holds 2 spilled references but is waiting`},
+		{"current process not ready", schedImage{state: stateSleeping, cur: 0, refs: refs},
+			`kernel: CPU 0 current process "p" is sleeping`},
+		{"segment without a current process", schedImage{state: stateReady, cur: -1, refs: refs},
+			"kernel: CPU 0 holds 2 references, 0 of them its context-switch path, but no current process"},
+		{"switch path without a current process", schedImage{state: stateReady, cur: -1, sw: 1, refs: refs[:1]},
+			"kernel: CPU 0 holds 1 references, 1 of them its context-switch path, but no current process"},
+		{"switch path beyond the references", schedImage{state: stateReady, cur: 0, sw: 3, refs: refs},
+			"kernel: CPU 0 context-switch path of 3 references exceeds the 2 it holds"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := loadOneProc(c.img.stream(t)); err == nil || err.Error() != c.want {
+			if _, err := loadOneProc(c.img.stream(t), &scriptGen{}); err == nil || err.Error() != c.want {
 				t.Fatalf("LoadState = %v, want %q", err, c.want)
 			}
 		})
 	}
-	// A preempted process's spill, and a running process's segment and
-	// switch path, are accepted.
+	// A preempted process's spill, and a running process's buffer whose
+	// first reference is its switch path, are accepted.
 	for _, img := range []schedImage{
-		{state: stateReady, spill: refs, hasPending: true, cur: -1},
-		{state: stateRunning, hasPending: true, cur: 0, seg: refs, sw: refs[:1]},
+		{state: stateReady, spill: refs, cur: -1},
+		{state: stateReady, cur: 0, sw: 1, refs: refs},
 	} {
-		if err := loadOneProc(img.stream(t)); err != nil {
+		if _, err := loadOneProc(img.stream(t), &scriptGen{}); err != nil {
 			t.Errorf("LoadState(%+v) = %v", img, err)
 		}
+	}
+}
+
+// TestSchedulerLoadDispatchesReadyProcess: a process saved ready, with its
+// directive pending, on a CPU with no current process is dispatched by the
+// next Next, which applies the directive and runs the next segment rather
+// than idling. No saved state can say a process runs without naming the
+// CPU that runs it.
+func TestSchedulerLoadDispatchesReadyProcess(t *testing.T) {
+	g := &scriptGen{segments: []scriptSeg{{refs: 3, dir: Directive{Kind: Exit}}}}
+	s, err := loadOneProc(schedImage{state: stateReady, dir: Run, drain: 1, cur: -1}.stream(t), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, st, _ := s.Next(0, 50)
+	if st != StatusRef || len(run) != 3 || !reflect.DeepEqual(g.drains, []uint64{50}) {
+		t.Fatalf("Next = %d references, %v, drains %v; want the next segment after a drain at 50", len(run), st, g.drains)
+	}
+	if !strings.Contains(s.DumpState(), "p=running@0") {
+		t.Fatalf("dispatched process not shown running:\n%s", s.DumpState())
 	}
 }
 

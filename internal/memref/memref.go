@@ -15,8 +15,10 @@
 //	bit  51     depends on the previous data access       Ref.DepPrev
 //	bits 52-63  instructions executed from a fetch line   Ref.Instrs, at most MaxInstrs
 //
-// New is the only way to build a non-zero Ref and panics on a field its bits
-// cannot hold, so a reference can never silently lose bits.
+// New builds a Ref from its fields and panics on a field its bits cannot
+// hold, so a reference can never silently lose bits. Word and FromWord carry
+// a Ref through a checkpoint as this word, and FromWord refuses a word New
+// cannot produce.
 //
 // The address stops at 40 bits, below what the word could carry, because a
 // cache way stores a line as a 29-bit tag (the line index divided by the
@@ -84,6 +86,7 @@ const (
 
 const (
 	addrBits    = 40
+	zeroBits    = 1<<kindShift - 1 - MaxAddr // bits 40-47
 	kindShift   = 48
 	kernelBit   = 1 << 50
 	depPrevBit  = 1 << 51
@@ -130,6 +133,23 @@ type fieldError struct {
 func (e fieldError) Error() string {
 	return fmt.Sprintf("memref: reference out of range: address %#x (max %#x), kind %d (max %d), %d instructions (max %d)",
 		e.addr, uint64(MaxAddr), e.kind, Store, e.instrs, MaxInstrs)
+}
+
+// Word returns the packed 64-bit word, the form a checkpoint saves.
+func (r Ref) Word() uint64 { return r.w }
+
+// FromWord rebuilds the Ref whose Word is w. It refuses a word New cannot
+// produce, one with a bit set among bits 40-47 or of kind 3, rather than
+// run it as a reference no counter sees.
+func FromWord(w uint64) (Ref, error) {
+	r := Ref{w}
+	switch {
+	case w&zeroBits != 0:
+		return Ref{}, fmt.Errorf("memref: word %#x sets bits 40-47, beyond the %d-bit address", w, addrBits)
+	case r.Kind() > Store:
+		return Ref{}, fmt.Errorf("memref: word %#x has unknown kind %d", w, r.Kind())
+	}
+	return r, nil
 }
 
 // Addr returns the byte address.

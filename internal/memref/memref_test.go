@@ -94,6 +94,37 @@ func TestNewPanicsBeyondRange(t *testing.T) {
 	}
 }
 
+// TestWordRoundTrip: every Ref New builds comes back from its Word through
+// FromWord unchanged, and FromWord refuses a word with a bit among bits
+// 40-47 or of kind 3, which New never produces.
+func TestWordRoundTrip(t *testing.T) {
+	f := func(addr uint64, kind uint8, kernel, depPrev bool, instrs uint16) bool {
+		r := New(addr&MaxAddr, Kind(kind%3), kernel, depPrev, int(instrs)&MaxInstrs)
+		got, err := FromWord(r.Word())
+		return err == nil && got == r
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Ref{{}, New(MaxAddr, Store, true, true, MaxInstrs)} {
+		if got, err := FromWord(r.Word()); err != nil || got != r {
+			t.Fatalf("FromWord(%#x) = %#x, %v", r.Word(), got.w, err)
+		}
+	}
+	for _, c := range []struct {
+		w    uint64
+		want string
+	}{
+		{1 << 40, "memref: word 0x10000000000 sets bits 40-47, beyond the 40-bit address"},
+		{1<<47 | 0x40, "memref: word 0x800000000040 sets bits 40-47, beyond the 40-bit address"},
+		{3 << 48, "memref: word 0x3000000000000 has unknown kind 3"},
+	} {
+		if r, err := FromWord(c.w); err == nil || err.Error() != c.want {
+			t.Errorf("FromWord(%#x) = %#x, %v; want error %q", c.w, r.w, err, c.want)
+		}
+	}
+}
+
 func TestPageOf(t *testing.T) {
 	if PageOf(0) != 0 || PageOf(8191) != 0 || PageOf(8192) != 1 {
 		t.Fatal("PageOf boundaries wrong")

@@ -61,16 +61,10 @@ func (g *serverGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Direct
 // transaction counts as committed.
 func (g *serverGen) Drained(now uint64) {
 	if g.phase == serverPhaseCommitted {
-		g.h.lgwr.requestFlush(g, g.waitLSN, now)
+		g.h.lgwr.requestFlush(g, now)
 	} else {
 		g.h.committed++
 	}
-}
-
-// commitWaiter records a server blocked on the log writer.
-type commitWaiter struct {
-	g   *serverGen
-	lsn uint64
 }
 
 // lgwrGen is the log writer daemon: it gathers unflushed redo out of the log
@@ -81,7 +75,9 @@ type lgwrGen struct {
 	h    *Harness
 	proc *kernel.Proc
 
-	waiters  []commitWaiter
+	// waiters are the servers blocked on the log writer, each until its
+	// waitLSN is durable.
+	waiters  []*serverGen
 	ioTarget uint64
 	phase    int
 }
@@ -91,9 +87,9 @@ const (
 	lgwrPhaseIO
 )
 
-// requestFlush registers a commit wait and kicks the daemon.
-func (l *lgwrGen) requestFlush(g *serverGen, lsn uint64, now uint64) {
-	l.waiters = append(l.waiters, commitWaiter{g: g, lsn: lsn})
+// requestFlush registers g's commit wait and kicks the daemon.
+func (l *lgwrGen) requestFlush(g *serverGen, now uint64) {
+	l.waiters = append(l.waiters, g)
 	l.h.sched.Wake(l.proc, now)
 }
 
@@ -117,9 +113,9 @@ func (l *lgwrGen) NextSegment(now uint64, out *kernel.RefBuffer) kernel.Directiv
 		l.h.eng.LogWriterComplete(l.ioTarget)
 		kept := l.waiters[:0]
 		for _, w := range l.waiters {
-			if w.lsn <= l.ioTarget {
-				l.h.kernelSemPost(w.g.sem)
-				l.h.sched.Wake(w.g.proc, now)
+			if w.waitLSN <= l.ioTarget {
+				l.h.kernelSemPost(w.sem)
+				l.h.sched.Wake(w.proc, now)
 			} else {
 				kept = append(kept, w)
 			}

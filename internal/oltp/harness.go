@@ -203,12 +203,7 @@ func (h *Harness) Unread(cpu, n int) { h.sched.Unread(cpu, n) }
 // HomeOf implements core.Workload.
 func (h *Harness) HomeOf(line uint64) int { return h.as.HomeOf(line) }
 
-// Committed implements core.Workload.
-func (h *Harness) Committed() uint64 { return h.committed }
-
-// CommitCounter implements core.CommitSource: the timing loop tests the
-// commit boundary after every reference, and this pointer makes that test a
-// single load.
+// CommitCounter implements core.Workload.
 func (h *Harness) CommitCounter() *uint64 { return &h.committed }
 
 // Engine exposes the database engine (invariant checks in tests).

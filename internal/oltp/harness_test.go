@@ -81,7 +81,7 @@ func TestHarnessStreams(t *testing.T) {
 func TestHarnessCommits(t *testing.T) {
 	h := MustNewHarness(TestParams(1))
 	now := uint64(0)
-	for h.Committed() < 20 {
+	for h.committed < 20 {
 		run, st, wake := h.Next(0, now)
 		switch st {
 		case kernel.StatusRef:
@@ -236,7 +236,7 @@ func TestParamsValidate(t *testing.T) {
 func TestGroupCommitBatches(t *testing.T) {
 	h := MustNewHarness(TestParams(1))
 	now := uint64(0)
-	for h.Committed() < 50 {
+	for h.committed < 50 {
 		run, st, wake := h.Next(0, now)
 		switch st {
 		case kernel.StatusRef:
@@ -253,7 +253,7 @@ func TestGroupCommitBatches(t *testing.T) {
 		t.Fatal("log writer never flushed")
 	}
 	// Group commit: strictly fewer flushes than commits.
-	if flushes >= h.Committed() {
-		t.Fatalf("no batching: %d flushes for %d commits", flushes, h.Committed())
+	if flushes >= h.committed {
+		t.Fatalf("no batching: %d flushes for %d commits", flushes, h.committed)
 	}
 }

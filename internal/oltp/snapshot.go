@@ -22,8 +22,7 @@ func (h *Harness) SaveState(e *snapshot.Encoder) {
 	}
 	e.Int(len(h.lgwr.waiters))
 	for _, w := range h.lgwr.waiters {
-		e.Int(w.g.id)
-		e.U64(w.lsn)
+		e.Int(w.id)
 	}
 	e.U64(h.lgwr.ioTarget)
 	e.Int(h.lgwr.phase)
@@ -68,17 +67,16 @@ func (h *Harness) LoadState(d *snapshot.Decoder) error {
 	if nWaiters < 0 || nWaiters > len(h.servers) {
 		return fmt.Errorf("oltp: %d commit waiters for %d servers", nWaiters, len(h.servers))
 	}
-	waiters := make([]commitWaiter, nWaiters)
+	waiters := make([]*serverGen, nWaiters)
 	for i := range waiters {
 		id := d.Int()
-		lsn := d.U64()
 		if d.Err() != nil {
 			return d.Err()
 		}
 		if id < 0 || id >= len(h.servers) {
 			return fmt.Errorf("oltp: commit waiter references server %d of %d", id, len(h.servers))
 		}
-		waiters[i] = commitWaiter{g: h.servers[id], lsn: lsn}
+		waiters[i] = h.servers[id]
 	}
 	lgwrIOTarget := d.U64()
 	lgwrPhase := d.Int()

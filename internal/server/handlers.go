@@ -54,7 +54,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	j, err := s.submit(spec, cfgs)
+	st, err := s.submit(spec, cfgs)
 	switch {
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
@@ -68,8 +68,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	w.Header().Set("Location", "/jobs/"+j.ID)
-	writeJSON(w, http.StatusAccepted, j.status())
+	w.Header().Set("Location", "/jobs/"+st.ID)
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

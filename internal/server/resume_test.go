@@ -29,9 +29,13 @@ func submitDirect(t *testing.T, s *Server, body string) *Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := s.submit(spec, cfgs)
+	st, err := s.submit(spec, cfgs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	j, ok := s.jobByID(st.ID)
+	if !ok {
+		t.Fatalf("submitted job %s not found", st.ID)
 	}
 	return j
 }

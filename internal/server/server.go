@@ -260,18 +260,19 @@ var errClosing = errors.New("server: shutting down")
 // persist the spec outside it, then insert and wake a worker. The
 // reservation keeps concurrent submissions from overshooting QueueDepth
 // during the persistence window, and the persist-before-insert order means
-// a job a client ever saw accepted is durable.
-func (s *Server) submit(spec JobSpec, cfgs []core.Config) (*Job, error) {
+// a job a client ever saw accepted is durable. It returns the job's status
+// as queued, taken before any worker can see the job.
+func (s *Server) submit(spec JobSpec, cfgs []core.Config) (Status, error) {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		return nil, errClosing
+		return Status{}, errClosing
 	}
 	active := len(s.pending) + s.busy + s.reserved
 	if active >= s.cfg.QueueDepth {
 		s.jobsRejected++
 		s.mu.Unlock()
-		return nil, errQueueFull
+		return Status{}, errQueueFull
 	}
 	s.reserved++
 	s.seq++
@@ -282,10 +283,11 @@ func (s *Server) submit(spec JobSpec, cfgs []core.Config) (*Job, error) {
 		s.mu.Lock()
 		s.reserved--
 		s.mu.Unlock()
-		return nil, fmt.Errorf("server: persisting job: %w", err)
+		return Status{}, fmt.Errorf("server: persisting job: %w", err)
 	}
 
 	j := &Job{ID: id, Spec: spec, cfgs: cfgs, state: StateQueued}
+	st := j.status()
 	s.mu.Lock()
 	s.reserved--
 	if s.closing {
@@ -303,7 +305,7 @@ func (s *Server) submit(spec JobSpec, cfgs []core.Config) (*Job, error) {
 				s.cfg.Logf("removing spec of rejected %s: %v", id, err)
 			}
 		}
-		return nil, errClosing
+		return Status{}, errClosing
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -313,7 +315,7 @@ func (s *Server) submit(spec JobSpec, cfgs []core.Config) (*Job, error) {
 	s.mu.Unlock()
 	j.publish(j.event("queued", -1))
 	s.cfg.Logf("accepted %s (%d configurations, name %q)", id, len(cfgs), spec.Name)
-	return j, nil
+	return st, nil
 }
 
 // cancelJob requests cancellation. Queued jobs cancel immediately; running

@@ -19,8 +19,9 @@
 // core.System.Save/Load orchestrates the named sections. A section costs
 // the state it holds, not the structure's capacity: a cache writes only
 // its resident ways (since version 9), the scheduler the references still
-// to run (since version 10), the directory its live entries and the
-// balance tables their nonzero rows. A Writer streams its parts to
+// to run (since version 10), each as its 8-byte word (since version 11),
+// the directory its live entries and the balance tables their nonzero
+// rows. A Writer streams its parts to
 // its destination without joining them, and Parse reads a stream in place.
 package snapshot
 
@@ -37,7 +38,7 @@ const Magic = "OLTPSNAP"
 
 // Version is the current format version. Load refuses any other version
 // with a *VersionError: state layout changes must bump it.
-const Version uint32 = 10
+const Version uint32 = 11
 
 // VersionError reports a stream written in another format version, so a
 // caller can tell an outdated stream from a corrupt one.
